@@ -7,20 +7,11 @@ provides the sampling and diagnostic tooling to verify that everything
 converges to the arcsine law at the predicted rate.
 """
 
-from .chebpoly import (
-    IntervalMap,
-    cheb_eval,
-    cheb_eval_recurrence,
-    cheb_integral,
-    cosine_sum,
-    critical_points,
-    sine_sum,
-)
+from .chebpoly import cheb_eval, cheb_integral
 from .densities import (
     Density,
     catalog,
     make_density,
-    numeric_cdf_check,
     parse_density,
     sample,
 )
@@ -36,7 +27,6 @@ from .pushforward import (
     LIMIT_BOUNDED_FACTOR,
     ConvergenceReport,
     PushforwardResult,
-    angle_density,
     asymptotic_bounded_factor,
     bounded_factor,
     convergence_report,
@@ -46,7 +36,6 @@ from .pushforward import (
     pushforward_mass,
     pushforward_on_grid,
     pushforward_pdf,
-    scaled_angle_density,
     series_bounded_factor,
     sup_error,
 )
@@ -55,7 +44,6 @@ from .spectral import (
     even_moment_sum,
     expand_density,
     normalization_residual,
-    series_eval,
 )
 
 __version__ = "0.1.0"
@@ -64,21 +52,16 @@ __all__ = [
     "ChebSeries",
     "ConvergenceReport",
     "Density",
-    "IntervalMap",
     "KSResult",
     "LIMIT_BOUNDED_FACTOR",
     "PushforwardResult",
     "SampleBatch",
-    "angle_density",
     "asymptotic_bounded_factor",
     "bounded_factor",
     "catalog",
     "cheb_eval",
-    "cheb_eval_recurrence",
     "cheb_integral",
     "convergence_report",
-    "cosine_sum",
-    "critical_points",
     "default_grid",
     "even_moment_sum",
     "expand_density",
@@ -87,7 +70,6 @@ __all__ = [
     "make_density",
     "mass_left_of_zero",
     "normalization_residual",
-    "numeric_cdf_check",
     "parse_density",
     "push_samples",
     "pushforward_cdf",
@@ -95,10 +77,7 @@ __all__ = [
     "pushforward_on_grid",
     "pushforward_pdf",
     "sample",
-    "scaled_angle_density",
     "series_bounded_factor",
-    "series_eval",
-    "sine_sum",
     "sup_error",
     "uniform_stream",
 ]

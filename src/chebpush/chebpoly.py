@@ -1,4 +1,4 @@
-"""Chebyshev polynomials of the first kind and supporting exact identities.
+"""Chebyshev polynomials of the first kind: T_k and its integral over [-1, 1].
 
 Everything lives on the natural domain [-1, 1]. Inputs that stray outside it
 by more than a small rounding slack raise ValueError rather than silently
@@ -8,64 +8,39 @@ polynomial maps routinely land a few ulp past the endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Tolerated overshoot of |x| past 1 before input is considered invalid.
 DOMAIN_SLACK = 1e-12
 
-_TWO_PI = 2.0 * np.pi
 
-
-def _check_index(k, minimum=0, what="index"):
-    if int(k) != k or k < minimum:
-        raise ValueError(f"{what} must be an integer >= {minimum}, got {k!r}")
+def _check_degree(k):
+    if int(k) != k or k < 0:
+        raise ValueError(f"polynomial degree must be an integer >= 0, got {k!r}")
     return int(k)
 
 
-def _unit_interval(x, what="argument"):
+def _unit_interval(x):
     """Validate x against [-1, 1] with rounding slack; return a clipped float array."""
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} must be finite")
+        raise ValueError("argument must be finite")
     if np.any(np.abs(arr) > 1.0 + DOMAIN_SLACK):
         worst = float(np.max(np.abs(arr)))
-        raise ValueError(f"{what} outside [-1, 1] beyond rounding slack: |x| = {worst}")
+        raise ValueError(f"argument outside [-1, 1] beyond rounding slack: |x| = {worst}")
     return np.clip(arr, -1.0, 1.0)
-
-
-def _match_shape(out, like):
-    return float(out) if np.ndim(like) == 0 else out
 
 
 def cheb_eval(k, x):
     """T_k(x) = cos(k arccos x), vectorized over x.
 
     The cosine form is uniformly stable in k (it never leaves the unit
-    circle), so it is the production evaluator; the recurrence variant
-    exists to cross-check it.
+    circle), so it is the production evaluator; the test suite cross-checks
+    it against the three-term recurrence.
     """
-    k = _check_index(k, what="polynomial degree")
-    arr = _unit_interval(x)
-    return _match_shape(np.cos(k * np.arccos(arr)), x)
-
-
-def cheb_eval_recurrence(k, x):
-    """T_k(x) by the three-term recurrence T_{j+1} = 2x T_j - T_{j-1}."""
-    k = _check_index(k, what="polynomial degree")
-    arr = _unit_interval(x)
-    if k == 0:
-        out = np.ones_like(arr)
-    elif k == 1:
-        out = arr
-    else:
-        prev = np.ones_like(arr)
-        cur = arr
-        for _ in range(k - 1):
-            prev, cur = cur, 2.0 * arr * cur - prev
-        out = cur
-    return _match_shape(out, x)
+    k = _check_degree(k)
+    out = np.cos(k * np.arccos(_unit_interval(x)))
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def cheb_integral(k):
@@ -74,69 +49,7 @@ def cheb_integral(k):
     Equals ((-1)^k + 1) / (1 - k^2) for k != 1 (zero for odd k) and 0 for
     k = 1, where the general formula would divide by zero.
     """
-    k = _check_index(k, what="polynomial degree")
+    k = _check_degree(k)
     if k == 1:
         return 0.0
     return (1.0 + (-1.0) ** k) / (1.0 - k * k)
-
-
-def critical_points(k):
-    """The k+1 extrema of T_k on [-1, 1], ascending: cos(pi j / k), j = k..0.
-
-    T_k alternates between +1 and -1 on them, which makes them the natural
-    breakpoints for branchwise inversion. k = 0 has no interior structure;
-    the endpoints are returned for uniformity.
-    """
-    k = _check_index(k, what="polynomial degree")
-    if k == 0:
-        return np.array([-1.0, 1.0])
-    return np.cos(np.pi * np.arange(k, -1, -1) / k)
-
-
-def cosine_sum(n, x):
-    """Closed form of sum_{j=1..n} cos(j x).
-
-    Uses sin(n x / 2) cos((n + 1) x / 2) / sin(x / 2); near x = 0 (mod 2 pi)
-    the denominator degenerates and the sum is evaluated directly instead.
-    """
-    n = _check_index(n, what="number of terms")
-    x = float(x)
-    half = np.sin(0.5 * x)
-    if abs(half) < 1e-12:
-        return float(np.sum(np.cos(np.arange(1, n + 1) * x)))
-    return float(np.sin(0.5 * n * x) * np.cos(0.5 * (n + 1) * x) / half)
-
-
-def sine_sum(n, x):
-    """Closed form of sum_{j=1..n} sin(j x), same degenerate-denominator fallback."""
-    n = _check_index(n, what="number of terms")
-    x = float(x)
-    half = np.sin(0.5 * x)
-    if abs(half) < 1e-12:
-        return float(np.sum(np.sin(np.arange(1, n + 1) * x)))
-    return float(np.sin(0.5 * n * x) * np.sin(0.5 * (n + 1) * x) / half)
-
-
-@dataclass(frozen=True)
-class IntervalMap:
-    """Affine identification of [a, b] with the Chebyshev domain [-1, 1]."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
-            raise ValueError(f"IntervalMap needs finite a < b, got ({self.a}, {self.b})")
-
-    def to_unit(self, x):
-        arr = np.asarray(x, dtype=float)
-        width = self.b - self.a
-        if np.any(arr < self.a - DOMAIN_SLACK * width) or np.any(arr > self.b + DOMAIN_SLACK * width):
-            raise ValueError(f"point outside [{self.a}, {self.b}]")
-        out = np.clip((2.0 * arr - self.a - self.b) / width, -1.0, 1.0)
-        return _match_shape(out, x)
-
-    def from_unit(self, t):
-        arr = _unit_interval(t, what="unit-interval point")
-        out = 0.5 * ((self.b - self.a) * arr + self.a + self.b)
-        return _match_shape(out, t)

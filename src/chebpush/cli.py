@@ -3,7 +3,7 @@
 Every subcommand emits a deterministic data file (CSV or JSON) built from
 the exact pushforward machinery; there is no plotting here, any tool can
 consume the output. Exit codes: 0 success, 1 numerical-guard failure
-(a computation refused its input), 2 usage error.
+(a computation refused its input) or unwritable output, 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .densities import make_density, parse_density, sample
 from .montecarlo import histogram, ks_statistic, push_samples
 from .pushforward import (
     asymptotic_bounded_factor,
-    bounded_factor,
     convergence_report,
     default_grid,
     mass_left_of_zero,
@@ -59,6 +58,16 @@ def _positive_int(text):
     if value < 1:
         raise ValueError(f"must be a positive integer, got {text}")
     return value
+
+
+def _flag(parse):
+    """parse as an argparse type that keeps the ValueError's reason in the usage error."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def _cell(value):
@@ -142,10 +151,9 @@ def cmd_converge(ns):
     series = expand_density(d) if d.expandable else None
     z = default_grid(ns.grid)
     rows = []
-    for k, err in zip(report.ks, report.sup_errors):
+    for k, err, bounded in zip(report.ks, report.sup_errors, report.bounded):
         if series is not None and k >= 2:
-            asym = float(np.max(np.abs(
-                bounded_factor(d, k, z) - asymptotic_bounded_factor(series, k, z))))
+            asym = float(np.max(np.abs(bounded - asymptotic_bounded_factor(series, k, z))))
         else:
             asym = float("nan")
         rows.append((k, err, asym))
@@ -193,7 +201,7 @@ def _add_io_flags(sp):
 
 
 def _add_grid_flag(sp):
-    sp.add_argument("--grid", type=_positive_int, default=201, metavar="N",
+    sp.add_argument("--grid", type=_flag(_positive_int), default=201, metavar="N",
                     help="number of evaluation grid points")
 
 
@@ -207,9 +215,9 @@ def build_parser():
 
     p = sub.add_parser("pdf", formatter_class=fmt,
                        help="exact pushforward density on a grid")
-    p.add_argument("--dist", type=parse_density, required=True,
+    p.add_argument("--dist", type=_flag(parse_density), required=True,
                    help="density selector: arcsine | uniform | ramp | uniform01 | gauss:MU,SIGMA")
-    p.add_argument("--k", type=_positive_int, required=True, help="Chebyshev index")
+    p.add_argument("--k", type=_flag(_positive_int), required=True, help="Chebyshev index")
     _add_grid_flag(p)
     _add_io_flags(p)
     p.set_defaults(func=cmd_pdf)
@@ -217,9 +225,9 @@ def build_parser():
     p = sub.add_parser("dance", formatter_class=fmt,
                        help="pushforward across a ladder of k for a centered bump, "
                             "with the mass left of zero per k")
-    p.add_argument("--dist", type=parse_density, default="gauss:0,0.25",
+    p.add_argument("--dist", type=_flag(parse_density), default="gauss:0,0.25",
                    help="density selector")
-    p.add_argument("--ks", type=parse_ks, default="2..24",
+    p.add_argument("--ks", type=_flag(parse_ks), default="2..24",
                    help="k list: comma values and/or inclusive ranges a..b[:step]")
     _add_grid_flag(p)
     _add_io_flags(p)
@@ -227,8 +235,8 @@ def build_parser():
 
     p = sub.add_parser("converge", formatter_class=fmt,
                        help="sup-error trace over k with a fitted log-log order")
-    p.add_argument("--dist", type=parse_density, required=True, help="density selector")
-    p.add_argument("--ks", type=parse_ks, default="8,16,32,64,128", help="k list")
+    p.add_argument("--dist", type=_flag(parse_density), required=True, help="density selector")
+    p.add_argument("--ks", type=_flag(parse_ks), default="8,16,32,64,128", help="k list")
     _add_grid_flag(p)
     _add_io_flags(p)
     p.set_defaults(func=cmd_converge)
@@ -236,17 +244,17 @@ def build_parser():
     p = sub.add_parser("expand", formatter_class=fmt,
                        help="Chebyshev coefficients of a density, with the "
                             "normalization residual and even-coefficient sum")
-    p.add_argument("--dist", type=parse_density, required=True, help="density selector")
-    p.add_argument("--order", type=_positive_int, default=64, help="truncation order")
+    p.add_argument("--dist", type=_flag(parse_density), required=True, help="density selector")
+    p.add_argument("--order", type=_flag(_positive_int), default=64, help="truncation order")
     _add_io_flags(p)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("mc", formatter_class=fmt,
                        help="seeded Monte Carlo: histogram of pushed samples plus KS "
                             "distances against the exact law and the arcsine limit")
-    p.add_argument("--dist", type=parse_density, required=True, help="density selector")
-    p.add_argument("--k", type=_positive_int, required=True, help="Chebyshev index")
-    p.add_argument("--n", type=_positive_int, default=100000, help="sample count")
+    p.add_argument("--dist", type=_flag(parse_density), required=True, help="density selector")
+    p.add_argument("--k", type=_flag(_positive_int), required=True, help="Chebyshev index")
+    p.add_argument("--n", type=_flag(_positive_int), default=100000, help="sample count")
     p.add_argument("--seed", type=int, default=42, help="stream seed")
     _add_io_flags(p)
     p.set_defaults(func=cmd_mc)
@@ -254,7 +262,7 @@ def build_parser():
     p = sub.add_parser("invariance", formatter_class=fmt,
                        help="max deviation of the arcsine pushforward from its own "
                             "law, for every k up to a cap")
-    p.add_argument("--k", type=_positive_int, default=64, metavar="KMAX",
+    p.add_argument("--k", type=_flag(_positive_int), default=64, metavar="KMAX",
                    help="largest Chebyshev index checked")
     _add_grid_flag(p)
     _add_io_flags(p)
@@ -272,6 +280,9 @@ def main(argv=None):
         return 1
     except BrokenPipeError:
         return 0
+    except OSError as exc:
+        print(f"chebpush: error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr
 
 from .montecarlo import SampleBatch, uniform_stream
@@ -32,11 +31,11 @@ class Density:
     """A probability density on a subinterval of [-1, 1].
 
     pdf/cdf/ppf accept scalars or arrays. breakpoints lists interior
-    discontinuities of the pdf (jump locations strictly inside (-1, 1));
-    expandable says whether the density is bounded so a Chebyshev expansion
-    makes sense. angle_pdf(theta) is an optional exact form of
-    pdf(cos theta) * sin theta and angle_cdf(theta) of 1 - cdf(cos theta),
-    both on [0, pi].
+    discontinuities of the pdf (jump locations strictly inside (-1, 1)), and
+    the density is discontinuous exactly when it has one; expandable says
+    whether the density is bounded so a Chebyshev expansion makes sense.
+    angle_pdf(theta) is an optional exact form of pdf(cos theta) * sin theta
+    and angle_cdf(theta) of 1 - cdf(cos theta), both on [0, pi].
     """
 
     name: str
@@ -44,11 +43,14 @@ class Density:
     cdf: Callable
     ppf: Callable
     support: tuple = (-1.0, 1.0)
-    discontinuous: bool = False
     expandable: bool = True
     breakpoints: tuple = ()
     angle_pdf: Optional[Callable] = None
     angle_cdf: Optional[Callable] = None
+
+    @property
+    def discontinuous(self):
+        return bool(self.breakpoints)
 
 
 def _arcsine():
@@ -142,7 +144,7 @@ def _uniform01():
         return out
 
     return Density(name="uniform01", pdf=pdf, cdf=cdf, ppf=ppf,
-                   support=(0.0, 1.0), discontinuous=True, breakpoints=(0.0,))
+                   support=(0.0, 1.0), breakpoints=(0.0,))
 
 
 def _bisect_ppf(cdf, u, lo, hi, iters=48):
@@ -253,21 +255,3 @@ def sample(d, n, seed):
     values = np.asarray(d.ppf(u), dtype=float)
     return SampleBatch(values=values, seed=int(seed), n=int(n), k=0, source=d.name)
 
-
-def numeric_cdf_check(d, grid=64):
-    """Worst |cdf(z) - integral of pdf up to z| over an interior grid.
-
-    Adaptive quadrature from the left support edge, split at pdf
-    breakpoints. A correct pdf/cdf pair keeps this at quadrature noise.
-    """
-    if int(grid) != grid or grid < 16:
-        raise ValueError(f"need at least 16 check points, got {grid!r}")
-    lo, hi = d.support
-    zs = np.linspace(lo, hi, int(grid) + 2)[1:-1]
-    worst = 0.0
-    for z in zs:
-        pts = [b for b in d.breakpoints if lo < b < z]
-        val, _ = quad(lambda x: float(d.pdf(x)), lo, float(z),
-                      points=pts or None, limit=200)
-        worst = max(worst, abs(val - float(d.cdf(z))))
-    return worst

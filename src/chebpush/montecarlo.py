@@ -1,8 +1,7 @@
 """Deterministic Monte Carlo support.
 
 Uniform variates come from a counter-based generator (Philox) keyed by the
-seed, so a slice of the stream is addressable by (seed, start) and results
-are bit-identical no matter how generation is split up. Batches carry their
+seed, so the same seed always gives the same draws. Batches carry their
 provenance and can be pushed through Chebyshev maps elementwise.
 """
 
@@ -20,27 +19,12 @@ from .chebpoly import cheb_eval
 KS_FACTOR = 1.95
 
 
-def uniform_stream(seed, n, start=0):
-    """n uniform variates from the Philox stream keyed by seed.
-
-    start addresses a position in the stream: uniform_stream(s, n, start=i)
-    equals uniform_stream(s, i + n)[i:] elementwise, which is what makes
-    parallel generation reproducible.
-    """
+def uniform_stream(seed, n):
+    """The first n uniform variates of the Philox stream keyed by seed."""
     if int(n) != n or n < 0:
         raise ValueError(f"sample count must be a nonnegative integer, got {n!r}")
-    if int(start) != start or start < 0:
-        raise ValueError(f"stream offset must be a nonnegative integer, got {start!r}")
     bitgen = np.random.Philox(key=np.uint64(int(seed) & (2**64 - 1)))
-    # advance() steps the counter in 4-variate blocks; cross the remainder
-    # by discarding, so start addresses single variates
-    blocks, remainder = divmod(int(start), 4)
-    if blocks:
-        bitgen.advance(blocks)
-    gen = np.random.Generator(bitgen)
-    if remainder:
-        gen.random(remainder)
-    return gen.random(int(n))
+    return np.random.Generator(bitgen).random(int(n))
 
 
 @dataclass(frozen=True)
@@ -83,12 +67,13 @@ class KSResult:
     passed: bool
 
 
-def ks_statistic(batch, cdf, threshold=None):
+def ks_statistic(batch, cdf):
     """One-sample KS distance of batch.values against a reference cdf.
 
     Sorted-sample formula: D = max(D+, D-) with D+ = max_i(i/n - F(x_(i)))
-    and D- = max_i(F(x_(i)) - (i-1)/n). Below n = 100 the statistic is too
-    noisy to gate anything, so that is rejected outright.
+    and D- = max_i(F(x_(i)) - (i-1)/n). The test passes below
+    KS_FACTOR / sqrt(n). Below n = 100 the statistic is too noisy to gate
+    anything, so that is rejected outright.
     """
     n = batch.n
     if n < 100:
@@ -99,7 +84,7 @@ def ks_statistic(batch, cdf, threshold=None):
     d_plus = float(np.max(i / n - ref))
     d_minus = float(np.max(ref - (i - 1) / n))
     stat = max(d_plus, d_minus)
-    thr = KS_FACTOR / math.sqrt(n) if threshold is None else float(threshold)
+    thr = KS_FACTOR / math.sqrt(n)
     return KSResult(statistic=stat, n=n, threshold=thr, passed=stat < thr)
 
 

@@ -47,7 +47,8 @@ GRID_EPS = 1e-3
 # rather than converging (rounding floor of the angle sum).
 INVARIANT_TOL = 1e-13
 
-_ANGLE_SLACK = 1e-9
+# Gauss-Legendre nodes per panel of the total-mass quadrature.
+MASS_NODES = 64
 
 
 def _check_k(k):
@@ -66,13 +67,11 @@ def _open_interval(z):
     return arr
 
 
-def default_grid(n=201, eps=GRID_EPS):
-    """Ascending z grid cos(beta), beta uniform on [eps, pi - eps]."""
+def default_grid(n=201):
+    """Ascending z grid cos(beta), beta uniform on [GRID_EPS, pi - GRID_EPS]."""
     if int(n) != n or n < 2:
         raise ValueError(f"grid needs at least 2 points, got {n!r}")
-    if not 0.0 < eps < np.pi / 2:
-        raise ValueError(f"grid margin must lie in (0, pi/2), got {eps!r}")
-    beta = np.linspace(eps, np.pi - eps, int(n))
+    beta = np.linspace(GRID_EPS, np.pi - GRID_EPS, int(n))
     return np.cos(beta)[::-1].copy()
 
 
@@ -87,32 +86,6 @@ def _angle_cdf(d, theta):
     if d.angle_cdf is not None:
         return np.asarray(d.angle_cdf(theta), dtype=float)
     return 1.0 - np.asarray(d.cdf(np.cos(theta)), dtype=float)
-
-
-def angle_density(d, theta):
-    """Density of Theta = arccos(X) on [0, pi]: pdf(cos theta) * sin theta.
-
-    Uses the density's exact angle-space form when it has one.
-    """
-    arr = np.asarray(theta, dtype=float)
-    if np.any(arr < -_ANGLE_SLACK) or np.any(arr > np.pi + _ANGLE_SLACK):
-        raise ValueError("angle outside [0, pi]")
-    out = _angle_pdf(d, np.clip(arr, 0.0, np.pi))
-    return float(out) if np.ndim(theta) == 0 else out
-
-
-def scaled_angle_density(d, k, psi):
-    """Density of Psi = k * arccos(X) on [0, k pi].
-
-    Uniform exactly when X follows the arcsine law; that flatness is what
-    every T_k folds back into invariance.
-    """
-    k = _check_k(k)
-    arr = np.asarray(psi, dtype=float)
-    if np.any(arr < -_ANGLE_SLACK) or np.any(arr > k * np.pi + _ANGLE_SLACK):
-        raise ValueError(f"scaled angle outside [0, {k} pi]")
-    out = _angle_pdf(d, np.clip(arr / k, 0.0, np.pi)) / k
-    return float(out) if np.ndim(psi) == 0 else out
 
 
 def _bounded_from_beta(d, k, beta):
@@ -232,11 +205,14 @@ def asymptotic_bounded_factor(series, k, z):
     return float(out) if np.ndim(z) == 0 else out
 
 
+def _sup_deviation(bounded):
+    return float(np.max(np.abs(bounded - LIMIT_BOUNDED_FACTOR)))
+
+
 def sup_error(d, k, grid=201):
     """Sup over the standard grid of |S_k(z) - 1/pi|."""
     k = _check_k(k)
-    z = default_grid(grid)
-    return float(np.max(np.abs(bounded_factor(d, k, z) - LIMIT_BOUNDED_FACTOR)))
+    return _sup_deviation(bounded_factor(d, k, default_grid(grid)))
 
 
 @dataclass(frozen=True)
@@ -247,7 +223,9 @@ class ConvergenceReport:
     (fitted_order is then nan), "empirical" for discontinuous inputs where
     the error decay is observed rather than covered by the smooth-case
     analysis, and "fit" otherwise. fitted_order is nan with fewer than
-    three k values.
+    three k values. bounded holds S_k on default_grid(grid), one array per
+    k, so other routes can be compared against the same values without
+    summing the angles again.
     """
 
     density: str
@@ -255,26 +233,30 @@ class ConvergenceReport:
     sup_errors: tuple
     fitted_order: float
     label: str
+    bounded: tuple
 
 
 def convergence_report(d, ks, grid=201):
+    """S_k and its sup error for each k in an increasing ladder, with the fit."""
     ks = tuple(_check_k(k) for k in ks)
     if len(ks) < 1:
         raise ValueError("need at least one k")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k values must be strictly increasing")
-    errors = tuple(sup_error(d, k, grid) for k in ks)
+    z = default_grid(grid)
+    bounded = tuple(bounded_factor(d, k, z) for k in ks)
+    errors = tuple(_sup_deviation(s) for s in bounded)
     if max(errors) < INVARIANT_TOL:
-        return ConvergenceReport(density=d.name, ks=ks, sup_errors=errors,
-                                 fitted_order=float("nan"), label="invariant")
-    label = "empirical" if d.discontinuous else "fit"
-    if len(ks) < 3:
-        order = float("nan")
+        label, order = "invariant", float("nan")
     else:
-        order = float(np.polyfit(np.log(np.asarray(ks, dtype=float)),
-                                 np.log(np.asarray(errors)), 1)[0])
-    return ConvergenceReport(density=d.name, ks=ks, sup_errors=errors,
-                             fitted_order=order, label=label)
+        label = "empirical" if d.discontinuous else "fit"
+        if len(ks) < 3:
+            order = float("nan")
+        else:
+            order = float(np.polyfit(np.log(np.asarray(ks, dtype=float)),
+                                     np.log(np.asarray(errors)), 1)[0])
+    return ConvergenceReport(density=d.name, ks=ks, sup_errors=errors, fitted_order=order,
+                             label=label, bounded=bounded)
 
 
 def mass_left_of_zero(d, k):
@@ -283,9 +265,9 @@ def mass_left_of_zero(d, k):
     return float(pushforward_cdf(d, k, 0.0))
 
 
-@lru_cache(maxsize=8)
-def _gl_rule(nodes):
-    return np.polynomial.legendre.leggauss(nodes)
+@lru_cache(maxsize=1)
+def _gl_rule():
+    return np.polynomial.legendre.leggauss(MASS_NODES)
 
 
 def _panel_breaks(d, k):
@@ -307,18 +289,17 @@ def _panel_breaks(d, k):
     return sorted(breaks)
 
 
-def pushforward_mass(d, k, nodes=64):
+def pushforward_mass(d, k):
     """Total mass of the pushforward, integrated in angle space.
 
     Substituting z = cos(beta) turns the singular integral of f_k over
     (-1, 1) into the smooth integral of S_k(cos beta) over (0, pi), handled
-    by composite Gauss-Legendre with panel breaks at the images of pdf
-    jumps. Equals 1 up to quadrature error for any correct density.
+    by composite Gauss-Legendre (MASS_NODES nodes per panel) with panel
+    breaks at the images of pdf jumps. Equals 1 up to quadrature error for
+    any correct density.
     """
     k = _check_k(k)
-    if int(nodes) != nodes or nodes < 4:
-        raise ValueError(f"need at least 4 quadrature nodes per panel, got {nodes!r}")
-    x, w = _gl_rule(int(nodes))
+    x, w = _gl_rule()
     breaks = _panel_breaks(d, k)
     betas = []
     weights = []

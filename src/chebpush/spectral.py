@@ -42,8 +42,10 @@ class ChebSeries:
         return len(self.coeffs) - 1
 
 
-def expand_density(d, order=64, quad_points=None):
+def expand_density(d, order=64):
     """Expand a bounded density to the given order.
+
+    The quadrature uses max(256, 4 (order + 1)) roots-grid points.
 
     Densities flagged non-expandable (unbounded pdf) raise ValueError: their
     coefficients are not defined by this quadrature. A series whose last
@@ -55,9 +57,7 @@ def expand_density(d, order=64, quad_points=None):
     order = int(order)
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
-    n = int(quad_points) if quad_points is not None else max(256, 4 * (order + 1))
-    if n <= order:
-        raise ValueError("quadrature must use more points than the series order")
+    n = max(256, 4 * (order + 1))
     theta = np.pi * (np.arange(n) + 0.5) / n
     fx = np.asarray(d.pdf(np.cos(theta)), dtype=float)
     ls = np.arange(order + 1)
@@ -74,12 +74,6 @@ def expand_density(d, order=64, quad_points=None):
             RuntimeWarning, stacklevel=2)
     mu.flags.writeable = False
     return ChebSeries(coeffs=mu, source=d.name, decayed=decayed)
-
-
-def series_eval(series, x):
-    """Evaluate the truncated series at x (Clenshaw recurrence)."""
-    out = np.polynomial.chebyshev.chebval(np.asarray(x, dtype=float), series.coeffs)
-    return float(out) if np.ndim(x) == 0 else out
 
 
 def normalization_residual(series):

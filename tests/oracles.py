@@ -1,10 +1,11 @@
 """Independent oracles for the test suite.
 
 Every expected value here is derived by a route disjoint from the library:
-exact integer sign tests on dyadic bisection points for branch inversion,
-interval unions in angle space for distribution functions, adaptive
-quadrature for moments, and the error function for the truncated gaussian.
-Tests compare the library against these, never against itself.
+the three-term recurrence for T_k, exact integer sign tests on dyadic
+bisection points for branch inversion, interval unions in angle space for
+distribution functions, adaptive quadrature for moments and cdfs, and the
+error function for the truncated gaussian. Tests compare the library
+against these, never against itself.
 """
 
 import numpy as np
@@ -12,6 +13,17 @@ from scipy.integrate import quad
 from scipy.special import erf, ndtr, ndtri
 
 TWO_PI = 2.0 * np.pi
+
+
+def cheb_eval_recurrence(k, x):
+    """T_k(x) by the three-term recurrence T_{j+1} = 2x T_j - T_{j-1}."""
+    arr = np.asarray(x, dtype=float)
+    prev, cur = np.ones_like(arr), arr
+    if k == 0:
+        cur = prev
+    for _ in range(k - 1):
+        prev, cur = cur, 2.0 * arr * cur - prev
+    return float(cur) if np.ndim(x) == 0 else cur
 
 
 def int_cheb_coeffs(k):
@@ -134,3 +146,20 @@ def quad_integral_t_k(k):
     val, _ = quad(lambda x: np.cos(k * np.arccos(np.clip(x, -1.0, 1.0))),
                   -1.0, 1.0, limit=200)
     return val
+
+
+def numeric_cdf_check(d, grid):
+    """Worst |cdf(z) - integral of pdf up to z| over an interior grid.
+
+    Adaptive quadrature from the left support edge, split at pdf
+    breakpoints. A correct pdf/cdf pair keeps this at quadrature noise.
+    """
+    lo, hi = d.support
+    zs = np.linspace(lo, hi, int(grid) + 2)[1:-1]
+    worst = 0.0
+    for z in zs:
+        pts = [b for b in d.breakpoints if lo < b < z]
+        val, _ = quad(lambda x: float(d.pdf(x)), lo, float(z),
+                      points=pts or None, limit=200)
+        worst = max(worst, abs(val - float(d.cdf(z))))
+    return worst

@@ -3,17 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebpush.chebpoly import (
-    IntervalMap,
-    cheb_eval,
-    cheb_eval_recurrence,
-    cheb_integral,
-    cosine_sum,
-    critical_points,
-    sine_sum,
-)
+from chebpush.chebpoly import cheb_eval, cheb_integral
 
-from oracles import quad_integral_t_k
+from oracles import cheb_eval_recurrence, quad_integral_t_k
 
 unit_floats = st.floats(min_value=-1.0, max_value=1.0)
 
@@ -35,7 +27,7 @@ def test_endpoint_values():
 
 def test_extrema_alternate():
     for k in (1, 2, 5, 12):
-        pts = critical_points(k)
+        pts = np.cos(np.pi * np.arange(k, -1, -1) / k)
         vals = cheb_eval(k, pts)
         # ascending x ordering: T_k(cos(pi j / k)) = (-1)^j, j = k..0
         expected = (-1.0) ** np.arange(k, -1, -1)
@@ -100,54 +92,3 @@ def test_integral_special_cases():
     for k in range(3, 20, 2):
         assert cheb_integral(k) == 0.0
     assert cheb_integral(2) == pytest.approx(-2.0 / 3.0, abs=1e-16)
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.integers(min_value=0, max_value=1000),
-       st.floats(min_value=-20.0, max_value=20.0))
-def test_cosine_sum_matches_direct(n, x):
-    direct = float(np.sum(np.cos(np.arange(1, n + 1) * x)))
-    assert cosine_sum(n, x) == pytest.approx(direct, abs=1e-8 * max(1, n))
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.integers(min_value=0, max_value=1000),
-       st.floats(min_value=-20.0, max_value=20.0))
-def test_sine_sum_matches_direct(n, x):
-    direct = float(np.sum(np.sin(np.arange(1, n + 1) * x)))
-    assert sine_sum(n, x) == pytest.approx(direct, abs=1e-8 * max(1, n))
-
-
-def test_trig_sums_degenerate_point():
-    # x = 2 pi: every cosine is 1, every sine is 0; the closed form divides
-    # by sin(x/2) ~ 0 and must fall back to direct summation
-    n = 500
-    assert cosine_sum(n, 2 * np.pi) == pytest.approx(n, rel=1e-9)
-    assert sine_sum(n, 2 * np.pi) == pytest.approx(0.0, abs=1e-9)
-    assert cosine_sum(n, 0.0) == n
-    assert sine_sum(n, 0.0) == 0.0
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.floats(min_value=-50, max_value=50), st.floats(min_value=1e-6, max_value=100),
-       unit_floats)
-def test_interval_map_roundtrip(a, width, t):
-    m = IntervalMap(a, a + width)
-    # cancellation in (2x - a - b) / width is conditioned by (|a|+|b|)/width
-    tol = 1e-13 * max(1.0, (abs(m.a) + abs(m.b)) / (m.b - m.a))
-    assert m.to_unit(m.from_unit(t)) == pytest.approx(t, abs=tol)
-
-
-def test_interval_map_endpoints_and_guards():
-    m = IntervalMap(2.0, 6.0)
-    assert m.to_unit(2.0) == -1.0
-    assert m.to_unit(6.0) == 1.0
-    assert m.from_unit(0.0) == 4.0
-    with pytest.raises(ValueError):
-        m.to_unit(6.5)
-    with pytest.raises(ValueError):
-        m.from_unit(1.5)
-    with pytest.raises(ValueError):
-        IntervalMap(3.0, 3.0)
-    with pytest.raises(ValueError):
-        IntervalMap(np.inf, 1.0)

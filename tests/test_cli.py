@@ -224,16 +224,41 @@ def test_out_file_writing(tmp_path, capsys):
     assert len(text.strip().splitlines()) == 10
 
 
+def test_unwritable_out_fails_with_guard_code(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "pdf", "--dist", "uniform", "--k", "3",
+                             "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("chebpush: error: ") and str(target) in err
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_two(capsys):
-    for argv in (["pdf", "--dist", "nope", "--k", "2"],
-                 ["pdf", "--dist", "uniform"],
-                 ["converge", "--dist", "uniform", "--ks", "9..3"],
-                 ["pdf", "--dist", "uniform", "--k", "0"],
-                 ["nosuch"]):
+    for argv, reason in ((["pdf", "--dist", "nope", "--k", "2"], None),
+                         (["pdf", "--dist", "gauss:0", "--k", "2"],
+                          "gauss selector needs MU,SIGMA"),
+                         (["pdf", "--dist", "uniform"], None),
+                         (["converge", "--dist", "uniform", "--ks", "9..3"],
+                          "bad range '9..3': need a <= b and step >= 1"),
+                         (["pdf", "--dist", "uniform", "--k", "0"], None),
+                         (["nosuch"], None)):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        if reason is not None:
+            assert reason in err
+
+
+def test_import_leaves_out_scipy_integrate():
+    # a fresh interpreter: this test session itself imports quad for the oracles
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, chebpush.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script_runs():

@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebpush.densities import (
-    catalog,
-    make_density,
-    numeric_cdf_check,
-    parse_density,
-    sample,
-)
+from chebpush.densities import catalog, make_density, parse_density, sample
 
-from oracles import truncated_gaussian_cdf_oracle, truncated_gaussian_ppf_oracle
+from oracles import (
+    numeric_cdf_check,
+    truncated_gaussian_cdf_oracle,
+    truncated_gaussian_ppf_oracle,
+)
 
 # interior probability levels; endpoint behavior is tested separately
 levels = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from chebpush.densities import make_density, sample
 from chebpush.montecarlo import (
@@ -23,21 +21,9 @@ def test_stream_determinism():
     assert np.all((a >= 0) & (a < 1))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=500),
-       st.integers(min_value=1, max_value=500))
-def test_stream_offset_addresses_the_same_stream(seed, start, n):
-    # counter-based property: a slice is addressable without generating
-    # everything before it
-    assert np.array_equal(uniform_stream(seed, n, start=start),
-                          uniform_stream(seed, start + n)[start:])
-
-
 def test_stream_guards():
     with pytest.raises(ValueError):
         uniform_stream(1, -5)
-    with pytest.raises(ValueError):
-        uniform_stream(1, 10, start=-1)
     assert uniform_stream(1, 0).shape == (0,)
 
 
@@ -84,13 +70,6 @@ def test_ks_needs_enough_samples():
         ks_statistic(b, make_density("uniform").cdf)
 
 
-def test_ks_threshold_override():
-    b = sample(make_density("uniform"), 1000, seed=8)
-    res = ks_statistic(b, make_density("uniform").cdf, threshold=1e-9)
-    assert not res.passed
-    assert res.passed == (res.statistic < res.threshold)
-
-
 def test_ks_detects_wrong_law():
     # uniform pushed through T_2 is far from the arcsine limit: the exact
     # cdf gap peaks at 0.21051366235301866 (at z = 1 - 8/pi^2, from the
@@ -99,6 +78,7 @@ def test_ks_detects_wrong_law():
     pushed = push_samples(sample(d, 1000000, seed=4), 2)
     res = ks_statistic(pushed, make_density("arcsine").cdf)
     assert not res.passed
+    assert res.passed == (res.statistic < 1.95 / np.sqrt(1000000))
     assert res.statistic == pytest.approx(0.21051366235301866, abs=5e-3)
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from chebpush.densities import catalog, make_density
 from chebpush.pushforward import (
     LIMIT_BOUNDED_FACTOR,
-    angle_density,
     asymptotic_bounded_factor,
     bounded_factor,
     convergence_report,
@@ -16,7 +15,6 @@ from chebpush.pushforward import (
     pushforward_mass,
     pushforward_on_grid,
     pushforward_pdf,
-    scaled_angle_density,
     series_bounded_factor,
     sup_error,
 )
@@ -41,34 +39,6 @@ def test_default_grid_shape():
     assert z[0] == pytest.approx(-np.cos(1e-3))
     with pytest.raises(ValueError):
         default_grid(1)
-    with pytest.raises(ValueError):
-        default_grid(100, eps=2.0)
-
-
-def test_angle_density_is_theta_law():
-    d = make_density("ramp")
-    theta = np.linspace(0.0, np.pi, 201)
-    vals = angle_density(d, theta)
-    # integrates to 1 over [0, pi]
-    assert np.trapezoid(vals, theta) == pytest.approx(1.0, abs=1e-4)
-    assert angle_density(d, 0.0) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        angle_density(d, -0.5)
-    with pytest.raises(ValueError):
-        angle_density(d, 3.5)
-
-
-def test_scaled_angle_density_stretches():
-    d = make_density("gauss", mu=0.0, sigma=0.25)
-    psi = np.linspace(0.0, 5 * np.pi, 301)
-    vals = scaled_angle_density(d, 5, psi)
-    assert np.allclose(vals, angle_density(d, psi / 5) / 5)
-    # flat for the arcsine law: 1 / (k pi) everywhere on [0, k pi]
-    arc = make_density("arcsine")
-    flat = scaled_angle_density(arc, 7, np.linspace(0.0, 7 * np.pi, 100))
-    assert np.max(np.abs(flat - 1.0 / (7 * np.pi))) < 1e-16
-    with pytest.raises(ValueError):
-        scaled_angle_density(d, 5, 5 * np.pi + 0.1)
 
 
 @pytest.mark.parametrize("name", [d.name for d in catalog()])
@@ -154,12 +124,6 @@ def test_mass_is_one(name):
     d = _dist(name)
     worst = max(abs(pushforward_mass(d, k) - 1.0) for k in range(1, 13))
     assert worst < 1e-9
-
-
-def test_mass_guards():
-    d = make_density("uniform")
-    with pytest.raises(ValueError):
-        pushforward_mass(d, 3, nodes=2)
 
 
 @pytest.mark.parametrize("name", [d.name for d in catalog()])
@@ -249,6 +213,16 @@ def test_convergence_report_empirical_label():
     assert rep.label == "empirical"
     # decay is observed even though the smooth analysis does not cover jumps
     assert rep.sup_errors[-1] < rep.sup_errors[0]
+
+
+def test_convergence_report_keeps_the_bounded_factor():
+    # the report's S_k arrays are the ones its sup errors were taken from
+    d = make_density("ramp")
+    rep = convergence_report(d, (3, 8), grid=33)
+    z = default_grid(33)
+    for k, err, s_k in zip(rep.ks, rep.sup_errors, rep.bounded):
+        assert np.array_equal(s_k, bounded_factor(d, k, z))
+        assert err == sup_error(d, k, 33)
 
 
 def test_convergence_report_guards():

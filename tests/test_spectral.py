@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from chebpush.densities import make_density
-from chebpush.spectral import (
-    even_moment_sum,
-    expand_density,
-    normalization_residual,
-    series_eval,
-)
+from chebpush.spectral import even_moment_sum, expand_density, normalization_residual
 
 from oracles import moment_oracle
 
@@ -42,7 +37,7 @@ def test_gaussian_series_reconstructs_the_pdf():
     d = make_density("gauss", mu=0.1, sigma=0.3)
     s = expand_density(d)
     xs = np.linspace(-0.999, 0.999, 201)
-    assert np.max(np.abs(series_eval(s, xs) - d.pdf(xs))) < 1e-12
+    assert np.max(np.abs(np.polynomial.chebyshev.chebval(xs, s.coeffs) - d.pdf(xs))) < 1e-12
 
 
 def test_order_change_does_not_move_coefficients():
@@ -90,9 +85,7 @@ def test_expand_guards():
     d = make_density("uniform")
     with pytest.raises(ValueError):
         expand_density(d, order=0)
-    with pytest.raises(ValueError):
-        expand_density(d, order=64, quad_points=32)
-    s = expand_density(d, order=8, quad_points=512)
+    s = expand_density(d, order=8)
     assert s.order == 8
 
 
