@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chebpush import montecarlo
 from chebpush.densities import make_density, sample
 from chebpush.montecarlo import (
     SampleBatch,
@@ -68,6 +69,17 @@ def test_ks_needs_enough_samples():
     b = sample(make_density("uniform"), 99, seed=1)
     with pytest.raises(ValueError):
         ks_statistic(b, make_density("uniform").cdf)
+
+
+def test_ks_threshold_override(monkeypatch):
+    # the threshold is KS_FACTOR / sqrt(n); overriding the module constant
+    # moves it, and passed follows the threshold, not a fixed cut
+    monkeypatch.setattr(montecarlo, "KS_FACTOR", 1e-9)
+    b = sample(make_density("uniform"), 1000, seed=8)
+    res = ks_statistic(b, make_density("uniform").cdf)
+    assert res.threshold == pytest.approx(1e-9 / np.sqrt(1000))
+    assert not res.passed
+    assert res.passed == (res.statistic < res.threshold)
 
 
 def test_ks_detects_wrong_law():
