@@ -3,7 +3,8 @@
 Every subcommand emits a deterministic data file (CSV or JSON) built from
 the exact pushforward machinery; there is no plotting here, any tool can
 consume the output. Exit codes: 0 success, 1 numerical-guard failure
-(a computation refused its input) or unwritable output, 2 usage error.
+(a computation refused its input, such as a k above MAX_K) or unwritable
+output, 2 usage error.
 """
 
 from __future__ import annotations
@@ -30,6 +31,12 @@ from .spectral import even_moment_sum, expand_density, normalization_residual
 
 MC_BINS = 50
 
+# Largest Chebyshev index any --k or --ks value may ask for; larger ones exit
+# 1 before any computation starts. The angle sum costs O(k) per grid point:
+# `pdf --k 1048576` on the default 201-point grid takes about 10 s on a
+# 2-core x86-64 container.
+MAX_K = 2**20
+
 
 def parse_ks(text):
     """Parse a k-list: comma-separated integers and inclusive ranges a..b[:step]."""
@@ -45,7 +52,9 @@ def parse_ks(text):
             step = int(step_s) if step_s else 1
             if step < 1 or hi < lo:
                 raise ValueError(f"bad range {part!r}: need a <= b and step >= 1")
-            out.extend(range(lo, hi + 1, step))
+            # stop after the range's first value above MAX_K, which main
+            # refuses, so a huge range is never expanded
+            out.extend(range(lo, min(hi, max(lo, MAX_K + step)) + 1, step))
         else:
             out.append(int(part))
     if not out or any(k < 1 for k in out):
@@ -217,7 +226,8 @@ def build_parser():
                        help="exact pushforward density on a grid")
     p.add_argument("--dist", type=_flag(parse_density), required=True,
                    help="density selector: arcsine | uniform | ramp | uniform01 | gauss:MU,SIGMA")
-    p.add_argument("--k", type=_flag(_positive_int), required=True, help="Chebyshev index")
+    p.add_argument("--k", type=_flag(_positive_int), required=True,
+                   help=f"Chebyshev index, at most {MAX_K}")
     _add_grid_flag(p)
     _add_io_flags(p)
     p.set_defaults(func=cmd_pdf)
@@ -228,7 +238,8 @@ def build_parser():
     p.add_argument("--dist", type=_flag(parse_density), default="gauss:0,0.25",
                    help="density selector")
     p.add_argument("--ks", type=_flag(parse_ks), default="2..24",
-                   help="k list: comma values and/or inclusive ranges a..b[:step]")
+                   help="k list: comma values and/or inclusive ranges a..b[:step], "
+                        f"each at most {MAX_K}")
     _add_grid_flag(p)
     _add_io_flags(p)
     p.set_defaults(func=cmd_dance)
@@ -236,7 +247,8 @@ def build_parser():
     p = sub.add_parser("converge", formatter_class=fmt,
                        help="sup-error trace over k with a fitted log-log order")
     p.add_argument("--dist", type=_flag(parse_density), required=True, help="density selector")
-    p.add_argument("--ks", type=_flag(parse_ks), default="8,16,32,64,128", help="k list")
+    p.add_argument("--ks", type=_flag(parse_ks), default="8,16,32,64,128",
+                   help=f"k list, each at most {MAX_K}")
     _add_grid_flag(p)
     _add_io_flags(p)
     p.set_defaults(func=cmd_converge)
@@ -253,7 +265,8 @@ def build_parser():
                        help="seeded Monte Carlo: histogram of pushed samples plus KS "
                             "distances against the exact law and the arcsine limit")
     p.add_argument("--dist", type=_flag(parse_density), required=True, help="density selector")
-    p.add_argument("--k", type=_flag(_positive_int), required=True, help="Chebyshev index")
+    p.add_argument("--k", type=_flag(_positive_int), required=True,
+                   help=f"Chebyshev index, at most {MAX_K}")
     p.add_argument("--n", type=_flag(_positive_int), default=100000, help="sample count")
     p.add_argument("--seed", type=int, default=42, help="stream seed")
     _add_io_flags(p)
@@ -263,7 +276,7 @@ def build_parser():
                        help="max deviation of the arcsine pushforward from its own "
                             "law, for every k up to a cap")
     p.add_argument("--k", type=_flag(_positive_int), default=64, metavar="KMAX",
-                   help="largest Chebyshev index checked")
+                   help=f"largest Chebyshev index checked, at most {MAX_K}")
     _add_grid_flag(p)
     _add_io_flags(p)
     p.set_defaults(func=cmd_invariance)
@@ -271,9 +284,17 @@ def build_parser():
     return parser
 
 
+def _check_k_cap(ns):
+    ks = tuple(getattr(ns, "ks", ())) + ((ns.k,) if hasattr(ns, "k") else ())
+    if ks and max(ks) > MAX_K:
+        raise ValueError(f"k = {max(ks)} is above the cap MAX_K = {MAX_K}: the exact "
+                         f"angle sum costs O(k) per grid point")
+
+
 def main(argv=None):
     ns = build_parser().parse_args(argv)
     try:
+        _check_k_cap(ns)
         ns.func(ns)
     except ValueError as exc:
         print(f"chebpush: error: {exc}", file=sys.stderr)

@@ -22,12 +22,23 @@ Three routes to S_k live here and deliberately stay independent so they can
 cross-check each other: the direct angle sum above, a closed-form reassembly
 through the Chebyshev series of the input density, and a second-order
 asymptotic expansion in 1/k.
+
+The angle sum, the cdf and the series route's resonant modes share one
+evaluator, _preimage_sum. It takes
+SUM_BLOCK values of j at a time as an interleaved (a_1, b_1, a_2, b_2, ...)
+x points array, on chunks of points of about SUM_CHUNK elements, so memory
+stays flat in k and in the number of points. It adds the terms one row at a
+time, in exactly the order of a scalar loop over j, and its results are bit
+for bit those of that loop. The order matters: at k in the thousands the
+sup error |S_k - 1/pi| is about 1e-11, so the last bits of S_k move the
+fitted convergence order; summing each block first and then adding it to
+the running sum shifts that order in its seventh digit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -49,6 +60,12 @@ INVARIANT_TOL = 1e-13
 
 # Gauss-Legendre nodes per panel of the total-mass quadrature.
 MASS_NODES = 64
+
+# The angle sum evaluates SUM_BLOCK values of j per step, on chunks of
+# points sized so that each temporary array holds about SUM_CHUNK elements
+# (256 KiB), whatever k and the number of points.
+SUM_BLOCK = 64
+SUM_CHUNK = 2**15
 
 
 def _check_k(k):
@@ -88,17 +105,58 @@ def _angle_cdf(d, theta):
     return 1.0 - np.asarray(d.cdf(np.cos(theta)), dtype=float)
 
 
-def _bounded_from_beta(d, k, beta):
-    # fixed summation order over j; keeps results bit-identical however the
-    # evaluation is chunked over z
+def _preimage_sum(term, k, beta, interval=False):
+    """Sum term over the k preimage angles of cos(beta), in the j loop's order.
+
+    The preimage angles are a_j = (2 pi j - beta) / k and
+    b_j = (2 pi (j - 1) + beta) / k for j = 1..floor(k/2), plus
+    c = (2 pi floor(k/2) + beta) / k for odd k. The result is
+
+        (...((0 + t(a_1)) + t(b_1)) + t(a_2) + ...) + t(c),
+
+    added left to right exactly as a scalar loop over j adds it. With
+    interval=True the b_j terms enter negated and the odd term as 1 - t(c):
+    the cdf's sum of angle-interval probabilities. Negation is exact, so
+    acc + (-t) is acc - t bit for bit.
+
+    The running sum is folded into row 0 of each block and the block is
+    reduced with sum(axis=0), which numpy adds one row at a time whenever
+    the chunk is at least two points wide. Chunks are cut evenly, so none
+    is narrower, and a single point is evaluated twice. Each point's value
+    then does not depend on how the points are chunked.
+    """
+    flat = beta.ravel()
+    if flat.size == 1:
+        # a one-column sum(axis=0) is pairwise; two equal columns keep it in order
+        flat = np.repeat(flat, 2)
     m = k // 2
-    acc = np.zeros_like(beta)
-    for j in range(1, m + 1):
-        acc += _angle_pdf(d, (_TWO_PI * j - beta) / k)
-        acc += _angle_pdf(d, (_TWO_PI * (j - 1) + beta) / k)
-    if k % 2 == 1:
-        acc += _angle_pdf(d, (_TWO_PI * m + beta) / k)
-    return acc / k
+    n = flat.size
+    width = SUM_CHUNK // max(1, 2 * min(m, SUM_BLOCK))
+    chunks = -(-n // width)
+    bounds = [n * i // chunks for i in range(chunks + 1)]
+    out = np.empty(n)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        b = flat[lo:hi]
+        acc = np.zeros_like(b)
+        for j0 in range(1, m + 1, SUM_BLOCK):
+            j = np.arange(j0, min(j0 + SUM_BLOCK, m + 1))[:, None]
+            theta = np.empty((2 * len(j), hi - lo))
+            theta[0::2] = (_TWO_PI * j - b) / k
+            theta[1::2] = (_TWO_PI * (j - 1) + b) / k
+            vals = term(theta)
+            if interval:
+                vals[1::2] *= -1.0
+            vals[0] += acc
+            acc = vals.sum(axis=0)
+        if k % 2 == 1:
+            tail = term((_TWO_PI * m + b) / k)
+            acc += 1.0 - tail if interval else tail
+        out[lo:hi] = acc
+    return out[:beta.size].reshape(beta.shape)
+
+
+def _bounded_from_beta(d, k, beta):
+    return _preimage_sum(partial(_angle_pdf, d), k, beta) / k
 
 
 def bounded_factor(d, k, z):
@@ -130,27 +188,9 @@ def pushforward_cdf(d, k, z):
     if np.any(np.abs(arr) > 1.0 + 1e-12):
         raise ValueError("cdf argument outside [-1, 1]")
     beta = np.arccos(np.clip(arr, -1.0, 1.0))
-    m = k // 2
-    acc = np.zeros_like(beta)
-    for j in range(1, m + 1):
-        acc += _angle_cdf(d, (_TWO_PI * j - beta) / k)
-        acc -= _angle_cdf(d, (_TWO_PI * (j - 1) + beta) / k)
-    if k % 2 == 1:
-        acc += 1.0 - _angle_cdf(d, (_TWO_PI * m + beta) / k)
+    acc = _preimage_sum(partial(_angle_cdf, d), k, beta, interval=True)
     out = np.clip(acc, 0.0, 1.0)
     return float(out) if np.ndim(z) == 0 else out
-
-
-def _mode_contribution_direct(k, l, beta):
-    # bounded factor of the pure mode T_l, summed directly; the fallback for
-    # resonant l where the closed form is 0/0
-    m = k // 2
-    acc = np.zeros_like(beta)
-    for j in range(1, m + 1):
-        a = (_TWO_PI * j - beta) / k
-        b = (_TWO_PI * (j - 1) + beta) / k
-        acc += np.sin(a) * np.cos(l * a) + np.sin(b) * np.cos(l * b)
-    return acc / k
 
 
 def series_bounded_factor(series, k, z):
@@ -163,7 +203,9 @@ def series_bounded_factor(series, k, z):
     and for l >= 2 a closed four-sine bracket with prefactor
     cos(l pi / 2)^2 / (2 k sin(pi (l+1) / k) sin(pi (1-l) / k)). When l + 1
     or l - 1 is a multiple of k that prefactor degenerates to 0/0, and the
-    mode is summed directly instead; the limit is finite.
+    mode's own angle sum, sin(t) cos(l t) over the preimage angles t, is
+    taken instead; the limit is finite. Either way the route sees only the
+    coefficients, never the density.
     """
     k = _check_k(k)
     if k % 2 == 1:
@@ -174,7 +216,7 @@ def series_bounded_factor(series, k, z):
     total = mu[0] * 2.0 * np.cos((np.pi - beta) / k) / (k * np.sin(np.pi / k))
     for l in range(2, len(mu)):
         if (l - 1) % k == 0 or (l + 1) % k == 0:
-            c_l = _mode_contribution_direct(k, l, beta)
+            c_l = _preimage_sum(lambda t: np.sin(t) * np.cos(l * t), k, beta) / k
         else:
             pref = np.cos(0.5 * np.pi * l) ** 2 / (
                 2.0 * k * np.sin(np.pi * (l + 1) / k) * np.sin(np.pi * (1 - l) / k))

@@ -24,6 +24,9 @@ from .chebpoly import cheb_integral
 # density sits near 1e-2, so anything between separates the two cleanly.
 DECAY_TOL = 1e-10
 
+# Elements of the cosine matrix block projected at a time (512 KiB).
+PROJECT_CHUNK = 2**16
+
 
 @dataclass(frozen=True)
 class ChebSeries:
@@ -45,7 +48,8 @@ class ChebSeries:
 def expand_density(d, order=64):
     """Expand a bounded density to the given order.
 
-    The quadrature uses max(256, 4 (order + 1)) roots-grid points.
+    The quadrature uses max(256, 4 (order + 1)) roots-grid points, projected
+    in row blocks of at most PROJECT_CHUNK matrix elements (one row at least).
 
     Densities flagged non-expandable (unbounded pdf) raise ValueError: their
     coefficients are not defined by this quadrature. A series whose last
@@ -60,8 +64,14 @@ def expand_density(d, order=64):
     n = max(256, 4 * (order + 1))
     theta = np.pi * (np.arange(n) + 0.5) / n
     fx = np.asarray(d.pdf(np.cos(theta)), dtype=float)
-    ls = np.arange(order + 1)
-    mu = (np.cos(np.outer(ls, theta)) @ fx) / n
+    # project PROJECT_CHUNK // n rows of the cosine matrix at a time, so
+    # memory grows linearly in the order rather than with its square
+    rows = max(1, PROJECT_CHUNK // n)
+    mu = np.empty(order + 1)
+    for lo in range(0, order + 1, rows):
+        ls = np.arange(lo, min(lo + rows, order + 1))
+        mu[lo:lo + len(ls)] = np.cos(np.outer(ls, theta)) @ fx
+    mu /= n
     mu[1:] *= 2.0
     # judge decay on a short tail window, not the last coefficient alone:
     # symmetric or half-supported densities zero out every other coefficient

@@ -6,6 +6,12 @@ bisection points for branch inversion, interval unions in angle space for
 distribution functions, adaptive quadrature for moments and cdfs, and the
 error function for the truncated gaussian. Tests compare the library
 against these, never against itself.
+
+The one exception is the scalar j loop of the angle sum
+(`angle_sum_reference`, `angle_cdf_reference`). It repeats the library's
+formula on purpose: it is the summation order the library's block
+evaluation must reproduce bit for bit, so it checks the evaluation, not the
+mathematics.
 """
 
 import numpy as np
@@ -163,3 +169,46 @@ def numeric_cdf_check(d, grid):
                       points=pts or None, limit=200)
         worst = max(worst, abs(val - float(d.cdf(z))))
     return worst
+
+
+def _theta_pdf(d, theta):
+    if d.angle_pdf is not None:
+        return np.asarray(d.angle_pdf(theta), dtype=float)
+    return np.asarray(d.pdf(np.cos(theta)), dtype=float) * np.sin(theta)
+
+
+def _theta_cdf(d, theta):
+    if d.angle_cdf is not None:
+        return np.asarray(d.angle_cdf(theta), dtype=float)
+    return 1.0 - np.asarray(d.cdf(np.cos(theta)), dtype=float)
+
+
+def angle_sum_reference(d, k, z):
+    """S_k(z) by a scalar loop over j, adding the preimage terms one by one.
+
+    Left to right: f(a_1), f(b_1), f(a_2), f(b_2), ..., then f(c) for odd k,
+    with a_j = (2 pi j - beta) / k, b_j = (2 pi (j - 1) + beta) / k and
+    c = (2 pi floor(k/2) + beta) / k.
+    """
+    beta = np.arccos(np.asarray(z, dtype=float))
+    m = k // 2
+    acc = np.zeros_like(beta)
+    for j in range(1, m + 1):
+        acc += _theta_pdf(d, (TWO_PI * j - beta) / k)
+        acc += _theta_pdf(d, (TWO_PI * (j - 1) + beta) / k)
+    if k % 2 == 1:
+        acc += _theta_pdf(d, (TWO_PI * m + beta) / k)
+    return acc / k
+
+
+def angle_cdf_reference(d, k, z):
+    """P(T_k(X) <= z) by the same scalar loop over angle intervals [b_j, a_j]."""
+    beta = np.arccos(np.clip(np.asarray(z, dtype=float), -1.0, 1.0))
+    m = k // 2
+    acc = np.zeros_like(beta)
+    for j in range(1, m + 1):
+        acc += _theta_cdf(d, (TWO_PI * j - beta) / k)
+        acc -= _theta_cdf(d, (TWO_PI * (j - 1) + beta) / k)
+    if k % 2 == 1:
+        acc += 1.0 - _theta_cdf(d, (TWO_PI * m + beta) / k)
+    return np.clip(acc, 0.0, 1.0)

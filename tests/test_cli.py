@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from chebpush.cli import main, parse_ks
+from chebpush import cli
+from chebpush.cli import MAX_K, main, parse_ks
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +40,28 @@ def test_parse_ks_grammar():
     for bad in ("", "0", "5..2", "2..8:0", "a", "2..b"):
         with pytest.raises(ValueError):
             parse_ks(bad)
+
+
+def test_k_above_the_cap_exits_one_before_computing(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    for name in ("pushforward_on_grid", "mass_left_of_zero", "convergence_report",
+                 "expand_density", "sample", "sup_error"):
+        monkeypatch.setattr(cli, name, refuse)
+    big = str(2**63)
+    for argv in (["pdf", "--dist", "ramp", "--k", big],
+                 ["mc", "--dist", "uniform", "--k", big],
+                 ["invariance", "--k", big],
+                 ["dance", "--ks", f"2,{big}"],
+                 ["converge", "--dist", "uniform", "--ks", f"8..{big}"],
+                 ["converge", "--dist", "uniform", "--ks", f"{MAX_K + 1}..{big}:3"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert f"above the cap MAX_K = {MAX_K}" in err
+    assert parse_ks(f"1..{big}")[-1] == MAX_K + 1
+    assert parse_ks(f"2..{big}:{MAX_K}") == (2, MAX_K + 2)
 
 
 def test_pdf_arcsine_has_flat_error(capsys):

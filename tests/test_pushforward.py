@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 from chebpush.densities import catalog, make_density
 from chebpush.pushforward import (
     LIMIT_BOUNDED_FACTOR,
+    SUM_BLOCK,
+    SUM_CHUNK,
     asymptotic_bounded_factor,
     bounded_factor,
     convergence_report,
@@ -20,9 +24,25 @@ from chebpush.pushforward import (
 )
 from chebpush.spectral import expand_density
 
-from oracles import branch_pushforward_pdf, mass_left_oracle, pushforward_cdf_oracle
+from oracles import (
+    angle_cdf_reference,
+    angle_sum_reference,
+    branch_pushforward_pdf,
+    mass_left_oracle,
+    pushforward_cdf_oracle,
+)
 
 SMOOTH = ("uniform", "ramp", "gauss:0,0.25")
+
+# k at the edges of the angle sum's blocks of j values: floor(k/2) is one
+# short of a block, one block, one past it and one past two blocks, each with
+# even and odd k; plus the smallest k
+BLOCK_EDGE_KS = (1, 2, 3) + tuple(
+    2 * m + odd for m in (SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1, 2 * SUM_BLOCK + 1)
+    for odd in (0, 1))
+
+# more points than one chunk of the angle sum holds at any of those k
+WIDE = SUM_CHUNK // SUM_BLOCK + 3
 
 
 def _dist(name):
@@ -250,12 +270,53 @@ def test_grid_result_fields_are_consistent():
 
 def test_chunked_evaluation_is_bit_identical():
     # fixed summation order: evaluating the grid in pieces must reproduce
-    # the full evaluation exactly
+    # the full evaluation exactly, for k within one block of j values and
+    # past it, on a grid the angle sum itself cuts into several chunks,
+    # wherever the pieces are cut (a one-point piece included)
     d = make_density("gauss", mu=0.0, sigma=0.25)
-    z = default_grid(201)
-    full = bounded_factor(d, 9, z)
-    parts = np.concatenate([bounded_factor(d, 9, z[:100]), bounded_factor(d, 9, z[100:])])
-    assert np.array_equal(full, parts)
+    z = default_grid(WIDE)
+    for k in (9, 2 * SUM_BLOCK + 3):
+        full = bounded_factor(d, k, z)
+        for cut in (100, 257, WIDE - 1):
+            parts = np.concatenate([bounded_factor(d, k, z[:cut]), bounded_factor(d, k, z[cut:])])
+            assert np.array_equal(full, parts)
+
+
+@pytest.mark.parametrize("name", ("gauss:0,0.25", "ramp", "uniform01", "arcsine"))
+@pytest.mark.parametrize("k", BLOCK_EDGE_KS)
+def test_block_sum_is_the_scalar_loop_bit_for_bit(name, k):
+    # the block evaluation adds the preimage terms in the scalar loop's order,
+    # on any number of points, a single scalar one included
+    d = _dist(name)
+    for n in (2, 201, WIDE):
+        z = default_grid(n)
+        assert np.array_equal(bounded_factor(d, k, z), angle_sum_reference(d, k, z))
+        c = np.linspace(-1.0, 1.0, n)
+        assert np.array_equal(pushforward_cdf(d, k, c), angle_cdf_reference(d, k, c))
+    assert bounded_factor(d, k, 0.3) == angle_sum_reference(d, k, 0.3)
+    assert pushforward_cdf(d, k, 0.0) == angle_cdf_reference(d, k, 0.0)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_angle_sum_memory_is_flat_in_k_and_points():
+    # a few point-sized arrays (angles, output) plus block temporaries of
+    # about SUM_CHUNK elements each; a (k/2 x points) array would need
+    # 655 MB for the first call and 26 MB for the second
+    d = make_density("gauss", mu=0.0, sigma=0.25)
+    z = default_grid(20000)
+    peak = _peak_bytes(lambda: bounded_factor(d, 8192, z))
+    assert peak < 3 * z.nbytes + 2**21
+    x = np.linspace(-1.0, 1.0, 200_000)
+    peak = _peak_bytes(lambda: pushforward_cdf(d, 32, x))
+    assert peak < 3 * x.nbytes + 2**21
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,8 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from chebpush.densities import make_density
-from chebpush.spectral import even_moment_sum, expand_density, normalization_residual
+from chebpush.spectral import (
+    PROJECT_CHUNK,
+    even_moment_sum,
+    expand_density,
+    normalization_residual,
+)
 
 from oracles import moment_oracle
 
@@ -47,6 +54,33 @@ def test_order_change_does_not_move_coefficients():
     a = expand_density(d, order=48)
     b = expand_density(d, order=96)
     assert np.max(np.abs(a.coeffs - b.coeffs[:49])) < 1e-14
+
+
+def test_block_projection_matches_the_dense_matrix():
+    # order 300 projects in several row blocks; the one-piece cosine matrix
+    # gives the same coefficients to rounding
+    d = make_density("gauss", mu=0.1, sigma=0.3)
+    order = 300
+    n = 4 * (order + 1)
+    assert PROJECT_CHUNK // n < order + 1
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    dense = np.cos(np.outer(np.arange(order + 1), theta)) @ d.pdf(np.cos(theta)) / n
+    dense[1:] *= 2.0
+    assert np.max(np.abs(expand_density(d, order).coeffs - dense)) < 1e-14
+
+
+def test_expansion_memory_grows_linearly_in_order():
+    # order 2000 uses 8004 quadrature points; the one-piece cosine matrix
+    # would take 128 MB, a block of rows at most PROJECT_CHUNK elements
+    d = make_density("gauss", mu=0.0, sigma=0.25)
+    tracemalloc.start()
+    try:
+        s = expand_density(d, order=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.decayed
+    assert peak < 8 * PROJECT_CHUNK + 32 * 8004 * 8
 
 
 def test_normalization_residual_smooth():
