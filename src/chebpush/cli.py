@@ -3,8 +3,8 @@
 Every subcommand emits a deterministic data file (CSV or JSON) built from
 the exact pushforward machinery; there is no plotting here, any tool can
 consume the output. Exit codes: 0 success, 1 numerical-guard failure
-(a computation refused its input, such as a k above MAX_K) or unwritable
-output, 2 usage error.
+(a computation refused its input, such as a k above MAX_K or a command
+above the work budget MAX_WORK) or unwritable output, 2 usage error.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -31,11 +32,32 @@ from .spectral import even_moment_sum, expand_density, normalization_residual
 
 MC_BINS = 50
 
-# Largest Chebyshev index any --k or --ks value may ask for; larger ones exit
-# 1 before any computation starts. The angle sum costs O(k) per grid point:
-# `pdf --k 1048576` on the default 201-point grid takes about 10 s on a
+# Caps on what one command may ask for. A command above any of them exits 1
+# with the reason before any computation starts. Times and sizes are from a
 # 2-core x86-64 container.
+# Largest Chebyshev index of any --k or --ks value. The angle sum costs O(k)
+# per grid point: `pdf --k 1048576` on the default 201-point grid takes
+# about 10 s.
 MAX_K = 2**20
+# Angle terms one command may sum: k per grid point (per sample for mc's
+# exact-cdf KS), added up over every k it computes. `pdf --k 1048576` on
+# the default grid is 2.1e8 of them.
+MAX_WORK = 2**28
+# Largest --order: expand_density's time grows with its square, 1.7 s at 4096.
+MAX_ORDER = 4096
+# Largest --grid, --n and number of rows dance writes (k values x grid). An
+# output row costs about 800 B of peak memory, so 2^20 rows take about
+# 0.85 GB; a sample about 60 B.
+MAX_POINTS = 2**20
+
+# The angle terms of each command that sums any, as counted for MAX_WORK.
+_WORK = {
+    "pdf": lambda ns: ns.k * ns.grid,
+    "dance": lambda ns: sum(ns.ks) * ns.grid,
+    "converge": lambda ns: sum(ns.ks) * ns.grid,
+    "invariance": lambda ns: ns.k * (ns.k + 1) // 2 * ns.grid,
+    "mc": lambda ns: ns.k * ns.n,
+}
 
 
 def parse_ks(text):
@@ -79,58 +101,93 @@ def _flag(parse):
     return convert
 
 
-def _cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % float(value)
-    return str(value)
+# Tokens of the floats JSON has no literal for: json.dumps's spellings of
+# +-inf, and null for nan
+_JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_value(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return None if math.isnan(v) else v
-    return value
+def _json_tokens(values):
+    """The JSON literal of each Python scalar, as json.dumps writes it (nan as null)."""
+    return [_JSON_NONFINITE.get(t, t) if type(v) is float else json.dumps(v)
+            for v, t in zip(values, map(repr, values))]
+
+
+def _json_object(keys, values, depth):
+    """A JSON object as json.dumps(indent=2) writes it, its closing brace
+    `depth` spaces deep, with each value's text inserted as given."""
+    pad = " " * depth
+    fields = ",\n".join(f"{pad}  {json.dumps(k)}: {v}" for k, v in zip(keys, values))
+    return f"{{\n{fields}\n{pad}}}"
+
+
+def _json_records(headers, rows, depth):
+    """The rows as an indented JSON array of records, its closing bracket
+    `depth` spaces deep.
+
+    A column of finite floats is written with %r and a column of ints with
+    %d, which is what json.dumps writes for them; any other column is
+    turned into JSON tokens first.
+    """
+    if not rows:
+        return "[]"
+    columns = list(zip(*rows))
+    specs = []
+    for i, column in enumerate(columns):
+        kind = type(column[0])
+        if kind is float and all(map(math.isfinite, column)):
+            specs.append("%r")
+        elif kind is int:
+            specs.append("%d")
+        else:
+            columns[i] = _json_tokens(column)
+            specs.append("%s")
+    keys = [h.replace("%", "%%") for h in headers]
+    template = " " * (depth + 2) + _json_object(keys, specs, depth + 2)
+    if "%s" in specs:
+        rows = zip(*columns)
+    body = ",\n".join([template % row for row in rows])
+    return f"[\n{body}\n{' ' * depth}]"
+
+
+def _csv_template(cells):
+    """%-template of one CSV line: %d for ints, %.17g for floats, %s otherwise."""
+    return ",".join("%.17g" if isinstance(c, float) else "%d" if type(c) is int else "%s"
+                    for c in cells)
 
 
 def _emit(ns, headers, rows, trailers=()):
     """Write rows (+ trailing summary records) in the selected format.
 
+    rows is a list of equal-length tuples of Python scalars, one type per
+    column; each column is formatted by the type of its first value.
     CSV: header, data rows, then one row per trailer ("name,value,...").
     JSON: a bare array of row records, or {"rows": [...], trailer: ...}
-    when trailers exist. Field names match between formats.
+    when trailers exist. Field names match between formats. The bytes are
+    those of the per-cell json.dumps(indent=2) and "%.17g" emitter kept in
+    tests/oracles.py.
     """
     if ns.format == "json":
-        records = [
-            {h: _json_value(v) for h, v in zip(headers, row)} for row in rows
-        ]
         if trailers:
-            payload = {"rows": records}
+            parts = ['{\n  "rows": ' + _json_records(headers, rows, 2)]
             for name, value in trailers:
                 if isinstance(value, dict):
-                    payload[name] = {k: _json_value(v) for k, v in value.items()}
+                    token = _json_object(value, _json_tokens(list(value.values())), 2)
                 else:
-                    payload[name] = _json_value(value)
-            text = json.dumps(payload, indent=2) + "\n"
+                    token = _json_tokens([value])[0]
+                parts.append(f"  {json.dumps(name)}: {token}")
+            text = ",\n".join(parts) + "\n}\n"
         else:
-            text = json.dumps(records, indent=2) + "\n"
+            text = _json_records(headers, rows, 0) + "\n"
     else:
         lines = [",".join(headers)]
-        for row in rows:
-            lines.append(",".join(_cell(v) for v in row))
+        if rows:
+            template = _csv_template(rows[0])
+            lines.extend([template % row for row in rows])
         for name, value in trailers:
-            if isinstance(value, dict):
-                cells = [name] + [_cell(v) for v in value.values()]
-            else:
-                cells = [name, _cell(value)]
-            lines.append(",".join(cells))
+            cells = (name, *(value.values() if isinstance(value, dict) else (value,)))
+            # bools are written true/false, as in JSON
+            cells = tuple(json.dumps(c) if isinstance(c, bool) else c for c in cells)
+            lines.append(_csv_template(cells) % cells)
         text = "\n".join(lines) + "\n"
     if ns.out == "-":
         sys.stdout.write(text)
@@ -141,7 +198,8 @@ def _emit(ns, headers, rows, trailers=()):
 
 def cmd_pdf(ns):
     res = pushforward_on_grid(ns.dist, ns.k, ns.grid)
-    rows = list(zip(res.z, res.pdf, res.bounded, res.limit_pdf, res.abs_error))
+    columns = (res.z, res.pdf, res.bounded, res.limit_pdf, res.abs_error)
+    rows = list(zip(*(c.tolist() for c in columns)))
     _emit(ns, ("z", "f_k", "s_k", "limit_pdf", "abs_error"), rows)
 
 
@@ -150,7 +208,7 @@ def cmd_dance(ns):
     for k in ns.ks:
         res = pushforward_on_grid(ns.dist, k, ns.grid)
         mass = mass_left_of_zero(ns.dist, k)
-        rows.extend((k, z, f, mass) for z, f in zip(res.z, res.pdf))
+        rows.extend(zip(repeat(k), res.z.tolist(), res.pdf.tolist(), repeat(mass)))
     _emit(ns, ("k", "z", "f_k", "mass_left_of_zero"), rows)
 
 
@@ -172,7 +230,7 @@ def cmd_converge(ns):
 
 def cmd_expand(ns):
     series = expand_density(ns.dist, order=ns.order)
-    rows = list(enumerate(series.coeffs))
+    rows = list(enumerate(series.coeffs.tolist()))
     trailers = (
         ("normalization_residual", normalization_residual(series)),
         ("even_moment_sum", even_moment_sum(series)),
@@ -184,7 +242,8 @@ def cmd_mc(ns):
     d = ns.dist
     pushed = push_samples(sample(d, ns.n, ns.seed), ns.k)
     edges, density = histogram(pushed, MC_BINS)
-    rows = list(zip(edges[:-1], edges[1:], density))
+    edges = edges.tolist()
+    rows = list(zip(edges[:-1], edges[1:], density.tolist()))
     exact = ks_statistic(pushed, lambda x: pushforward_cdf(d, ns.k, x))
     limit = ks_statistic(pushed, make_density("arcsine").cdf)
     trailers = (
@@ -211,14 +270,16 @@ def _add_io_flags(sp):
 
 def _add_grid_flag(sp):
     sp.add_argument("--grid", type=_flag(_positive_int), default=201, metavar="N",
-                    help="number of evaluation grid points")
+                    help=f"number of evaluation grid points, at most {MAX_POINTS}")
 
 
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="chebpush",
         description="Exact and asymptotic distributions of T_k(X) for random "
-                    "variables on [-1, 1], and their convergence to the arcsine law.")
+                    "variables on [-1, 1], and their convergence to the arcsine law.",
+        epilog=f"Each command sums at most MAX_WORK = {MAX_WORK} angle terms: k per grid "
+               "point (per sample for mc), summed over every k it computes.")
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
@@ -257,7 +318,8 @@ def build_parser():
                        help="Chebyshev coefficients of a density, with the "
                             "normalization residual and even-coefficient sum")
     p.add_argument("--dist", type=_flag(parse_density), required=True, help="density selector")
-    p.add_argument("--order", type=_flag(_positive_int), default=64, help="truncation order")
+    p.add_argument("--order", type=_flag(_positive_int), default=64,
+                   help=f"truncation order, at most {MAX_ORDER}")
     _add_io_flags(p)
     p.set_defaults(func=cmd_expand)
 
@@ -267,7 +329,8 @@ def build_parser():
     p.add_argument("--dist", type=_flag(parse_density), required=True, help="density selector")
     p.add_argument("--k", type=_flag(_positive_int), required=True,
                    help=f"Chebyshev index, at most {MAX_K}")
-    p.add_argument("--n", type=_flag(_positive_int), default=100000, help="sample count")
+    p.add_argument("--n", type=_flag(_positive_int), default=100000,
+                   help=f"sample count, at most {MAX_POINTS}; k * n at most {MAX_WORK}")
     p.add_argument("--seed", type=int, default=42, help="stream seed")
     _add_io_flags(p)
     p.set_defaults(func=cmd_mc)
@@ -284,17 +347,32 @@ def build_parser():
     return parser
 
 
-def _check_k_cap(ns):
+def _check_budget(ns):
+    """Refuse a command above one of the caps, before it computes anything."""
     ks = tuple(getattr(ns, "ks", ())) + ((ns.k,) if hasattr(ns, "k") else ())
     if ks and max(ks) > MAX_K:
         raise ValueError(f"k = {max(ks)} is above the cap MAX_K = {MAX_K}: the exact "
                          f"angle sum costs O(k) per grid point")
+    sizes = [("--grid", getattr(ns, "grid", 0), MAX_POINTS, "MAX_POINTS"),
+             ("--n", getattr(ns, "n", 0), MAX_POINTS, "MAX_POINTS"),
+             ("--order", getattr(ns, "order", 0), MAX_ORDER, "MAX_ORDER")]
+    if ns.command == "dance":
+        # one output row per k and grid point
+        sizes.append(("dance's row count", len(ns.ks) * ns.grid, MAX_POINTS, "MAX_POINTS"))
+    for what, value, cap, name in sizes:
+        if value > cap:
+            raise ValueError(f"{what} {value} is above the cap {name} = {cap}")
+    work = _WORK[ns.command](ns) if ns.command in _WORK else 0
+    if work > MAX_WORK:
+        raise ValueError(f"{ns.command} would sum {work} angle terms, above the budget "
+                         f"MAX_WORK = {MAX_WORK}: k per grid point (per sample for mc), "
+                         f"summed over every k")
 
 
 def main(argv=None):
     ns = build_parser().parse_args(argv)
     try:
-        _check_k_cap(ns)
+        _check_budget(ns)
         ns.func(ns)
     except ValueError as exc:
         print(f"chebpush: error: {exc}", file=sys.stderr)

@@ -7,12 +7,17 @@ distribution functions, adaptive quadrature for moments and cdfs, and the
 error function for the truncated gaussian. Tests compare the library
 against these, never against itself.
 
-The one exception is the scalar j loop of the angle sum
-(`angle_sum_reference`, `angle_cdf_reference`). It repeats the library's
-formula on purpose: it is the summation order the library's block
-evaluation must reproduce bit for bit, so it checks the evaluation, not the
-mathematics.
+The exceptions are the scalar j loop of the angle sum
+(`angle_sum_reference`, `angle_cdf_reference`) and the per-cell output
+emitter (`emit_reference`). They repeat an earlier form of the library's
+code on purpose: the angle sum gives the summation order the library's
+block evaluation must reproduce bit for bit, and the emitter gives the
+bytes the column-at-a-time CLI output must reproduce, so they check the
+evaluation and the formatting, not the mathematics.
 """
+
+import json
+import math
 
 import numpy as np
 from scipy.integrate import quad
@@ -212,3 +217,57 @@ def angle_cdf_reference(d, k, z):
     if k % 2 == 1:
         acc += 1.0 - _theta_cdf(d, (TWO_PI * m + beta) / k)
     return np.clip(acc, 0.0, 1.0)
+
+
+def _cell(value):
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return "%.17g" % float(value)
+    return str(value)
+
+
+def _json_value(value):
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        return None if math.isnan(v) else v
+    return value
+
+
+def emit_reference(fmt, headers, rows, trailers=()):
+    """The CLI's output text, one cell at a time through json.dumps(indent=2)
+    or "%.17g": the emitter the column-at-a-time one must match byte for byte.
+
+    CSV: header, data rows, then one row per trailer ("name,value,...").
+    JSON: a bare array of row records, or {"rows": [...], trailer: ...}
+    when trailers exist.
+    """
+    if fmt == "json":
+        records = [
+            {h: _json_value(v) for h, v in zip(headers, row)} for row in rows
+        ]
+        if trailers:
+            payload = {"rows": records}
+            for name, value in trailers:
+                if isinstance(value, dict):
+                    payload[name] = {k: _json_value(v) for k, v in value.items()}
+                else:
+                    payload[name] = _json_value(value)
+            return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(records, indent=2) + "\n"
+    lines = [",".join(headers)]
+    for row in rows:
+        lines.append(",".join(_cell(v) for v in row))
+    for name, value in trailers:
+        if isinstance(value, dict):
+            cells = [name] + [_cell(v) for v in value.values()]
+        else:
+            cells = [name, _cell(value)]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"

@@ -1,12 +1,20 @@
+import importlib.util
 import json
+import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebpush import cli
-from chebpush.cli import MAX_K, main, parse_ks
+from chebpush.cli import MAX_K, MAX_ORDER, MAX_POINTS, MAX_WORK, main, parse_ks
+from oracles import emit_reference
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -42,13 +50,17 @@ def test_parse_ks_grammar():
             parse_ks(bad)
 
 
-def test_k_above_the_cap_exits_one_before_computing(capsys, monkeypatch):
+def _refuse_computing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("computation started")
 
     for name in ("pushforward_on_grid", "mass_left_of_zero", "convergence_report",
                  "expand_density", "sample", "sup_error"):
         monkeypatch.setattr(cli, name, refuse)
+
+
+def test_k_above_the_cap_exits_one_before_computing(capsys, monkeypatch):
+    _refuse_computing(monkeypatch)
     big = str(2**63)
     for argv in (["pdf", "--dist", "ramp", "--k", big],
                  ["mc", "--dist", "uniform", "--k", big],
@@ -290,3 +302,155 @@ def test_console_script_runs():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.startswith("k,max_abs_deviation")
+
+
+def test_caps_and_work_budget_exit_one_before_computing(capsys, monkeypatch):
+    _refuse_computing(monkeypatch)
+    big = str(2**63)
+    points = f"is above the cap MAX_POINTS = {MAX_POINTS}"
+    budget = f"above the budget MAX_WORK = {MAX_WORK}"
+    for argv, reason in (
+            (["pdf", "--dist", "ramp", "--k", "2", "--grid", big], f"--grid {big} {points}"),
+            (["dance", "--grid", big], points),
+            # 77 * 1e5 angle terms are inside the budget, 1.1e6 output rows are not
+            (["dance", "--ks", "2..12", "--grid", "100000"], f"dance's row count 1100000 {points}"),
+            (["converge", "--dist", "uniform", "--grid", big], points),
+            (["invariance", "--grid", big], points),
+            (["mc", "--dist", "uniform", "--k", "2", "--n", big], f"--n {big} {points}"),
+            (["expand", "--dist", "ramp", "--order", big],
+             f"--order {big} is above the cap MAX_ORDER = {MAX_ORDER}"),
+            # k * grid = 2^20 * 257 terms
+            (["pdf", "--dist", "ramp", "--k", str(MAX_K), "--grid", "257"], budget),
+            # K (K + 1) / 2 * grid, not K * grid
+            (["invariance", "--k", "2000"], f"invariance would sum {2000 * 2001 // 2 * 201} "),
+            (["dance", "--ks", f"{MAX_K // 2},{MAX_K}"], budget),
+            (["converge", "--dist", "uniform", "--ks", f"1..{MAX_K}"], budget),
+            (["mc", "--dist", "uniform", "--k", "4096", "--n", "100000"],
+             f"mc would sum {4096 * 100000} angle terms")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("chebpush: error: ") and reason in err, (argv, err)
+
+
+def _load_run_experiments():
+    path = ROOT / "scripts" / "run_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_experiments", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_budget_accepts_the_documented_runs():
+    parser = cli.build_parser()
+    accepted = [argv for _, argv in _load_run_experiments().runs(200000)]
+    accepted += [
+        # the largest k on the default grid: 2.1e8 angle terms
+        ["pdf", "--dist", "ramp", "--k", str(MAX_K)],
+        ["pdf", "--dist", "ramp", "--k", "1", "--grid", str(MAX_POINTS)],
+        ["expand", "--dist", "ramp", "--order", str(MAX_ORDER)],
+        ["invariance", "--k", "1024"],
+        ["mc", "--dist", "uniform01", "--k", "32", "--n", "1000000", "--seed", "1"],
+        ["pdf", "--dist", "gauss:0,0.25", "--k", "128", "--grid", "100000"],
+        ["dance", "--ks", "2..12", "--grid", "20000"],
+        ["invariance", "--k", "16", "--grid", "50000"],
+        ["converge", "--dist", "gauss:0,0.25", "--ks", "1024..8192:1024"],
+        ["dance", "--dist", "uniform01", "--ks", "1000..8000:1000"],
+        ["pdf", "--dist", "ramp", "--k", "32768"],
+    ]
+    for argv in accepted:
+        cli._check_budget(parser.parse_args(argv))
+
+
+# small runs of all six subcommands; converge arcsine has a nan column and
+# mc has bool trailers
+EMIT_CASES = (
+    ["pdf", "--dist", "gauss:0,0.25", "--k", "5", "--grid", "17"],
+    ["dance", "--ks", "2..4", "--grid", "9"],
+    ["converge", "--dist", "uniform", "--ks", "8,16,32", "--grid", "33"],
+    ["converge", "--dist", "arcsine", "--ks", "4,8,16", "--grid", "33"],
+    ["expand", "--dist", "ramp", "--order", "8"],
+    ["mc", "--dist", "uniform", "--k", "4", "--n", "2000", "--seed", "1"],
+    ["invariance", "--k", "5", "--grid", "17"],
+)
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@pytest.mark.parametrize("argv", EMIT_CASES, ids=lambda argv: "-".join(argv[:3]))
+def test_emit_is_the_reference_byte_for_byte(capsys, monkeypatch, argv, fmt):
+    calls = []
+    emit = cli._emit
+
+    def recorded(ns, headers, rows, trailers=()):
+        calls.append((headers, rows, trailers))
+        return emit(ns, headers, rows, trailers)
+
+    monkeypatch.setattr(cli, "_emit", recorded)
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    [(headers, rows, trailers)] = calls
+    assert out == emit_reference(fmt, headers, rows, trailers)
+    # only Python scalars reach the templates: repr(np.float64(0.5)) is
+    # "np.float64(0.5)" under numpy 2
+    assert isinstance(rows, list)
+    assert all(len(row) == len(headers) for row in rows)
+    assert all(type(cell) in (int, float) for row in rows for cell in row)
+    summary = [v for _, value in trailers
+               for v in (value.values() if isinstance(value, dict) else (value,))]
+    assert all(type(v) in (int, float, bool, str) for v in summary)
+    if fmt == "json":
+        doc = json.loads(out)
+        data = doc["rows"] if trailers else doc
+    else:
+        data = parse_csv(out)[1]
+    assert len(rows) == len(data)
+
+
+NAN, INF = float("nan"), float("inf")
+EDGE_ROWS = [
+    (1, 0.1, 0.0, INF),
+    (-7, 1e300, NAN, -INF),
+    (2**70, 5e-324, -0.0, 1.0),
+]
+EDGE_TRAILERS = (
+    (),
+    (("scalar", NAN),),
+    (("record", {"x": INF, "ok": True, "label": "fit", "n": 3, "y": -0.0}), ("bad", False)),
+)
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_emit_is_the_reference_on_edge_values(capsys, fmt):
+    # an int column, a finite float column, then columns holding nan and +-inf
+    headers = ("n", "finite", "b%", 'c"')
+    ns = SimpleNamespace(format=fmt, out="-")
+    for rows in (EDGE_ROWS, EDGE_ROWS[:1], EDGE_ROWS[1:2], []):
+        for trailers in EDGE_TRAILERS:
+            cli._emit(ns, headers, rows, trailers)
+            assert capsys.readouterr().out == emit_reference(fmt, headers, rows, trailers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(-2**80, 2**80), st.floats(),
+                               st.floats(allow_nan=False, allow_infinity=False)),
+                     max_size=12),
+       fmt=st.sampled_from(("csv", "json")))
+def test_emit_is_the_reference_on_any_floats(rows, fmt, tmp_path_factory):
+    target = tmp_path_factory.mktemp("emit") / "out"
+    trailers = (("tail", {"v": rows[0][1] if rows else NAN, "pass": bool(rows)}),)
+    for tail in ((), trailers):
+        cli._emit(SimpleNamespace(format=fmt, out=str(target)), ("i", "x", "y"), rows, tail)
+        assert target.read_text() == emit_reference(fmt, ("i", "x", "y"), rows, tail)
+
+
+def test_run_experiments_writes_every_file(tmp_path, monkeypatch, capsys):
+    script = _load_run_experiments()
+    monkeypatch.setattr(sys, "argv", ["run_experiments.py", "--n", "2000",
+                                      "--outdir", str(tmp_path)])
+    assert script.main() == 0
+    names = [name for name, _ in script.runs(2000)]
+    assert len(names) == 21
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        headers, rows, _ = parse_csv((tmp_path / name).read_text())
+        assert headers and rows, name
