@@ -1,10 +1,10 @@
 """Exact and asymptotic distributions of Chebyshev-polynomial pushforwards.
 
 For a random variable X on [-1, 1] and the Chebyshev polynomial T_k, this
-package computes the distribution of T_k(X) exactly (density and cdf), by a
-closed-form series route, and by a second-order asymptotic expansion, and
-provides the sampling and diagnostic tooling to verify that everything
-converges to the arcsine law at the predicted rate.
+package computes the distribution of T_k(X) exactly (density and cdf), by
+aliasing the input's Chebyshev series at any k, and by a second-order
+asymptotic expansion, and provides the sampling and diagnostic tooling to
+verify that everything converges to the arcsine law at the predicted rate.
 """
 
 from .chebpoly import cheb_eval, cheb_integral

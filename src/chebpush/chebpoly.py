@@ -44,12 +44,6 @@ def cheb_eval(k, x):
 
 
 def cheb_integral(k):
-    """Integral of T_k over [-1, 1].
-
-    Equals ((-1)^k + 1) / (1 - k^2) for k != 1 (zero for odd k) and 0 for
-    k = 1, where the general formula would divide by zero.
-    """
+    """Integral of T_k over [-1, 1]: 2 / (1 - k^2) for even k, 0 for odd k."""
     k = _check_degree(k)
-    if k == 1:
-        return 0.0
-    return (1.0 + (-1.0) ** k) / (1.0 - k * k)
+    return 0.0 if k % 2 else 2.0 / (1.0 - k * k)

@@ -23,8 +23,7 @@ cross-check each other: the direct angle sum above, a closed-form reassembly
 through the Chebyshev series of the input density, and a second-order
 asymptotic expansion in 1/k.
 
-The angle sum, the cdf and the series route's resonant modes share one
-evaluator, _preimage_sum. It takes
+The angle sum and the cdf share one evaluator, _preimage_sum. It takes
 SUM_BLOCK values of j at a time as an interleaved (a_1, b_1, a_2, b_2, ...)
 x points array, on chunks of points of about SUM_CHUNK elements, so memory
 stays flat in k and in the number of points. It adds the terms one row at a
@@ -66,6 +65,13 @@ MASS_NODES = 64
 # (256 KiB), whatever k and the number of points.
 SUM_BLOCK = 64
 SUM_CHUNK = 2**15
+
+# The series route takes c_m exactly up to m = SERIES_SPAN (L + 1) and models the rest.
+SERIES_SPAN = 8
+
+# sum_{n>=1} cos(n x) / n^p for x in [0, 2 pi], p = 2 and 4 (Bernoulli polynomials)
+_COS_SUMS = {2: np.polynomial.Polynomial([np.pi**2 / 6, -np.pi / 2, 1 / 4]),
+             4: np.polynomial.Polynomial([np.pi**4 / 90, 0, -np.pi**2 / 12, np.pi / 12, -1 / 48])}
 
 
 def _check_k(k):
@@ -193,40 +199,51 @@ def pushforward_cdf(d, k, z):
     return float(out) if np.ndim(z) == 0 else out
 
 
+def _sin_coeffs(j):
+    # |sin t| = a_0 / 2 + sum_{j>=1} a_j cos(j t), zero for odd j
+    return np.divide(-4.0 / np.pi, j * j - 1.0, out=np.zeros(j.shape), where=j % 2 == 0)
+
+
 def series_bounded_factor(series, k, z):
     """S_k(z) reassembled from the Chebyshev coefficients of the input density.
 
-    Even k only; each mode l contributes mu_l * C_l(k, z) with
-
-        C_0 = 2 cos((pi - beta) / k) / (k sin(pi / k)),   C_1 = 0,
-
-    and for l >= 2 a closed four-sine bracket with prefactor
-    cos(l pi / 2)^2 / (2 k sin(pi (l+1) / k) sin(pi (1-l) / k)). When l + 1
-    or l - 1 is a multiple of k that prefactor degenerates to 0/0, and the
-    mode's own angle sum, sin(t) cos(l t) over the preimage angles t, is
-    taken instead; the limit is finite. Either way the route sees only the
-    coefficients, never the density.
+    The k preimage angles of cos(beta) form a coset, so aliasing keeps only
+    the multiples of k among the cosine coefficients c_m of
+    h(t) = f(cos t) |sin t| on [0, pi]: S_k(z) = c_0 + 2 sum_{n>=1} c_{nk} T_n(z).
+    With |sin t| = a_0 / 2 + sum_j a_j cos(j t), a_j = -4 / (pi (j^2 - 1))
+    for even j, c_m = (1/4) sum_l mu_l (a_{|m-l|} + a_{m+l}), taken exactly
+    for m up to SERIES_SPAN (L + 1), L the series order. The rest follows
+    c_m = -(2 P_r / m^2 + Q_r / m^4) / pi + O(m^-6), with P_r and Q_r the
+    sums of mu_l and (6 l^2 + 2) mu_l over l of the parity r of m; that
+    model is summed in closed form over every n and taken out of the exact
+    part. The route sees only the coefficients, never the density.
     """
     k = _check_k(k)
-    if k % 2 == 1:
-        raise ValueError("series reassembly covers even k; use bounded_factor for odd k")
     arr = _open_interval(z)
     beta = np.arccos(arr)
     mu = series.coeffs
-    total = mu[0] * 2.0 * np.cos((np.pi - beta) / k) / (k * np.sin(np.pi / k))
-    for l in range(2, len(mu)):
-        if (l - 1) % k == 0 or (l + 1) % k == 0:
-            c_l = _preimage_sum(lambda t: np.sin(t) * np.cos(l * t), k, beta) / k
-        else:
-            pref = np.cos(0.5 * np.pi * l) ** 2 / (
-                2.0 * k * np.sin(np.pi * (l + 1) / k) * np.sin(np.pi * (1 - l) / k))
-            bracket = (np.sin((_TWO_PI + (l - 1) * beta) / k)
-                       + np.sin((_TWO_PI * l + (1 - l) * beta) / k)
-                       + np.sin((_TWO_PI - (l + 1) * beta) / k)
-                       + np.sin((-_TWO_PI * l + (l + 1) * beta) / k))
-            c_l = pref * bracket
-        total = total + mu[l] * c_l
-    return float(total) if np.ndim(z) == 0 else total
+    order = len(mu) - 1
+    l = np.arange(order + 1)
+    span = SERIES_SPAN * (order + 1)
+    # a_{|j|} for j = -L..span + L: the two correlations sum mu_l a_{|m-l|}
+    # and mu_l a_{m+l} over l, for m = 0..span
+    a = _sin_coeffs(np.abs(np.arange(-order, span + order + 1)))
+    c = (np.correlate(a[:span + order + 1], mu[::-1], "valid")
+         + np.correlate(a[order:], mu, "valid"))[::k] / 4.0
+    p_r = np.bincount(l % 2, mu, minlength=2)
+    q_r = np.bincount(l % 2, (6.0 * l * l + 2.0) * mu, minlength=2)
+    r = k * np.arange(1, len(c)) % 2
+    m2 = (k * np.arange(1.0, len(c))) ** 2
+    # exact minus model for n >= 1; the model comes back summed over every n
+    c[1:] = 2.0 * (c[1:] + (2.0 * p_r[r] + q_r[r] / m2) / (np.pi * m2))
+    # for odd k, nk has the parity of n: odd n by the weights of x = beta,
+    # even n by those of x = 2 beta
+    model = 0.0
+    for p, w in ((2, 2.0 * p_r), (4, q_r)):
+        odd, even = w[k % 2] / k**p, w[0] / k**p
+        model = model + odd * _COS_SUMS[p](beta) + (even - odd) * _COS_SUMS[p](2.0 * beta) / 2**p
+    out = np.polynomial.chebyshev.chebval(arr, c) - 2.0 * model / np.pi
+    return float(out) if np.ndim(z) == 0 else out
 
 
 def asymptotic_bounded_factor(series, k, z):
@@ -313,22 +330,11 @@ def _gl_rule():
 
 
 def _panel_breaks(d, k):
-    # beta values where some preimage angle crosses an interior pdf jump;
-    # integrating panelwise keeps Gauss-Legendre spectrally accurate
-    breaks = {0.0, float(np.pi)}
-    m = k // 2
-    for xstar in d.breakpoints:
-        tstar = float(np.arccos(xstar))
-        candidates = []
-        for j in range(1, m + 1):
-            candidates.append(_TWO_PI * j - k * tstar)
-            candidates.append(k * tstar - _TWO_PI * (j - 1))
-        if k % 2 == 1:
-            candidates.append(k * tstar - _TWO_PI * m)
-        for beta in candidates:
-            if 0.0 < beta < np.pi:
-                breaks.add(float(beta))
-    return sorted(breaks)
+    # beta values where a preimage angle crosses an interior pdf jump x*:
+    # that angle is arccos(x*), so cos(beta) = T_k(x*); integrating panelwise
+    # keeps Gauss-Legendre spectrally accurate
+    betas = np.arccos(np.cos(k * np.arccos(np.asarray(d.breakpoints, dtype=float))))
+    return [0.0] + sorted({float(b) for b in betas if 0.0 < b < np.pi}) + [float(np.pi)]
 
 
 def pushforward_mass(d, k):

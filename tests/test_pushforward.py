@@ -1,15 +1,19 @@
+import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chebpush.chebpoly import cheb_eval
 from chebpush.densities import catalog, make_density
 from chebpush.pushforward import (
     LIMIT_BOUNDED_FACTOR,
     SUM_BLOCK,
     SUM_CHUNK,
+    _panel_breaks,
     asymptotic_bounded_factor,
     bounded_factor,
     convergence_report,
@@ -22,7 +26,7 @@ from chebpush.pushforward import (
     series_bounded_factor,
     sup_error,
 )
-from chebpush.spectral import expand_density
+from chebpush.spectral import ChebSeries, expand_density
 
 from oracles import (
     angle_cdf_reference,
@@ -146,6 +150,22 @@ def test_mass_is_one(name):
     assert worst < 1e-9
 
 
+@pytest.mark.parametrize("xstar", (0.0, 0.3))
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 22, 26, 30, 31, 500, 2**20])
+def test_panel_breaks_sit_where_a_preimage_angle_meets_the_jump(xstar, k):
+    # the only beta in (0, pi) where a preimage angle crosses x* is the one
+    # with cos(beta) = T_k(x*); for even k, T_k(0) = +-1 and there is none
+    d = replace(make_density("uniform01"), breakpoints=(xstar,))
+    breaks = _panel_breaks(d, k)
+    assert breaks[0] == 0.0 and breaks[-1] == np.pi
+    inner = breaks[1:-1]
+    if xstar == 0.0 and k % 2 == 0:
+        assert inner == []
+    else:
+        assert len(inner) == 1
+        assert abs(np.cos(inner[0]) - cheb_eval(k, xstar)) < 1e-12
+
+
 @pytest.mark.parametrize("name", [d.name for d in catalog()])
 @pytest.mark.parametrize("k", [2, 3, 4, 7, 8])
 def test_mass_left_of_zero_against_oracle(name, k):
@@ -165,7 +185,7 @@ def test_dance_pattern_of_centered_bump():
 
 
 @pytest.mark.parametrize("name", SMOOTH)
-@pytest.mark.parametrize("k", [2, 4, 10, 34, 64])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 10, 34, 63, 64, 65])
 def test_series_route_matches_direct_route(name, k):
     d = _dist(name)
     s = expand_density(d)
@@ -174,21 +194,39 @@ def test_series_route_matches_direct_route(name, k):
     assert gap < 1e-10
 
 
-def test_series_route_resonant_modes():
-    # k = 4 with a series through l = 64 hits every resonant l (l = 3, 5,
-    # 7, ... have l +/- 1 divisible by 4) and must fall back cleanly
-    d = make_density("gauss", mu=0.0, sigma=0.25)
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=-0.5, max_value=0.5),
+       st.floats(min_value=0.3, max_value=1.0),
+       st.integers(min_value=1, max_value=256))
+def test_series_route_matches_direct_route_on_any_decayed_gaussian(mu, sigma, k):
+    d = make_density("gauss", mu=mu, sigma=sigma)
     s = expand_density(d)
-    z = default_grid(101)
-    gap = np.max(np.abs(series_bounded_factor(s, 4, z) - bounded_factor(d, 4, z)))
-    assert gap < 1e-10
-    assert np.all(np.isfinite(series_bounded_factor(s, 4, z)))
+    assume(s.decayed)
+    z = default_grid(201)
+    assert np.max(np.abs(series_bounded_factor(s, k, z) - bounded_factor(d, k, z))) < 1e-10
 
 
-def test_series_route_rejects_odd_k():
-    s = expand_density(make_density("uniform"))
-    with pytest.raises(ValueError, match="even k"):
-        series_bounded_factor(s, 3, 0.2)
+@pytest.mark.parametrize("name", ("uniform", "ramp", "gauss:0.3,0.4"))
+def test_series_route_meets_the_expansion_like_k4(name):
+    # both routes hold S_k, and the expansion leaves an O(1/k^4) remainder:
+    # each doubling of k should shrink their gap about 16x
+    s = expand_density(_dist(name))
+    z = default_grid(201)
+    gaps = [np.max(np.abs(series_bounded_factor(s, k, z) - asymptotic_bounded_factor(s, k, z)))
+            for k in (64, 128, 256, 512)]
+    assert all(b < a / 10 for a, b in zip(gaps, gaps[1:])), gaps
+
+
+def test_series_route_at_k_two_to_the_twenty_takes_milliseconds():
+    # the angle sum needs about 10 s at this k; the series route's cost does
+    # not grow with k
+    s = expand_density(make_density("gauss", mu=0.0, sigma=0.25))
+    z = default_grid(201)
+    series_bounded_factor(s, 2, z)
+    t0 = time.perf_counter()
+    vals = series_bounded_factor(s, 2**20, z)
+    assert time.perf_counter() - t0 < 0.05
+    assert np.max(np.abs(vals - asymptotic_bounded_factor(s, 2**20, z))) < 1e-14
 
 
 def test_asymptotic_expansion_tightens_like_k4():
@@ -309,14 +347,25 @@ def _peak_bytes(fn):
 def test_angle_sum_memory_is_flat_in_k_and_points():
     # a few point-sized arrays (angles, output) plus block temporaries of
     # about SUM_CHUNK elements each; a (k/2 x points) array would need
-    # 655 MB for the first call and 26 MB for the second
+    # 41 MB for the first call, whose k spans 4 blocks of j and many chunks
+    # of points, and 26 MB for the second
     d = make_density("gauss", mu=0.0, sigma=0.25)
     z = default_grid(20000)
-    peak = _peak_bytes(lambda: bounded_factor(d, 8192, z))
+    peak = _peak_bytes(lambda: bounded_factor(d, 512, z))
     assert peak < 3 * z.nbytes + 2**21
     x = np.linspace(-1.0, 1.0, 200_000)
     peak = _peak_bytes(lambda: pushforward_cdf(d, 32, x))
     assert peak < 3 * x.nbytes + 2**21
+
+
+def test_series_route_memory_is_linear_in_the_order():
+    # a dense (SERIES_SPAN (L + 1) / k) x (L + 1) coefficient matrix would
+    # take 67 MB here; only the series length matters, so the uniform
+    # density's series is padded to order 4096
+    s = ChebSeries(coeffs=np.r_[0.5, np.zeros(4096)])
+    z = default_grid(201)
+    peak = _peak_bytes(lambda: series_bounded_factor(s, 16, z))
+    assert peak < 2**22
 
 
 @settings(max_examples=25, deadline=None)
