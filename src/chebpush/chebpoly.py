@@ -15,7 +15,7 @@ DOMAIN_SLACK = 1e-12
 
 
 def _check_degree(k):
-    if int(k) != k or k < 0:
+    if k < 0 or not float(k).is_integer():
         raise ValueError(f"polynomial degree must be an integer >= 0, got {k!r}")
     return int(k)
 

@@ -30,8 +30,6 @@ from .pushforward import (
 )
 from .spectral import even_moment_sum, expand_density, normalization_residual
 
-MC_BINS = 50
-
 # Caps on what one command may ask for. A command above any of them exits 1
 # with the reason before any computation starts. Times and sizes are from a
 # 2-core x86-64 container.
@@ -43,7 +41,8 @@ MAX_K = 2**20
 # exact-cdf KS), added up over every k it computes. `pdf --k 1048576` on
 # the default grid is 2.1e8 of them.
 MAX_WORK = 2**28
-# Largest --order: expand_density's time grows with its square, 1.7 s at 4096.
+# Largest --order. expand_density is one FFT of 8 (order + 1) points, about
+# 4 ms at 4096, and expand writes one row per coefficient.
 MAX_ORDER = 4096
 # Largest --grid, --n and number of rows dance writes (k values x grid). An
 # output row costs about 800 B of peak memory, so 2^20 rows take about
@@ -241,7 +240,7 @@ def cmd_expand(ns):
 def cmd_mc(ns):
     d = ns.dist
     pushed = push_samples(sample(d, ns.n, ns.seed), ns.k)
-    edges, density = histogram(pushed, MC_BINS)
+    edges, density = histogram(pushed)
     edges = edges.tolist()
     rows = list(zip(edges[:-1], edges[1:], density.tolist()))
     exact = ks_statistic(pushed, lambda x: pushforward_cdf(d, ns.k, x))

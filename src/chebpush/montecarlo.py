@@ -1,8 +1,8 @@
 """Deterministic Monte Carlo support.
 
 Uniform variates come from a counter-based generator (Philox) keyed by the
-seed, so the same seed always gives the same draws. Batches carry their
-provenance and can be pushed through Chebyshev maps elementwise.
+seed, so the same seed always gives the same draws. Batches of draws can be
+pushed through Chebyshev maps elementwise and tested against a cdf.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ KS_FACTOR = 1.95
 
 def uniform_stream(seed, n):
     """The first n uniform variates of the Philox stream keyed by seed."""
-    if int(n) != n or n < 0:
+    if n < 0 or not float(n).is_integer():
         raise ValueError(f"sample count must be a nonnegative integer, got {n!r}")
     bitgen = np.random.Philox(key=np.uint64(int(seed) & (2**64 - 1)))
     return np.random.Generator(bitgen).random(int(n))
@@ -29,40 +29,26 @@ def uniform_stream(seed, n):
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Seeded draws plus provenance.
-
-    k records the net Chebyshev index applied to the original draws
-    (0 means untransformed); source is the catalog name of the density
-    the draws came from.
-    """
+    """Draws on [-1, 1], as drawn or after pushes through T_k."""
 
     values: np.ndarray
-    seed: int
-    n: int
-    k: int
-    source: str
 
-    def __post_init__(self):
-        if len(self.values) != self.n:
-            raise ValueError("batch length disagrees with its declared count")
+    @property
+    def n(self):
+        return len(self.values)
 
 
 def push_samples(batch, k):
     """Apply T_k elementwise; pushes compose multiplicatively in k."""
-    if int(k) != k or k < 1:
+    if k < 1 or not float(k).is_integer():
         raise ValueError(f"push index must be a positive integer, got {k!r}")
-    k = int(k)
     # T_1 is the identity; keep it exact instead of the cos(arccos x) roundtrip
-    values = batch.values if k == 1 else cheb_eval(k, batch.values)
-    new_k = k if batch.k == 0 else batch.k * k
-    return SampleBatch(values=values, seed=batch.seed, n=batch.n, k=new_k,
-                       source=batch.source)
+    return batch if k == 1 else SampleBatch(cheb_eval(k, batch.values))
 
 
 @dataclass(frozen=True)
 class KSResult:
     statistic: float
-    n: int
     threshold: float
     passed: bool
 
@@ -85,16 +71,13 @@ def ks_statistic(batch, cdf):
     d_minus = float(np.max(ref - (i - 1) / n))
     stat = max(d_plus, d_minus)
     thr = KS_FACTOR / math.sqrt(n)
-    return KSResult(statistic=stat, n=n, threshold=thr, passed=stat < thr)
+    return KSResult(statistic=stat, threshold=thr, passed=stat < thr)
 
 
-def histogram(batch, bins=50):
-    """Density-normalized histogram of a batch on [-1, 1].
+def histogram(batch):
+    """Density-normalized 50-bin histogram of a batch on [-1, 1].
 
     Returns (edges, density); density * bin width sums to 1.
     """
-    if int(bins) != bins or bins < 4:
-        raise ValueError(f"need at least 4 bins, got {bins!r}")
-    density, edges = np.histogram(batch.values, bins=int(bins), range=(-1.0, 1.0),
-                                  density=True)
+    density, edges = np.histogram(batch.values, bins=50, range=(-1.0, 1.0), density=True)
     return edges, density

@@ -75,7 +75,7 @@ _COS_SUMS = {2: np.polynomial.Polynomial([np.pi**2 / 6, -np.pi / 2, 1 / 4]),
 
 
 def _check_k(k):
-    if int(k) != k or k < 1:
+    if k < 1 or not float(k).is_integer():
         raise ValueError(f"Chebyshev index must be a positive integer, got {k!r}")
     return int(k)
 
@@ -92,7 +92,7 @@ def _open_interval(z):
 
 def default_grid(n=201):
     """Ascending z grid cos(beta), beta uniform on [GRID_EPS, pi - GRID_EPS]."""
-    if int(n) != n or n < 2:
+    if n < 2 or not float(n).is_integer():
         raise ValueError(f"grid needs at least 2 points, got {n!r}")
     beta = np.linspace(GRID_EPS, np.pi - GRID_EPS, int(n))
     return np.cos(beta)[::-1].copy()

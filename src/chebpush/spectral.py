@@ -24,9 +24,6 @@ from .chebpoly import cheb_integral
 # density sits near 1e-2, so anything between separates the two cleanly.
 DECAY_TOL = 1e-10
 
-# Elements of the cosine matrix block projected at a time (512 KiB).
-PROJECT_CHUNK = 2**16
-
 
 @dataclass(frozen=True)
 class ChebSeries:
@@ -48,8 +45,9 @@ class ChebSeries:
 def expand_density(d, order=64):
     """Expand a bounded density to the given order.
 
-    The quadrature uses max(256, 4 (order + 1)) roots-grid points, projected
-    in row blocks of at most PROJECT_CHUNK matrix elements (one row at least).
+    The quadrature uses n = max(256, 4 (order + 1)) roots-grid points. Its
+    sums over the grid are a DCT-II, taken by one real FFT of length 2n, so
+    time is O(n log n) and memory O(n).
 
     Densities flagged non-expandable (unbounded pdf) raise ValueError: their
     coefficients are not defined by this quadrature. A series whose last
@@ -58,20 +56,17 @@ def expand_density(d, order=64):
     """
     if not d.expandable:
         raise ValueError(f"{d.name} has no convergent Chebyshev expansion (unbounded pdf)")
+    if order < 1 or not float(order).is_integer():
+        raise ValueError(f"series order must be an integer >= 1, got {order!r}")
     order = int(order)
-    if order < 1:
-        raise ValueError(f"series order must be >= 1, got {order}")
     n = max(256, 4 * (order + 1))
     theta = np.pi * (np.arange(n) + 0.5) / n
     fx = np.asarray(d.pdf(np.cos(theta)), dtype=float)
-    # project PROJECT_CHUNK // n rows of the cosine matrix at a time, so
-    # memory grows linearly in the order rather than with its square
-    rows = max(1, PROJECT_CHUNK // n)
-    mu = np.empty(order + 1)
-    for lo in range(0, order + 1, rows):
-        ls = np.arange(lo, min(lo + rows, order + 1))
-        mu[lo:lo + len(ls)] = np.cos(np.outer(ls, theta)) @ fx
-    mu /= n
+    # sum_j fx_j cos(l theta_j) is half of exp(-i pi l / 2n) times the l-th
+    # FFT term of fx followed by its mirror image
+    ls = np.arange(order + 1)
+    spectrum = np.fft.rfft(np.concatenate([fx, fx[::-1]]))[:order + 1]
+    mu = (np.exp(-0.5j * np.pi * ls / n) * spectrum).real / (2 * n)
     mu[1:] *= 2.0
     # judge decay on a short tail window, not the last coefficient alone:
     # symmetric or half-supported densities zero out every other coefficient

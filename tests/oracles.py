@@ -159,13 +159,13 @@ def quad_integral_t_k(k):
     return val
 
 
-def numeric_cdf_check(d, grid):
-    """Worst |cdf(z) - integral of pdf up to z| over an interior grid.
+def numeric_cdf_check(d, support, grid):
+    """Worst |cdf(z) - integral of pdf up to z| over an interior grid of support.
 
     Adaptive quadrature from the left support edge, split at pdf
     breakpoints. A correct pdf/cdf pair keeps this at quadrature noise.
     """
-    lo, hi = d.support
+    lo, hi = support
     zs = np.linspace(lo, hi, int(grid) + 2)[1:-1]
     worst = 0.0
     for z in zs:

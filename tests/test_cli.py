@@ -304,6 +304,17 @@ def test_console_script_runs():
     assert proc.stdout.startswith("k,max_abs_deviation")
 
 
+@pytest.mark.parametrize("command", ["", "pdf", "dance", "converge", "expand", "mc",
+                                     "invariance"])
+def test_help_prints(command):
+    # help strings are formatted with %-style defaults only when printed
+    proc = subprocess.run(
+        [sys.executable, "-m", "chebpush", *command.split(), "--help"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: chebpush")
+
+
 def test_caps_and_work_budget_exit_one_before_computing(capsys, monkeypatch):
     _refuse_computing(monkeypatch)
     big = str(2**63)

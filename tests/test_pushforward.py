@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chebpush.chebpoly import cheb_eval
-from chebpush.densities import catalog, make_density
+from chebpush.densities import catalog, make_density, sample
+from chebpush.montecarlo import push_samples, uniform_stream
 from chebpush.pushforward import (
     LIMIT_BOUNDED_FACTOR,
     SUM_BLOCK,
@@ -63,6 +64,25 @@ def test_default_grid_shape():
     assert z[0] == pytest.approx(-np.cos(1e-3))
     with pytest.raises(ValueError):
         default_grid(1)
+
+
+# each index argument, with the others held at valid values
+INDEX_ARGUMENTS = {
+    "cheb_eval": lambda v: cheb_eval(v, 0.3),
+    "default_grid": default_grid,
+    "bounded_factor": lambda v: bounded_factor(make_density("ramp"), v, 0.3),
+    "expand_density": lambda v: expand_density(make_density("ramp"), v),
+    "sample": lambda v: sample(make_density("ramp"), v, 1),
+    "uniform_stream": lambda v: uniform_stream(1, v),
+    "push_samples": lambda v: push_samples(sample(make_density("ramp"), 10, 1), v),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, float("inf"), float("nan")])
+@pytest.mark.parametrize("call", INDEX_ARGUMENTS.values(), ids=INDEX_ARGUMENTS.keys())
+def test_a_non_integer_index_is_a_value_error(call, value):
+    with pytest.raises(ValueError):
+        call(value)
 
 
 @pytest.mark.parametrize("name", [d.name for d in catalog()])

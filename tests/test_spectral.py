@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from chebpush.densities import make_density
-from chebpush.spectral import (
-    PROJECT_CHUNK,
-    even_moment_sum,
-    expand_density,
-    normalization_residual,
-)
+from chebpush.spectral import even_moment_sum, expand_density, normalization_residual
 
 from oracles import moment_oracle
 
@@ -57,12 +52,11 @@ def test_order_change_does_not_move_coefficients():
 
 
 def test_block_projection_matches_the_dense_matrix():
-    # order 300 projects in several row blocks; the one-piece cosine matrix
-    # gives the same coefficients to rounding
+    # the FFT projection and the one-piece cosine matrix give the same
+    # coefficients to rounding
     d = make_density("gauss", mu=0.1, sigma=0.3)
     order = 300
     n = 4 * (order + 1)
-    assert PROJECT_CHUNK // n < order + 1
     theta = np.pi * (np.arange(n) + 0.5) / n
     dense = np.cos(np.outer(np.arange(order + 1), theta)) @ d.pdf(np.cos(theta)) / n
     dense[1:] *= 2.0
@@ -71,7 +65,7 @@ def test_block_projection_matches_the_dense_matrix():
 
 def test_expansion_memory_grows_linearly_in_order():
     # order 2000 uses 8004 quadrature points; the one-piece cosine matrix
-    # would take 128 MB, a block of rows at most PROJECT_CHUNK elements
+    # would take 128 MB
     d = make_density("gauss", mu=0.0, sigma=0.25)
     tracemalloc.start()
     try:
@@ -80,7 +74,7 @@ def test_expansion_memory_grows_linearly_in_order():
     finally:
         tracemalloc.stop()
     assert s.decayed
-    assert peak < 8 * PROJECT_CHUNK + 32 * 8004 * 8
+    assert peak < 8 * 2**16 + 32 * 8004 * 8
 
 
 def test_normalization_residual_smooth():
