@@ -10,7 +10,6 @@ verify that everything converges to the arcsine law at the predicted rate.
 from .chebpoly import cheb_eval, cheb_integral
 from .densities import (
     Density,
-    catalog,
     make_density,
     parse_density,
     sample,
@@ -58,7 +57,6 @@ __all__ = [
     "SampleBatch",
     "asymptotic_bounded_factor",
     "bounded_factor",
-    "catalog",
     "cheb_eval",
     "cheb_integral",
     "convergence_report",

@@ -73,9 +73,10 @@ def parse_ks(text):
             step = int(step_s) if step_s else 1
             if step < 1 or hi < lo:
                 raise ValueError(f"bad range {part!r}: need a <= b and step >= 1")
-            # stop after the range's first value above MAX_K, which main
-            # refuses, so a huge range is never expanded
-            out.extend(range(lo, min(hi, max(lo, MAX_K + step)) + 1, step))
+            # stop after the first value above MAX_K (main refuses it), or at a
+            # start below 1 (refused below), so no huge range is ever expanded
+            last = max(lo, MAX_K + step) if lo >= 1 else lo
+            out.extend(range(lo, min(hi, last) + 1, step))
         else:
             out.append(int(part))
     if not out or any(k < 1 for k in out):

@@ -1,15 +1,16 @@
 """Catalog of probability densities on [-1, 1].
 
-A Density bundles the analytic pdf/cdf/ppf triple with the metadata the
-pushforward machinery needs: interior smoothness breakpoints for piecewise
-quadrature, an expandability flag for the Chebyshev-series route, and
-optional closed forms in angle space (theta = arccos x). The angle-space
-fields exist because pdf(cos theta) * sin theta can lose relative accuracy
-near theta = 0 when the pdf is singular at x = 1; a density that knows its
-angle form exactly (the arcsine law does: it is constant) supplies it and
-every downstream quantity inherits the full precision.
+A Density bundles the analytic pdf/cdf/ppf triple with what the
+pushforward machinery needs: the law of theta = arccos X in angle space,
+interior smoothness breakpoints for piecewise quadrature, and an
+expandability flag for the Chebyshev-series route. Every density carries
+its angle law: angle_pdf(theta) = pdf(cos theta) * sin theta and
+angle_cdf(theta) = 1 - cdf(cos theta), built from pdf and cdf by _density
+unless the builder supplies an exact form. The arcsine law does (its angle
+law is uniform), since pdf(cos theta) * sin theta loses relative accuracy
+near theta = 0 when the pdf is singular at x = 1.
 
-Each entry of _BUILDERS writes pdf/cdf/ppf as numpy expressions on float
+Each entry of _BUILDERS writes its forms as numpy expressions on float
 arrays; _vectorized, applied once in _density, lets them take scalars too.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr
@@ -32,22 +33,21 @@ class Density:
     """A probability density on [-1, 1].
 
     pdf/cdf/ppf accept scalars or arrays; a scalar argument gives a Python
-    float. breakpoints lists interior discontinuities of the pdf (jump
-    locations strictly inside (-1, 1)), and the density is discontinuous
-    exactly when it has one; expandable says whether the density is bounded
-    so a Chebyshev expansion makes sense. angle_pdf(theta) is an optional
-    exact form of pdf(cos theta) * sin theta and angle_cdf(theta) of
-    1 - cdf(cos theta), both on [0, pi].
+    float, and so do angle_pdf and angle_cdf, the density and the cdf of
+    theta = arccos X on [0, pi]. breakpoints lists interior discontinuities
+    of the pdf (jump locations strictly inside (-1, 1)), and the density is
+    discontinuous exactly when it has one; expandable says whether the
+    density is bounded so a Chebyshev expansion makes sense.
     """
 
     name: str
     pdf: Callable
     cdf: Callable
     ppf: Callable
+    angle_pdf: Callable
+    angle_cdf: Callable
     expandable: bool = True
     breakpoints: tuple = ()
-    angle_pdf: Optional[Callable] = None
-    angle_cdf: Optional[Callable] = None
 
     @property
     def discontinuous(self):
@@ -64,8 +64,10 @@ def _vectorized(fn):
     return wrapped
 
 
-def _density(name, pdf, cdf, ppf, **meta):
-    return Density(name, _vectorized(pdf), _vectorized(cdf), _vectorized(ppf), **meta)
+def _density(name, pdf, cdf, ppf, angle_pdf=None, angle_cdf=None, **meta):
+    angle_pdf = angle_pdf or (lambda theta: pdf(np.cos(theta)) * np.sin(theta))
+    angle_cdf = angle_cdf or (lambda theta: 1.0 - cdf(np.cos(theta)))
+    return Density(name, *map(_vectorized, (pdf, cdf, ppf, angle_pdf, angle_cdf)), **meta)
 
 
 def _arcsine():
@@ -80,7 +82,7 @@ def _arcsine():
                     lambda x: 1.0 - np.arccos(np.clip(x, -1.0, 1.0)) / np.pi,
                     lambda u: -np.cos(np.pi * u), expandable=False,
                     angle_pdf=lambda theta: np.full(np.shape(theta), 1.0 / np.pi),
-                    angle_cdf=lambda theta: np.asarray(theta, dtype=float) / np.pi)
+                    angle_cdf=lambda theta: theta / np.pi)
 
 
 def _uniform():
@@ -196,12 +198,6 @@ def parse_density(text):
     except ValueError:
         raise ValueError(f"gauss selector needs numeric MU,SIGMA, got {rest!r}") from None
     return make_density("gauss", mu=mu, sigma=sigma)
-
-
-def catalog():
-    """Every catalog density, the gaussian as gauss:0,0.25, as a tuple."""
-    return tuple(build(0.0, 0.25) if name == "gauss" else build()
-                 for name, build in _BUILDERS.items())
 
 
 def sample(d, n, seed):

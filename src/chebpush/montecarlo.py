@@ -23,6 +23,8 @@ def uniform_stream(seed, n):
     """The first n uniform variates of the Philox stream keyed by seed."""
     if n < 0 or not float(n).is_integer():
         raise ValueError(f"sample count must be a nonnegative integer, got {n!r}")
+    if seed % 1 != 0:  # 0 for any int, however large; nan for inf and nan
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     bitgen = np.random.Philox(key=np.uint64(int(seed) & (2**64 - 1)))
     return np.random.Generator(bitgen).random(int(n))
 

@@ -12,7 +12,9 @@ where S_k(z) collects the Theta density over the k preimage angles of z:
                                            + f_Theta((2 pi (j-1) + beta) / k) ]
              (+ (1/k) f_Theta((2 pi floor(k/2) + beta) / k) for odd k),
 
-with beta = arccos(z). S_k is the bounded object; the 1/sqrt(1 - z^2)
+with beta = arccos(z) and f_Theta = d.angle_pdf; the cdf sums d.angle_cdf
+over the same angles. Those two and d.breakpoints are all this module reads
+of a density. S_k is the bounded object; the 1/sqrt(1 - z^2)
 factor carries the integrable endpoint singularities. For continuous input
 densities S_k converges pointwise to 1/pi at rate 1/k^2, i.e. the
 distribution of T_k(X) converges to the arcsine law; the arcsine law itself
@@ -37,10 +39,11 @@ the running sum shifts that order in its seventh digit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
+from .chebpoly import _unit_interval
 from .spectral import even_moment_sum
 
 _TWO_PI = 2.0 * np.pi
@@ -98,19 +101,6 @@ def default_grid(n=201):
     return np.cos(beta)[::-1].copy()
 
 
-def _angle_pdf(d, theta):
-    # internal fast path; theta is in [0, pi] by construction of the callers
-    if d.angle_pdf is not None:
-        return np.asarray(d.angle_pdf(theta), dtype=float)
-    return np.asarray(d.pdf(np.cos(theta)), dtype=float) * np.sin(theta)
-
-
-def _angle_cdf(d, theta):
-    if d.angle_cdf is not None:
-        return np.asarray(d.angle_cdf(theta), dtype=float)
-    return 1.0 - np.asarray(d.cdf(np.cos(theta)), dtype=float)
-
-
 def _preimage_sum(term, k, beta, interval=False):
     """Sum term over the k preimage angles of cos(beta), in the j loop's order.
 
@@ -162,7 +152,7 @@ def _preimage_sum(term, k, beta, interval=False):
 
 
 def _bounded_from_beta(d, k, beta):
-    return _preimage_sum(partial(_angle_pdf, d), k, beta) / k
+    return _preimage_sum(d.angle_pdf, k, beta) / k
 
 
 def bounded_factor(d, k, z):
@@ -184,17 +174,12 @@ def pushforward_pdf(d, k, z):
 def pushforward_cdf(d, k, z):
     """Exact distribution function of T_k(X) on [-1, 1].
 
-    Accumulates the Psi tail probabilities branch by branch; tiny negative
-    round-off and overshoot past 1 are clipped.
+    Accumulates the Psi tail probabilities branch by branch. z may stray
+    past [-1, 1] by chebpoly.DOMAIN_SLACK; z and the result are clipped.
     """
     k = _check_k(k)
-    arr = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("evaluation point must be finite")
-    if np.any(np.abs(arr) > 1.0 + 1e-12):
-        raise ValueError("cdf argument outside [-1, 1]")
-    beta = np.arccos(np.clip(arr, -1.0, 1.0))
-    acc = _preimage_sum(partial(_angle_cdf, d), k, beta, interval=True)
+    beta = np.arccos(_unit_interval(z))
+    acc = _preimage_sum(d.angle_cdf, k, beta, interval=True)
     out = np.clip(acc, 0.0, 1.0)
     return float(out) if np.ndim(z) == 0 else out
 
@@ -270,7 +255,6 @@ def _sup_deviation(bounded):
 
 def sup_error(d, k, grid=201):
     """Sup over the standard grid of |S_k(z) - 1/pi|."""
-    k = _check_k(k)
     return _sup_deviation(bounded_factor(d, k, default_grid(grid)))
 
 
@@ -287,7 +271,6 @@ class ConvergenceReport:
     summing the angles again.
     """
 
-    density: str
     ks: tuple
     sup_errors: tuple
     fitted_order: float
@@ -314,8 +297,8 @@ def convergence_report(d, ks, grid=201):
         else:
             order = float(np.polyfit(np.log(np.asarray(ks, dtype=float)),
                                      np.log(np.asarray(errors)), 1)[0])
-    return ConvergenceReport(density=d.name, ks=ks, sup_errors=errors, fitted_order=order,
-                             label=label, bounded=bounded)
+    return ConvergenceReport(ks=ks, sup_errors=errors, fitted_order=order, label=label,
+                             bounded=bounded)
 
 
 def mass_left_of_zero(d, k):
@@ -364,8 +347,6 @@ def pushforward_mass(d, k):
 class PushforwardResult:
     """Exact pushforward evaluated on a grid, with the limit alongside."""
 
-    density: str
-    k: int
     z: np.ndarray
     pdf: np.ndarray
     bounded: np.ndarray
@@ -375,14 +356,9 @@ class PushforwardResult:
 
 def pushforward_on_grid(d, k, grid=201):
     """Evaluate f_k, S_k, the arcsine limit, and |S_k - 1/pi| on the grid."""
-    k = _check_k(k)
     z = default_grid(grid)
     bounded = bounded_factor(d, k, z)
     root = np.sqrt((1.0 - z) * (1.0 + z))
-    return PushforwardResult(
-        density=d.name, k=k, z=z,
-        pdf=bounded / root,
-        bounded=bounded,
-        limit_pdf=LIMIT_BOUNDED_FACTOR / root,
-        abs_error=np.abs(bounded - LIMIT_BOUNDED_FACTOR),
-    )
+    return PushforwardResult(z=z, pdf=bounded / root, bounded=bounded,
+                             limit_pdf=LIMIT_BOUNDED_FACTOR / root,
+                             abs_error=np.abs(bounded - LIMIT_BOUNDED_FACTOR))

@@ -34,7 +34,6 @@ class ChebSeries:
     """
 
     coeffs: np.ndarray
-    source: str = ""
     decayed: bool = True
 
     @property
@@ -78,7 +77,7 @@ def expand_density(d, order=64):
             f"tail max |mu_l| = {tail:.2e}",
             RuntimeWarning, stacklevel=2)
     mu.flags.writeable = False
-    return ChebSeries(coeffs=mu, source=d.name, decayed=decayed)
+    return ChebSeries(coeffs=mu, decayed=decayed)
 
 
 def normalization_residual(series):

@@ -5,7 +5,8 @@ the three-term recurrence for T_k, exact integer sign tests on dyadic
 bisection points for branch inversion, interval unions in angle space for
 distribution functions, adaptive quadrature for moments and cdfs, and the
 error function for the truncated gaussian. Tests compare the library
-against these, never against itself.
+against these, never against itself. CATALOG is the set of densities the
+tests sweep over.
 
 The exceptions are the scalar j loop of the angle sum
 (`angle_sum_reference`, `angle_cdf_reference`) and the per-cell output
@@ -23,7 +24,13 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erf, ndtr, ndtri
 
+from chebpush.densities import make_density
+
 TWO_PI = 2.0 * np.pi
+
+# Every catalog density, the gaussian as gauss:0,0.25.
+CATALOG = (*(make_density(name) for name in ("arcsine", "uniform", "ramp", "uniform01")),
+           make_density("gauss", mu=0.0, sigma=0.25))
 
 
 def cheb_eval_recurrence(k, x):
@@ -176,18 +183,6 @@ def numeric_cdf_check(d, support, grid):
     return worst
 
 
-def _theta_pdf(d, theta):
-    if d.angle_pdf is not None:
-        return np.asarray(d.angle_pdf(theta), dtype=float)
-    return np.asarray(d.pdf(np.cos(theta)), dtype=float) * np.sin(theta)
-
-
-def _theta_cdf(d, theta):
-    if d.angle_cdf is not None:
-        return np.asarray(d.angle_cdf(theta), dtype=float)
-    return 1.0 - np.asarray(d.cdf(np.cos(theta)), dtype=float)
-
-
 def angle_sum_reference(d, k, z):
     """S_k(z) by a scalar loop over j, adding the preimage terms one by one.
 
@@ -199,10 +194,10 @@ def angle_sum_reference(d, k, z):
     m = k // 2
     acc = np.zeros_like(beta)
     for j in range(1, m + 1):
-        acc += _theta_pdf(d, (TWO_PI * j - beta) / k)
-        acc += _theta_pdf(d, (TWO_PI * (j - 1) + beta) / k)
+        acc += d.angle_pdf((TWO_PI * j - beta) / k)
+        acc += d.angle_pdf((TWO_PI * (j - 1) + beta) / k)
     if k % 2 == 1:
-        acc += _theta_pdf(d, (TWO_PI * m + beta) / k)
+        acc += d.angle_pdf((TWO_PI * m + beta) / k)
     return acc / k
 
 
@@ -212,10 +207,10 @@ def angle_cdf_reference(d, k, z):
     m = k // 2
     acc = np.zeros_like(beta)
     for j in range(1, m + 1):
-        acc += _theta_cdf(d, (TWO_PI * j - beta) / k)
-        acc -= _theta_cdf(d, (TWO_PI * (j - 1) + beta) / k)
+        acc += d.angle_cdf((TWO_PI * j - beta) / k)
+        acc -= d.angle_cdf((TWO_PI * (j - 1) + beta) / k)
     if k % 2 == 1:
-        acc += 1.0 - _theta_cdf(d, (TWO_PI * m + beta) / k)
+        acc += 1.0 - d.angle_cdf((TWO_PI * m + beta) / k)
     return np.clip(acc, 0.0, 1.0)
 
 

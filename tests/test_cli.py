@@ -1,8 +1,10 @@
 import importlib.util
 import json
+import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +17,14 @@ from chebpush.cli import MAX_K, MAX_ORDER, MAX_POINTS, MAX_WORK, main, parse_ks
 from oracles import emit_reference
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def run_python(*args):
+    """A fresh interpreter on args that imports chebpush from this checkout's src."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
+                          env=env)
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +58,22 @@ def test_parse_ks_grammar():
     for bad in ("", "0", "5..2", "2..8:0", "a", "2..b"):
         with pytest.raises(ValueError):
             parse_ks(bad)
+
+
+def test_a_range_starting_below_one_is_refused_before_it_is_built(capsys):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="k values must be positive integers"):
+            parse_ks("-3000000..5")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # built first, this range would not fit in memory
+    with pytest.raises(SystemExit) as exc:
+        main(["dance", f"--ks={-10**12}..5"])
+    assert exc.value.code == 2
+    assert "k values must be positive integers" in capsys.readouterr().err
 
 
 def _refuse_computing(monkeypatch):
@@ -288,18 +314,13 @@ def test_usage_errors_exit_two(capsys):
 
 def test_import_leaves_out_scipy_integrate():
     # a fresh interpreter: this test session itself imports quad for the oracles
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, chebpush.cli; print('scipy.integrate' in sys.modules)"],
-        capture_output=True, text=True, timeout=120)
+    proc = run_python("-c", "import sys, chebpush.cli; print('scipy.integrate' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
 
 def test_console_script_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "chebpush", "invariance", "--k", "3", "--grid", "33"],
-        capture_output=True, text=True, timeout=120)
+    proc = run_python("-m", "chebpush", "invariance", "--k", "3", "--grid", "33")
     assert proc.returncode == 0
     assert proc.stdout.startswith("k,max_abs_deviation")
 
@@ -308,9 +329,7 @@ def test_console_script_runs():
                                      "invariance"])
 def test_help_prints(command):
     # help strings are formatted with %-style defaults only when printed
-    proc = subprocess.run(
-        [sys.executable, "-m", "chebpush", *command.split(), "--help"],
-        capture_output=True, text=True, timeout=120)
+    proc = run_python("-m", "chebpush", *command.split(), "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: chebpush")
 

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebpush.densities import catalog, make_density, parse_density, sample
+from chebpush.densities import make_density, parse_density, sample
 
 from oracles import (
+    CATALOG,
     numeric_cdf_check,
     truncated_gaussian_cdf_oracle,
     truncated_gaussian_ppf_oracle,
@@ -97,6 +98,17 @@ def test_arcsine_forms():
     assert np.allclose(d.angle_cdf(theta), theta / np.pi, atol=0)
 
 
+@pytest.mark.parametrize("name,params", [("uniform", {}), ("ramp", {}), ("uniform01", {}),
+                                         ("gauss", {"sigma": 0.25}),
+                                         ("gauss", {"mu": 0.5, "sigma": 0.3})])
+def test_angle_law_is_the_pdf_and_cdf_in_angle_space(name, params):
+    # without an exact form the angle law is pdf(cos t) sin t and 1 - cdf(cos t), bit for bit
+    d = make_density(name, **params)
+    theta = np.linspace(0.0, np.pi, 1001)
+    assert np.array_equal(d.angle_pdf(theta), d.pdf(np.cos(theta)) * np.sin(theta))
+    assert np.array_equal(d.angle_cdf(theta), 1.0 - d.cdf(np.cos(theta)))
+
+
 def test_gaussian_cdf_against_erf_oracle():
     d = make_density("gauss", mu=0.0, sigma=0.25)
     # frozen from the erf route
@@ -149,9 +161,10 @@ def test_parameters_of_a_parameterless_density_are_refused(name, params):
         make_density(name, **params)
 
 
-@pytest.mark.parametrize("d", catalog(), ids=lambda d: d.name)
+@pytest.mark.parametrize("d", CATALOG, ids=lambda d: d.name)
 def test_scalar_argument_gives_a_python_float(d):
-    for fn, arg in ((d.pdf, 0.25), (d.cdf, 0.25), (d.ppf, 0.75)):
+    for fn, arg in ((d.pdf, 0.25), (d.cdf, 0.25), (d.ppf, 0.75), (d.angle_pdf, 0.5),
+                    (d.angle_cdf, 0.5)):
         assert type(fn(arg)) is float
         assert type(fn(np.float64(arg))) is float
         arr = fn(np.full((2, 3), arg))
@@ -174,7 +187,7 @@ def test_parse_density_grammar():
 
 
 def test_catalog_contents():
-    names = [d.name for d in catalog()]
+    names = [d.name for d in CATALOG]
     assert names == ["arcsine", "uniform", "ramp", "uniform01", "gauss:0,0.25"]
 
 

@@ -30,6 +30,21 @@ def test_stream_guards():
     assert uniform_stream(1, 0).shape == (0,)
 
 
+@pytest.mark.parametrize("seed", [2.5, -0.5, float("inf"), float("-inf"), float("nan")])
+def test_a_seed_that_is_not_an_integer_is_a_value_error(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        uniform_stream(seed, 3)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        sample(make_density("uniform"), 3, seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 0, 2.0, np.int64(7), 2**64 + 7, 10**400])
+def test_any_integer_is_a_seed(seed):
+    # the stream is keyed by the seed modulo 2^64
+    assert np.array_equal(uniform_stream(seed, 3), uniform_stream(int(seed) % 2**64, 3))
+    assert sample(make_density("uniform"), 3, seed).n == 3
+
+
 def test_push_identity_and_known_point():
     b = sample(make_density("uniform"), 500, seed=5)
     same = push_samples(b, 1)

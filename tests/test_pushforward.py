@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chebpush.chebpoly import cheb_eval
-from chebpush.densities import catalog, make_density, sample
+from chebpush.densities import make_density, sample
 from chebpush.montecarlo import push_samples, uniform_stream
 from chebpush.pushforward import (
     LIMIT_BOUNDED_FACTOR,
@@ -30,6 +30,7 @@ from chebpush.pushforward import (
 from chebpush.spectral import ChebSeries, expand_density
 
 from oracles import (
+    CATALOG,
     angle_cdf_reference,
     angle_sum_reference,
     branch_pushforward_pdf,
@@ -85,7 +86,7 @@ def test_a_non_integer_index_is_a_value_error(call, value):
         call(value)
 
 
-@pytest.mark.parametrize("name", [d.name for d in catalog()])
+@pytest.mark.parametrize("name", [d.name for d in CATALOG])
 def test_identity_map_returns_the_input_pdf(name):
     d = _dist(name)
     z = default_grid(201)
@@ -128,7 +129,7 @@ def test_pdf_cdf_guards():
         bounded_factor(d, 2.5, 0.5)
 
 
-@pytest.mark.parametrize("name", [d.name for d in catalog()])
+@pytest.mark.parametrize("name", [d.name for d in CATALOG])
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 13])
 def test_cdf_endpoints_and_monotonicity(name, k):
     d = _dist(name)
@@ -140,7 +141,7 @@ def test_cdf_endpoints_and_monotonicity(name, k):
     assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
-@pytest.mark.parametrize("name", [d.name for d in catalog()])
+@pytest.mark.parametrize("name", [d.name for d in CATALOG])
 @pytest.mark.parametrize("k", [2, 5, 16])
 def test_cdf_against_interval_union_oracle(name, k):
     d = _dist(name)
@@ -163,7 +164,7 @@ def test_cdf_derivative_is_the_pdf(name):
     assert np.max(np.abs(deriv - pdf) / pdf) < 1e-5
 
 
-@pytest.mark.parametrize("name", [d.name for d in catalog()])
+@pytest.mark.parametrize("name", [d.name for d in CATALOG])
 def test_mass_is_one(name):
     d = _dist(name)
     worst = max(abs(pushforward_mass(d, k) - 1.0) for k in range(1, 13))
@@ -186,7 +187,7 @@ def test_panel_breaks_sit_where_a_preimage_angle_meets_the_jump(xstar, k):
         assert abs(np.cos(inner[0]) - cheb_eval(k, xstar)) < 1e-12
 
 
-@pytest.mark.parametrize("name", [d.name for d in catalog()])
+@pytest.mark.parametrize("name", [d.name for d in CATALOG])
 @pytest.mark.parametrize("k", [2, 3, 4, 7, 8])
 def test_mass_left_of_zero_against_oracle(name, k):
     d = _dist(name)
@@ -318,8 +319,6 @@ def test_convergence_report_guards():
 def test_grid_result_fields_are_consistent():
     d = make_density("ramp")
     res = pushforward_on_grid(d, 5, grid=33)
-    assert res.density == "ramp"
-    assert res.k == 5
     root = np.sqrt(1.0 - res.z**2)
     assert np.allclose(res.pdf * root, res.bounded, atol=1e-14)
     assert np.allclose(res.limit_pdf * root, LIMIT_BOUNDED_FACTOR, atol=1e-14)
@@ -353,6 +352,25 @@ def test_block_sum_is_the_scalar_loop_bit_for_bit(name, k):
         assert np.array_equal(pushforward_cdf(d, k, c), angle_cdf_reference(d, k, c))
     assert bounded_factor(d, k, 0.3) == angle_sum_reference(d, k, 0.3)
     assert pushforward_cdf(d, k, 0.0) == angle_cdf_reference(d, k, 0.0)
+
+
+@pytest.mark.parametrize("name", ("uniform", "ramp", "uniform01"))
+def test_pushforward_reads_a_density_only_through_its_angle_law(name):
+    def refuse(x):
+        raise AssertionError("the pushforward read pdf, cdf or ppf")
+
+    d = make_density(name)
+    blind = replace(d, pdf=refuse, cdf=refuse, ppf=refuse)
+    z = default_grid(33)
+    for k in (1, 2, 7, 64):
+        assert np.array_equal(bounded_factor(blind, k, z), bounded_factor(d, k, z))
+        assert np.array_equal(pushforward_cdf(blind, k, z), pushforward_cdf(d, k, z))
+        assert pushforward_mass(blind, k) == pushforward_mass(d, k)
+        assert mass_left_of_zero(blind, k) == mass_left_of_zero(d, k)
+    got, want = convergence_report(blind, (4, 8, 16)), convergence_report(d, (4, 8, 16))
+    assert (got.ks, got.sup_errors, got.fitted_order, got.label) == (
+        want.ks, want.sup_errors, want.fitted_order, want.label)
+    assert all(np.array_equal(a, b) for a, b in zip(got.bounded, want.bounded))
 
 
 def _peak_bytes(fn):

@@ -15,7 +15,6 @@ def test_uniform_series_is_the_constant_term():
     assert np.max(np.abs(s.coeffs[1:])) < 5e-15
     assert s.decayed
     assert s.order == 64
-    assert s.source == "uniform"
 
 
 def test_ramp_series_is_two_terms():
