@@ -12,6 +12,20 @@ near theta = 0 when the pdf is singular at x = 1.
 
 Each entry of _BUILDERS writes its forms as numpy expressions on float
 arrays; _vectorized, applied once in _density, lets them take scalars too.
+
+The truncated gaussian needs the standard normal cdf and its inverse, both
+in numpy here. normal_cdf evaluates Phi(-|t|) = exp(-t^2/2) erfcx(|t|/sqrt 2)/2
+with erfcx, the scaled complementary error function, as one rational of
+degree 10 over 11 in |t| whose coefficients are all positive, and reflects
+for t > 0 (Cody's form, fitted once by scripts/fit_normal.py against
+mpmath). Its gap to 0.5 * math.erfc(-t / sqrt 2) is at most 2.2e-16 absolute
+on [-40, 40] and below 3e-13 relative on [-37, 0], where the rounding of t^2
+inside exp dominates. normal_ppf starts from a rational in
+sqrt(-2 log p), good to 1.5e-6, and takes two Halley steps on normal_cdf,
+so normal_cdf(normal_ppf(p)) = p to rounding for p down to 1e-300. The
+gaussian's ppf is mu + sigma * normal_ppf(lo + u * mass), lo being Phi at
+the window's lower end and mass its probability; for mu < 0 all three are
+taken in the mirror image Phi(-t), so the window is in a lower tail either way.
 """
 
 from __future__ import annotations
@@ -21,11 +35,31 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .montecarlo import SampleBatch, uniform_stream
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# Rational fits, highest degree first, printed by scripts/fit_normal.py.
+# erfcx(s / sqrt 2) ~ _ERFCX_NUM(s) / _ERFCX_DEN(s) on s >= 0, relative 1e-17:
+_ERFCX_NUM = (6.550506962335929e-07, 1.925923389977755e-05, 0.0002805165959119677,
+              0.0026241650507176327, 0.017308561344303825, 0.08369809598796399, 0.2998885314522669,
+              0.786628272891654, 1.4510790556925928, 1.713755568807563, 1.0)
+_ERFCX_DEN = (8.209842982479233e-07, 2.4137870120457168e-05, 0.0003523963997063221,
+              0.0033130410268369746, 0.02204299807592308, 0.10814063440325047, 0.39685265894828287,
+              1.0844559377856435, 2.1545807905767864, 2.9550779374016036, 2.51164012961043, 1.0)
+# -normal_ppf(q) ~ _START_NUM(r) / _START_DEN(r), r = sqrt(-2 log q), q <= 1/2,
+# to 1.5e-6 (absolute below 1, relative above):
+_START_NUM = (0.16295666211185725, 2.1181794968457774, 3.010305669445145, -4.201848998721101,
+              -2.9964007190019775)
+_START_DEN = (0.1629351825356451, 2.1218962436971447, 3.7708334127196057, 1.0)
+# normal_cdf works on |t| capped here, where exp(-t^2/2) is already 0, so
+# that neither t^2 nor the powers in P/Q can overflow.
+_T_CAP = 40.0
+# normal_ppf's floor on the smaller tail: the Halley steps stay clear of
+# subnormal cdf values and of an overflowing 1 / pdf.
+_P_FLOOR = 1e-300
+_HALLEY_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -108,20 +142,40 @@ def _uniform01():
                     np.copy, breakpoints=(0.0,))
 
 
-def _bisect_ppf(cdf, u):
-    """Vectorized bisection inverse on [-1, 1] of a monotone array cdf.
+def _horner(coeffs, x):
+    out = coeffs[0] * x
+    out += coeffs[1]
+    for c in coeffs[2:]:
+        out *= x
+        out += c
+    return out
 
-    48 halvings of a width-2 bracket land within ~7e-15, comfortably past
-    the 1e-12 the sampler needs.
-    """
-    low = np.full(u.shape, -1.0)
-    high = np.full(u.shape, 1.0)
-    for _ in range(48):
-        mid = 0.5 * (low + high)
-        go_right = cdf(mid) < u
-        low = np.where(go_right, mid, low)
-        high = np.where(go_right, high, mid)
-    return 0.5 * (low + high)
+
+@_vectorized
+def normal_cdf(t):
+    """Standard normal cdf Phi(t); see the module docstring for the form."""
+    s = np.minimum(np.abs(t), _T_CAP)
+    tail = np.exp(-0.5 * s * s)
+    tail *= _horner(_ERFCX_NUM, s)
+    tail /= _horner(_ERFCX_DEN, s)
+    tail *= 0.5
+    # tail is Phi(-|t|); where -t has its sign bit set (t > 0 or t = +0),
+    # Phi(t) = 1 + (-tail)
+    neg = -t
+    return np.signbit(neg) + np.copysign(tail, neg)
+
+
+@_vectorized
+def normal_ppf(p):
+    """Inverse of normal_cdf on [0, 1], solved in the smaller tail."""
+    q = np.minimum(p, 1.0 - p)
+    r = np.sqrt(-2.0 * np.log(np.maximum(q, _P_FLOOR)))
+    t = -_horner(_START_NUM, r) / _horner(_START_DEN, r)
+    for _ in range(_HALLEY_STEPS):
+        # Newton step (Phi(t) - q) / phi(t); Phi'' / Phi' = -t gives Halley's factor
+        step = (normal_cdf(t) - q) * _SQRT_2PI * np.exp(0.5 * t * t)
+        t -= step / (1.0 + 0.5 * t * step)
+    return np.where(p > 0.5, -t, t)
 
 
 def _gauss(mu, sigma):
@@ -130,9 +184,15 @@ def _gauss(mu, sigma):
         raise ValueError(f"truncated gaussian needs finite mu and sigma > 0, got ({mu}, {sigma})")
     mu = float(mu)
     sigma = float(sigma)
-    lo_cdf = float(ndtr((-1.0 - mu) / sigma))
-    hi_cdf = float(ndtr((1.0 - mu) / sigma))
-    mass = hi_cdf - lo_cdf
+    # For mu < 0 the window [-1, 1] lies in the normal's upper tail, where Phi
+    # saturates at 1; side = -1 computes there through the mirror image,
+    # Phi(-t), whose small values keep their relative precision. Dividing by
+    # side * sigma negates t exactly, so mu >= 0 computes as without side.
+    side = -1.0 if mu < 0.0 else 1.0
+    side_sigma = side * sigma
+    lo_cdf = normal_cdf((-1.0 - mu) / side_sigma)
+    side_mass = normal_cdf((1.0 - mu) / side_sigma) - lo_cdf
+    mass = side * side_mass
     if mass <= 0.0:
         raise ValueError(f"gaussian({mu}, {sigma}) has no mass on [-1, 1]")
 
@@ -142,10 +202,14 @@ def _gauss(mu, sigma):
         return np.where(np.abs(x) <= 1.0, val, 0.0)
 
     def cdf(x):
-        out = (ndtr((np.clip(x, -1.0, 1.0) - mu) / sigma) - lo_cdf) / mass
-        return np.clip(out, 0.0, 1.0)
+        out = (normal_cdf((np.clip(x, -1.0, 1.0) - mu) / side_sigma) - lo_cdf) / side_mass
+        # + 0.0 turns the 0 / -mass = -0.0 of side = -1 at x = -1 into 0.0
+        return np.clip(out, 0.0, 1.0) + 0.0
 
-    return _density(f"gauss:{mu:g},{sigma:g}", pdf, cdf, lambda u: _bisect_ppf(cdf, u))
+    def ppf(u):
+        return np.clip(mu + side_sigma * normal_ppf(lo_cdf + u * side_mass), -1.0, 1.0)
+
+    return _density(f"gauss:{mu:g},{sigma:g}", pdf, cdf, ppf)
 
 
 # Selector name -> builder. Only gauss takes parameters (mu, sigma).

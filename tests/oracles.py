@@ -145,7 +145,7 @@ def moment_oracle(d, l, breakpoints=()):
 
 
 def truncated_gaussian_cdf_oracle(mu, sigma, x):
-    """Truncated-normal cdf through erf, independent of the library's ndtr path."""
+    """Truncated-normal cdf through scipy's erf, independent of densities.normal_cdf."""
     s2 = sigma * np.sqrt(2.0)
     lo = erf((-1.0 - mu) / s2)
     hi = erf((1.0 - mu) / s2)
@@ -153,7 +153,7 @@ def truncated_gaussian_cdf_oracle(mu, sigma, x):
 
 
 def truncated_gaussian_ppf_oracle(mu, sigma, u):
-    """Truncated-normal quantile through the inverse normal cdf (no bisection)."""
+    """Truncated-normal quantile through scipy's ndtri, not the library's Halley steps."""
     lo = ndtr((-1.0 - mu) / sigma)
     hi = ndtr((1.0 - mu) / sigma)
     return mu + sigma * ndtri(lo + np.asarray(u, dtype=float) * (hi - lo))

@@ -312,11 +312,19 @@ def test_usage_errors_exit_two(capsys):
             assert reason in err
 
 
-def test_import_leaves_out_scipy_integrate():
-    # a fresh interpreter: this test session itself imports quad for the oracles
-    proc = run_python("-c", "import sys, chebpush.cli; print('scipy.integrate' in sys.modules)")
+def test_a_gaussian_run_loads_no_scipy(tmp_path):
+    # a fresh interpreter, since the oracles of this session import scipy; checked
+    # after a gaussian mc run, so a lazy import cannot hide there
+    out = tmp_path / "mc.csv"
+    code = ("import sys\n"
+            "from chebpush.cli import main\n"
+            "code = main(['mc', '--dist', 'gauss:0,0.25', '--k', '8', '--n', '1000',\n"
+            f"             '--seed', '1', '--out', {str(out)!r}])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "0 []"
+    assert out.read_text().startswith("bin_left,")
 
 
 def test_console_script_runs():

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
-from chebpush.densities import make_density, parse_density, sample
+from chebpush.densities import make_density, normal_cdf, normal_ppf, parse_density, sample
+from chebpush.pushforward import pushforward_mass
 
 from oracles import (
     CATALOG,
@@ -143,6 +147,64 @@ def test_gaussian_symmetry_and_guards():
 def test_gaussian_ppf_roundtrip(u):
     d = make_density("gauss", mu=-0.2, sigma=0.6)
     assert d.cdf(d.ppf(u)) == pytest.approx(u, abs=1e-12)
+
+
+def test_normal_cdf_against_stdlib_erfc():
+    ts = np.linspace(-40.0, 40.0, 160001)
+    ref = np.array([0.5 * math.erfc(-t / math.sqrt(2.0)) for t in ts])
+    got = normal_cdf(ts)
+    assert np.max(np.abs(got - ref)) <= 1e-15
+    lower = (ts >= -37.0) & (ts <= 0.0)
+    assert np.max(np.abs(got[lower] / ref[lower] - 1.0)) <= 1e-12
+    assert np.max(np.abs(got + normal_cdf(-ts) - 1.0)) <= 2e-16
+    assert np.all(np.diff(got) >= 0.0)
+    assert type(normal_cdf(0.3)) is float
+    assert normal_cdf(0.0) == 0.5
+    assert normal_cdf(-np.inf) == 0.0 and normal_cdf(np.inf) == 1.0
+    assert math.isnan(normal_cdf(np.nan))
+
+
+def test_normal_ppf_holds_in_the_deep_tails():
+    p = 10.0 ** -np.arange(1.0, 301.0)
+    x = normal_ppf(p)
+    assert np.max(np.abs(x / ndtri(p) - 1.0)) <= 1e-14
+    assert np.max(np.abs(normal_cdf(x) / p - 1.0)) <= 1e-12
+    upper = 1.0 - p[:15]
+    assert np.array_equal(normal_ppf(upper), -normal_ppf(1.0 - upper))
+    assert normal_ppf(0.5) == pytest.approx(0.0, abs=1e-16)
+
+
+@pytest.mark.parametrize("mu,sigma", [(0.5, 0.5), (2.0, 0.5), (5.0, 0.5), (8.0, 0.5),
+                                      (2.0, 0.1)])
+def test_a_gaussian_left_of_zero_mirrors_its_twin(mu, sigma):
+    # mu < 0 puts [-1, 1] in the normal's upper tail, where Phi saturates at 1
+    left = make_density("gauss", mu=-mu, sigma=sigma)
+    right = make_density("gauss", mu=mu, sigma=sigma)
+    xs = np.linspace(-1.0, 1.0, 201)
+    assert np.max(np.abs(left.cdf(xs) - (1.0 - right.cdf(-xs)))) <= 1e-15
+    us = 1.0 - (1.0 - np.linspace(0.005, 0.995, 199))  # 1 - us is exact
+    assert np.max(np.abs(left.ppf(us) + right.ppf(1.0 - us))) <= 1e-14
+    for d in (left, right):
+        assert pushforward_mass(d, 3) == pytest.approx(1.0, abs=5e-14)
+        assert math.copysign(1.0, d.cdf(-1.0)) == 1.0  # 0.0, not -0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(mu=st.floats(-2.0, 2.0), sigma=st.floats(0.1, 2.0),
+       us=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=2,
+                   max_size=16))
+def test_gaussian_ppf_over_the_parameter_space(mu, sigma, us):
+    d = make_density("gauss", mu=mu, sigma=sigma)
+    u = np.sort(us)
+    x = d.ppf(u)
+    assert np.all((x >= -1.0) & (x <= 1.0))
+    # monotone to rounding: the last Halley step carries normal_cdf's few-ulp noise
+    assert np.all(np.diff(x) >= -1e-15 * (1.0 + sigma))
+    assert np.max(np.abs(d.cdf(x) - u)) <= 1e-12
+    twin = make_density("gauss", mu=-mu, sigma=sigma)
+    assert np.max(np.abs(twin.cdf(-x) - (1.0 - d.cdf(x)))) <= 1e-15
+    # the twin's quantile at 1 - u is -x; 1 - u is rounded, so compare in cdf space
+    assert np.max(np.abs(d.cdf(-twin.ppf(1.0 - u)) - u)) <= 1e-12
 
 
 def test_make_density_names():
