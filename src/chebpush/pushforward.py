@@ -69,6 +69,13 @@ MASS_NODES = 64
 SUM_BLOCK = 64
 SUM_CHUNK = 2**15
 
+# glibc's malloc starts with a 128 KiB mmap threshold, and trims the heap
+# top past twice the threshold. Until a bigger mapped block is freed, which
+# raises both, the 256 KiB block temporaries above are mapped or trimmed and
+# page-faulted in again on every block. Importing scipy used to free such a
+# block; freeing one 2 MiB block here does it without scipy.
+np.empty(2**18)
+
 # The series route takes c_m exactly up to m = SERIES_SPAN (L + 1) and models the rest.
 SERIES_SPAN = 8
 

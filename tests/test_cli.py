@@ -327,6 +327,24 @@ def test_a_gaussian_run_loads_no_scipy(tmp_path):
     assert out.read_text().startswith("bin_left,")
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc, Linux fault counts")
+def test_the_angle_sum_reuses_its_block_memory():
+    # a fresh interpreter, as above: the 256 KiB block temporaries of a k = 8192
+    # sum would be page-faulted in again on every block (about 4000 faults)
+    # if importing chebpush left glibc's mmap threshold at its start
+    code = ("import resource, sys\n"
+            "from chebpush.densities import make_density\n"
+            "from chebpush.pushforward import bounded_factor, default_grid\n"
+            "d, z = make_density('uniform'), default_grid(201)\n"
+            "bounded_factor(d, 8192, z)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "bounded_factor(d, 8192, z)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1000
+
+
 def test_console_script_runs():
     proc = run_python("-m", "chebpush", "invariance", "--k", "3", "--grid", "33")
     assert proc.returncode == 0
