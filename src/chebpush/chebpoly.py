@@ -4,9 +4,14 @@ Everything lives on the natural domain [-1, 1]. Inputs that stray outside it
 by more than a small rounding slack raise ValueError rather than silently
 producing garbage; values inside the slack are clipped, because iterated
 polynomial maps routinely land a few ulp past the endpoints.
+
+The argument contract of the whole package lives here too: _index checks
+every integer index (degree, k, order, count) and _pointwise every point.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -14,23 +19,51 @@ import numpy as np
 DOMAIN_SLACK = 1e-12
 
 
-def _check_degree(k):
-    if k < 0 or not float(k).is_integer():
-        raise ValueError(f"polynomial degree must be an integer >= 0, got {k!r}")
-    return int(k)
+def _index(value, lo, what):
+    """int(value) for an integer value in [lo, 2**63), else ValueError.
+
+    Nothing is converted to float, so a huge int, inf or nan cannot overflow or warn.
+    """
+    try:
+        valid = lo <= value < 2**63 and value == int(value)
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ValueError(f"{what} must be an integer >= {lo}, got {value!r}")
+    return int(value)
+
+
+def _pointwise(fn):
+    """fn, written for a float array as its last argument, taking a scalar
+    (giving a Python float), a list or an array there, by position or keyword.
+    """
+    code = fn.__code__
+    point = code.co_varnames[code.co_argcount - 1]  # the last parameter's name
+
+    @functools.wraps(fn)
+    def wrapped(*args, **kwargs):
+        if point in kwargs:
+            x = kwargs[point] = np.asarray(kwargs[point], dtype=float)
+        elif args:  # with no argument at all, fn raises the TypeError
+            x = np.asarray(args[-1], dtype=float)
+            args = args[:-1] + (x,)
+        out = fn(*args, **kwargs)
+        return float(out) if x.ndim == 0 else out
+
+    return wrapped
 
 
 def _unit_interval(x):
-    """Validate x against [-1, 1] with rounding slack; return a clipped float array."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    """Validate a float array x against [-1, 1] with rounding slack; return it clipped."""
+    if not np.all(np.isfinite(x)):
         raise ValueError("argument must be finite")
-    if np.any(np.abs(arr) > 1.0 + DOMAIN_SLACK):
-        worst = float(np.max(np.abs(arr)))
+    if np.any(np.abs(x) > 1.0 + DOMAIN_SLACK):
+        worst = float(np.max(np.abs(x)))
         raise ValueError(f"argument outside [-1, 1] beyond rounding slack: |x| = {worst}")
-    return np.clip(arr, -1.0, 1.0)
+    return np.clip(x, -1.0, 1.0)
 
 
+@_pointwise
 def cheb_eval(k, x):
     """T_k(x) = cos(k arccos x), vectorized over x.
 
@@ -38,12 +71,10 @@ def cheb_eval(k, x):
     circle), so it is the production evaluator; the test suite cross-checks
     it against the three-term recurrence.
     """
-    k = _check_degree(k)
-    out = np.cos(k * np.arccos(_unit_interval(x)))
-    return float(out) if np.ndim(x) == 0 else out
+    return np.cos(_index(k, 0, "polynomial degree") * np.arccos(_unit_interval(x)))
 
 
 def cheb_integral(k):
     """Integral of T_k over [-1, 1]: 2 / (1 - k^2) for even k, 0 for odd k."""
-    k = _check_degree(k)
+    k = _index(k, 0, "polynomial degree")
     return 0.0 if k % 2 else 2.0 / (1.0 - k * k)

@@ -11,7 +11,8 @@ law is uniform), since pdf(cos theta) * sin theta loses relative accuracy
 near theta = 0 when the pdf is singular at x = 1.
 
 Each entry of _BUILDERS writes its forms as numpy expressions on float
-arrays; _vectorized, applied once in _density, lets them take scalars too.
+arrays; chebpoly._pointwise, applied once in _density, lets them take
+scalars and lists too.
 
 The truncated gaussian needs the standard normal cdf and its inverse, both
 in numpy here. normal_cdf evaluates Phi(-|t|) = exp(-t^2/2) erfcx(|t|/sqrt 2)/2
@@ -36,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from .chebpoly import _index, _pointwise
 from .montecarlo import SampleBatch, uniform_stream
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -88,20 +90,10 @@ class Density:
         return bool(self.breakpoints)
 
 
-def _vectorized(fn):
-    """fn, written for float arrays, as a function that also takes scalars."""
-
-    def wrapped(x):
-        out = fn(np.asarray(x, dtype=float))
-        return float(out) if np.ndim(x) == 0 else out
-
-    return wrapped
-
-
 def _density(name, pdf, cdf, ppf, angle_pdf=None, angle_cdf=None, **meta):
     angle_pdf = angle_pdf or (lambda theta: pdf(np.cos(theta)) * np.sin(theta))
     angle_cdf = angle_cdf or (lambda theta: 1.0 - cdf(np.cos(theta)))
-    return Density(name, *map(_vectorized, (pdf, cdf, ppf, angle_pdf, angle_cdf)), **meta)
+    return Density(name, *map(_pointwise, (pdf, cdf, ppf, angle_pdf, angle_cdf)), **meta)
 
 
 def _arcsine():
@@ -139,7 +131,7 @@ def _uniform01():
     return _density("uniform01",
                     lambda x: np.where((x >= 0.0) & (x <= 1.0), 1.0, 0.0),
                     lambda x: np.clip(x, 0.0, 1.0),
-                    np.copy, breakpoints=(0.0,))
+                    lambda u: u.copy(), breakpoints=(0.0,))
 
 
 def _horner(coeffs, x):
@@ -151,7 +143,7 @@ def _horner(coeffs, x):
     return out
 
 
-@_vectorized
+@_pointwise
 def normal_cdf(t):
     """Standard normal cdf Phi(t); see the module docstring for the form."""
     s = np.minimum(np.abs(t), _T_CAP)
@@ -165,7 +157,7 @@ def normal_cdf(t):
     return np.signbit(neg) + np.copysign(tail, neg)
 
 
-@_vectorized
+@_pointwise
 def normal_ppf(p):
     """Inverse of normal_cdf on [0, 1], solved in the smaller tail."""
     q = np.minimum(p, 1.0 - p)
@@ -266,6 +258,5 @@ def parse_density(text):
 
 def sample(d, n, seed):
     """n inverse-cdf draws from d on the deterministic stream keyed by seed."""
-    if n < 1 or not float(n).is_integer():
-        raise ValueError(f"sample count must be a positive integer, got {n!r}")
-    return SampleBatch(np.asarray(d.ppf(uniform_stream(seed, int(n))), dtype=float))
+    n = _index(n, 1, "sample count")
+    return SampleBatch(d.ppf(uniform_stream(seed, n)))

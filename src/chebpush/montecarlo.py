@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebpoly import cheb_eval
+from .chebpoly import _index, cheb_eval
 
 # One-sample Kolmogorov-Smirnov acceptance factor; 1.95/sqrt(n) corresponds
 # to alpha ~ 0.001.
@@ -21,12 +21,11 @@ KS_FACTOR = 1.95
 
 def uniform_stream(seed, n):
     """The first n uniform variates of the Philox stream keyed by seed."""
-    if n < 0 or not float(n).is_integer():
-        raise ValueError(f"sample count must be a nonnegative integer, got {n!r}")
+    n = _index(n, 0, "sample count")
     if seed % 1 != 0:  # 0 for any int, however large; nan for inf and nan
         raise ValueError(f"seed must be an integer, got {seed!r}")
     bitgen = np.random.Philox(key=np.uint64(int(seed) & (2**64 - 1)))
-    return np.random.Generator(bitgen).random(int(n))
+    return np.random.Generator(bitgen).random(n)
 
 
 @dataclass(frozen=True)
@@ -42,8 +41,7 @@ class SampleBatch:
 
 def push_samples(batch, k):
     """Apply T_k elementwise; pushes compose multiplicatively in k."""
-    if k < 1 or not float(k).is_integer():
-        raise ValueError(f"push index must be a positive integer, got {k!r}")
+    k = _index(k, 1, "push index")
     # T_1 is the identity; keep it exact instead of the cos(arccos x) roundtrip
     return batch if k == 1 else SampleBatch(cheb_eval(k, batch.values))
 

@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chebpoly import _unit_interval
+from .chebpoly import _index, _pointwise, _unit_interval
 from .spectral import even_moment_sum
 
 _TWO_PI = 2.0 * np.pi
@@ -84,27 +84,18 @@ _COS_SUMS = {2: np.polynomial.Polynomial([np.pi**2 / 6, -np.pi / 2, 1 / 4]),
              4: np.polynomial.Polynomial([np.pi**4 / 90, 0, -np.pi**2 / 12, np.pi / 12, -1 / 48])}
 
 
-def _check_k(k):
-    if k < 1 or not float(k).is_integer():
-        raise ValueError(f"Chebyshev index must be a positive integer, got {k!r}")
-    return int(k)
-
-
 def _open_interval(z):
-    arr = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(z)):
         raise ValueError("evaluation point must be finite")
-    if np.any(np.abs(arr) >= 1.0):
+    if np.any(np.abs(z) >= 1.0):
         raise ValueError("pushforward density is evaluated on the open interval "
                          "(-1, 1); it is singular at the endpoints")
-    return arr
+    return z
 
 
 def default_grid(n=201):
     """Ascending z grid cos(beta), beta uniform on [GRID_EPS, pi - GRID_EPS]."""
-    if n < 2 or not float(n).is_integer():
-        raise ValueError(f"grid needs at least 2 points, got {n!r}")
-    beta = np.linspace(GRID_EPS, np.pi - GRID_EPS, int(n))
+    beta = np.linspace(GRID_EPS, np.pi - GRID_EPS, _index(n, 2, "grid size"))
     return np.cos(beta)[::-1].copy()
 
 
@@ -135,7 +126,7 @@ def _preimage_sum(term, k, beta, interval=False):
     m = k // 2
     n = flat.size
     width = SUM_CHUNK // max(1, 2 * min(m, SUM_BLOCK))
-    chunks = -(-n // width)
+    chunks = max(1, -(-n // width))  # one empty chunk for no points
     bounds = [n * i // chunks for i in range(chunks + 1)]
     out = np.empty(n)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -162,33 +153,31 @@ def _bounded_from_beta(d, k, beta):
     return _preimage_sum(d.angle_pdf, k, beta) / k
 
 
+@_pointwise
 def bounded_factor(d, k, z):
     """S_k(z): the pushforward density with the arcsine singularity factored out."""
-    k = _check_k(k)
-    arr = _open_interval(z)
-    out = _bounded_from_beta(d, k, np.arccos(arr))
-    return float(out) if np.ndim(z) == 0 else out
+    k = _index(k, 1, "Chebyshev index")
+    return _bounded_from_beta(d, k, np.arccos(_open_interval(z)))
 
 
+@_pointwise
 def pushforward_pdf(d, k, z):
     """Exact density of T_k(X) at z in (-1, 1)."""
-    k = _check_k(k)
+    k = _index(k, 1, "Chebyshev index")
     arr = _open_interval(z)
-    out = _bounded_from_beta(d, k, np.arccos(arr)) / np.sqrt((1.0 - arr) * (1.0 + arr))
-    return float(out) if np.ndim(z) == 0 else out
+    return _bounded_from_beta(d, k, np.arccos(arr)) / np.sqrt((1.0 - arr) * (1.0 + arr))
 
 
+@_pointwise
 def pushforward_cdf(d, k, z):
     """Exact distribution function of T_k(X) on [-1, 1].
 
     Accumulates the Psi tail probabilities branch by branch. z may stray
     past [-1, 1] by chebpoly.DOMAIN_SLACK; z and the result are clipped.
     """
-    k = _check_k(k)
+    k = _index(k, 1, "Chebyshev index")
     beta = np.arccos(_unit_interval(z))
-    acc = _preimage_sum(d.angle_cdf, k, beta, interval=True)
-    out = np.clip(acc, 0.0, 1.0)
-    return float(out) if np.ndim(z) == 0 else out
+    return np.clip(_preimage_sum(d.angle_cdf, k, beta, interval=True), 0.0, 1.0)
 
 
 def _sin_coeffs(j):
@@ -196,6 +185,7 @@ def _sin_coeffs(j):
     return np.divide(-4.0 / np.pi, j * j - 1.0, out=np.zeros(j.shape), where=j % 2 == 0)
 
 
+@_pointwise
 def series_bounded_factor(series, k, z):
     """S_k(z) reassembled from the Chebyshev coefficients of the input density.
 
@@ -210,7 +200,7 @@ def series_bounded_factor(series, k, z):
     model is summed in closed form over every n and taken out of the exact
     part. The route sees only the coefficients, never the density.
     """
-    k = _check_k(k)
+    k = _index(k, 1, "Chebyshev index")
     arr = _open_interval(z)
     beta = np.arccos(arr)
     mu = series.coeffs
@@ -234,10 +224,10 @@ def series_bounded_factor(series, k, z):
     for p, w in ((2, 2.0 * p_r), (4, q_r)):
         odd, even = w[k % 2] / k**p, w[0] / k**p
         model = model + odd * _COS_SUMS[p](beta) + (even - odd) * _COS_SUMS[p](2.0 * beta) / 2**p
-    out = np.polynomial.chebyshev.chebval(arr, c) - 2.0 * model / np.pi
-    return float(out) if np.ndim(z) == 0 else out
+    return np.polynomial.chebyshev.chebval(arr, c) - 2.0 * model / np.pi
 
 
+@_pointwise
 def asymptotic_bounded_factor(series, k, z):
     """Second-order expansion of S_k in 1/k.
 
@@ -245,15 +235,12 @@ def asymptotic_bounded_factor(series, k, z):
     beta = arccos(z). The remainder is O(1/k^4) for densities whose series
     decays; only the even coefficient sum of the input enters at this order.
     """
-    k = _check_k(k)
+    k = _index(k, 1, "Chebyshev index")
     if k < 2:
         raise ValueError("the expansion needs k >= 2; k = 1 is the identity map")
-    arr = _open_interval(z)
-    beta = np.arccos(arr)
-    gap = np.pi - beta
-    out = (LIMIT_BOUNDED_FACTOR
-           + (np.pi / 3.0 - gap * gap / np.pi) * even_moment_sum(series) / (k * k))
-    return float(out) if np.ndim(z) == 0 else out
+    gap = np.pi - np.arccos(_open_interval(z))
+    return (LIMIT_BOUNDED_FACTOR
+            + (np.pi / 3.0 - gap * gap / np.pi) * even_moment_sum(series) / (k * k))
 
 
 def _sup_deviation(bounded):
@@ -287,7 +274,7 @@ class ConvergenceReport:
 
 def convergence_report(d, ks, grid=201):
     """S_k and its sup error for each k in an increasing ladder, with the fit."""
-    ks = tuple(_check_k(k) for k in ks)
+    ks = tuple(_index(k, 1, "Chebyshev index") for k in ks)
     if len(ks) < 1:
         raise ValueError("need at least one k")
     if any(b <= a for a, b in zip(ks, ks[1:])):
@@ -311,7 +298,7 @@ def convergence_report(d, ks, grid=201):
 def mass_left_of_zero(d, k):
     """P(T_k(X) < 0), the quantity whose oscillation traces the dance of a
     centered bump between the endpoints before it settles into the limit."""
-    return float(pushforward_cdf(d, k, 0.0))
+    return pushforward_cdf(d, k, 0.0)
 
 
 @lru_cache(maxsize=1)
@@ -336,18 +323,12 @@ def pushforward_mass(d, k):
     breaks at the images of pdf jumps. Equals 1 up to quadrature error for
     any correct density.
     """
-    k = _check_k(k)
+    k = _index(k, 1, "Chebyshev index")
     x, w = _gl_rule()
-    breaks = _panel_breaks(d, k)
-    betas = []
-    weights = []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        half = 0.5 * (hi - lo)
-        betas.append(half * x + 0.5 * (hi + lo))
-        weights.append(half * w)
-    beta = np.concatenate(betas)
-    weight = np.concatenate(weights)
-    return float(np.dot(weight, _bounded_from_beta(d, k, beta)))
+    breaks = np.array(_panel_breaks(d, k))
+    half = 0.5 * np.diff(breaks)[:, None]
+    beta = (half * x + 0.5 * (breaks[1:] + breaks[:-1])[:, None]).ravel()
+    return float(np.dot((half * w).ravel(), _bounded_from_beta(d, k, beta)))
 
 
 @dataclass(frozen=True)

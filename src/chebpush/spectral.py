@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebpoly import cheb_integral
+from .chebpoly import _index, cheb_integral
 
 # A truncated series is considered decayed when its last coefficient is
 # below this. Smooth catalog densities sit below 1e-16 at order 64; a jump
@@ -36,10 +36,6 @@ class ChebSeries:
     coeffs: np.ndarray
     decayed: bool = True
 
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
 
 def expand_density(d, order=64):
     """Expand a bounded density to the given order.
@@ -55,12 +51,10 @@ def expand_density(d, order=64):
     """
     if not d.expandable:
         raise ValueError(f"{d.name} has no convergent Chebyshev expansion (unbounded pdf)")
-    if order < 1 or not float(order).is_integer():
-        raise ValueError(f"series order must be an integer >= 1, got {order!r}")
-    order = int(order)
+    order = _index(order, 1, "series order")
     n = max(256, 4 * (order + 1))
     theta = np.pi * (np.arange(n) + 0.5) / n
-    fx = np.asarray(d.pdf(np.cos(theta)), dtype=float)
+    fx = d.pdf(np.cos(theta))
     # sum_j fx_j cos(l theta_j) is half of exp(-i pi l / 2n) times the l-th
     # FFT term of fx followed by its mirror image
     ls = np.arange(order + 1)

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -225,13 +226,18 @@ def test_parameters_of_a_parameterless_density_are_refused(name, params):
 
 @pytest.mark.parametrize("d", CATALOG, ids=lambda d: d.name)
 def test_scalar_argument_gives_a_python_float(d):
-    for fn, arg in ((d.pdf, 0.25), (d.cdf, 0.25), (d.ppf, 0.75), (d.angle_pdf, 0.5),
-                    (d.angle_cdf, 0.5)):
+    for fn, arg, name in ((d.pdf, 0.25, "x"), (d.cdf, 0.25, "x"), (d.ppf, 0.75, "u"),
+                          (d.angle_pdf, 0.5, "theta"), (d.angle_cdf, 0.5, "theta")):
         assert type(fn(arg)) is float
         assert type(fn(np.float64(arg))) is float
+        assert type(fn(np.array(arg))) is float
         arr = fn(np.full((2, 3), arg))
         assert isinstance(arr, np.ndarray) and arr.shape == (2, 3)
         assert np.all(arr == fn(arg))
+        assert np.all(fn([arg, arg]) == fn(arg))
+        assert tuple(inspect.signature(fn).parameters) == (name,)
+        assert fn(**{name: arg}) == fn(arg)
+        assert fn.__name__ == fn.__wrapped__.__name__
 
 
 def test_parse_density_grammar():

@@ -1,5 +1,7 @@
+import inspect
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chebpush.chebpoly import cheb_eval
-from chebpush.densities import make_density, sample
+from chebpush.chebpoly import cheb_eval, cheb_integral
+from chebpush.densities import make_density, normal_cdf, normal_ppf, sample
 from chebpush.montecarlo import push_samples, uniform_stream
 from chebpush.pushforward import (
     LIMIT_BOUNDED_FACTOR,
@@ -67,23 +69,89 @@ def test_default_grid_shape():
         default_grid(1)
 
 
+RAMP = make_density("ramp")
+# the exact Chebyshev series of the ramp (x + 1) / 2
+RAMP_SERIES = ChebSeries(np.array([0.5, 0.5]))
+
 # each index argument, with the others held at valid values
 INDEX_ARGUMENTS = {
     "cheb_eval": lambda v: cheb_eval(v, 0.3),
+    "cheb_integral": cheb_integral,
     "default_grid": default_grid,
-    "bounded_factor": lambda v: bounded_factor(make_density("ramp"), v, 0.3),
-    "expand_density": lambda v: expand_density(make_density("ramp"), v),
-    "sample": lambda v: sample(make_density("ramp"), v, 1),
+    "bounded_factor": lambda v: bounded_factor(RAMP, v, 0.3),
+    "pushforward_pdf": lambda v: pushforward_pdf(RAMP, v, 0.3),
+    "pushforward_cdf": lambda v: pushforward_cdf(RAMP, v, 0.3),
+    "series_bounded_factor": lambda v: series_bounded_factor(RAMP_SERIES, v, 0.3),
+    "asymptotic_bounded_factor": lambda v: asymptotic_bounded_factor(RAMP_SERIES, v, 0.3),
+    "convergence_report": lambda v: convergence_report(RAMP, [v]),
+    "pushforward_mass": lambda v: pushforward_mass(RAMP, v),
+    "expand_density": lambda v: expand_density(RAMP, v),
+    "sample": lambda v: sample(RAMP, v, 1),
     "uniform_stream": lambda v: uniform_stream(1, v),
-    "push_samples": lambda v: push_samples(sample(make_density("ramp"), 10, 1), v),
+    "push_samples": lambda v: push_samples(sample(RAMP, 10, 1), v),
 }
 
 
-@pytest.mark.parametrize("value", [2.5, float("inf"), float("nan")])
+# not an integer, or an integer out of range: past int64, or below every
+# index's lower bound
+@pytest.mark.parametrize("value", [
+    2.5, float("inf"), float("nan"), float("-inf"), -1,
+    pytest.param(np.float64("inf"), id="np.float64-inf"),
+    pytest.param(2**63, id="2**63"), pytest.param(10**400, id="10**400")])
 @pytest.mark.parametrize("call", INDEX_ARGUMENTS.values(), ids=INDEX_ARGUMENTS.keys())
 def test_a_non_integer_index_is_a_value_error(call, value):
-    with pytest.raises(ValueError):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            call(value)
+
+
+@pytest.mark.parametrize("value", [3, 3.0, np.int64(3)], ids=["int", "float", "np.int64"])
+@pytest.mark.parametrize("call", INDEX_ARGUMENTS.values(), ids=INDEX_ARGUMENTS.keys())
+def test_an_integral_index_of_any_type_is_accepted(call, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # order 3 leaves the ramp undecayed
         call(value)
+
+
+# each function wrapped by chebpoly._pointwise -> its leading arguments and
+# its parameter names, which benchmarks/tracing.py binds arguments by
+POINTWISE = {
+    cheb_eval: ((3,), ("k", "x")),
+    bounded_factor: ((RAMP, 3), ("d", "k", "z")),
+    pushforward_pdf: ((RAMP, 3), ("d", "k", "z")),
+    pushforward_cdf: ((RAMP, 3), ("d", "k", "z")),
+    series_bounded_factor: ((RAMP_SERIES, 3), ("series", "k", "z")),
+    asymptotic_bounded_factor: ((RAMP_SERIES, 3), ("series", "k", "z")),
+    normal_cdf: ((), ("t",)),
+    normal_ppf: ((), ("p",)),
+}
+
+
+@pytest.mark.parametrize("fn", POINTWISE, ids=lambda fn: fn.__name__)
+def test_pointwise_functions_share_one_argument_contract(fn):
+    lead, names = POINTWISE[fn]
+    ref = fn(*lead, 0.3)
+    assert type(ref) is float
+    for point in (np.float64(0.3), np.array(0.3)):
+        out = fn(*lead, point)
+        assert type(out) is float and out == ref
+    arr = fn(*lead, [0.3, 0.3])
+    assert isinstance(arr, np.ndarray) and np.all(arr == ref)
+    assert fn(*lead, **{names[-1]: 0.3}) == ref
+    assert fn(**dict(zip(names, (*lead, 0.3)))) == ref
+    assert tuple(inspect.signature(fn).parameters) == names
+    assert fn.__name__ == fn.__wrapped__.__name__
+    assert fn.__doc__ and fn.__doc__ == fn.__wrapped__.__doc__
+
+
+@pytest.mark.parametrize("fn", (bounded_factor, pushforward_pdf, pushforward_cdf),
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("k", [3, 2 * SUM_BLOCK + 1])
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_no_points_give_an_empty_array(fn, k, shape):
+    out = fn(RAMP, k, np.empty(shape))
+    assert isinstance(out, np.ndarray) and out.shape == shape
 
 
 @pytest.mark.parametrize("name", [d.name for d in CATALOG])
