@@ -36,6 +36,7 @@ from .pushforward import (
     pushforward_on_grid,
     pushforward_pdf,
     series_bounded_factor,
+    series_cdf,
     sup_error,
 )
 from .spectral import (
@@ -76,6 +77,7 @@ __all__ = [
     "pushforward_pdf",
     "sample",
     "series_bounded_factor",
+    "series_cdf",
     "sup_error",
     "uniform_stream",
 ]

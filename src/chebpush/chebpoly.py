@@ -29,7 +29,10 @@ def _index(value, lo, what):
     except (TypeError, ValueError):
         valid = False
     if not valid:
-        raise ValueError(f"{what} must be an integer >= {lo}, got {value!r}")
+        # past sys.get_int_max_str_digits() digits, repr of an int raises
+        got = (f"an integer of {value.bit_length()} bits"
+               if isinstance(value, int) and value.bit_length() > 64 else repr(value))
+        raise ValueError(f"{what} must be an integer >= {lo}, got {got}")
     return int(value)
 
 

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from itertools import repeat
 
 import numpy as np
@@ -20,15 +21,17 @@ import numpy as np
 from .densities import make_density, parse_density, sample
 from .montecarlo import histogram, ks_statistic, push_samples
 from .pushforward import (
+    SERIES_SPAN,
     asymptotic_bounded_factor,
     convergence_report,
     default_grid,
     mass_left_of_zero,
     pushforward_cdf,
     pushforward_on_grid,
+    series_cdf,
     sup_error,
 )
-from .spectral import even_moment_sum, expand_density, normalization_residual
+from .spectral import DEFAULT_ORDER, even_moment_sum, expand_density, normalization_residual
 
 # Caps on what one command may ask for. A command above any of them exits 1
 # with the reason before any computation starts. Times and sizes are from a
@@ -238,13 +241,33 @@ def cmd_expand(ns):
     _emit(ns, ("l", "mu_l"), rows, trailers)
 
 
+def _exact_cdf(d, k):
+    """The exact cdf of T_k(X) for mc's KS, by the cheaper of two routes.
+
+    series_cdf takes one Clenshaw step per series term, about
+    SERIES_SPAN (L + 1) / k of them, and pushforward_cdf one term per
+    preimage angle, k of them. The series route runs where it has at most k
+    terms and the density's expansion has decayed; the term count comes
+    first, so a small k expands nothing. uniform01 (a jump, not decayed) and
+    arcsine (unbounded, not expandable) stay on the angle sum.
+    """
+    if SERIES_SPAN * (DEFAULT_ORDER + 1) // k <= k and d.expandable:
+        with warnings.catch_warnings():
+            # an undecayed series only sends the KS to the angle sum
+            warnings.simplefilter("ignore", RuntimeWarning)
+            series = expand_density(d)
+        if series.decayed:
+            return lambda x: series_cdf(series, k, x)
+    return lambda x: pushforward_cdf(d, k, x)
+
+
 def cmd_mc(ns):
     d = ns.dist
     pushed = push_samples(sample(d, ns.n, ns.seed), ns.k)
     edges, density = histogram(pushed)
     edges = edges.tolist()
     rows = list(zip(edges[:-1], edges[1:], density.tolist()))
-    exact = ks_statistic(pushed, lambda x: pushforward_cdf(d, ns.k, x))
+    exact = ks_statistic(pushed, _exact_cdf(d, ns.k))
     limit = ks_statistic(pushed, make_density("arcsine").cdf)
     trailers = (
         ("ks_exact", {"statistic": exact.statistic, "threshold": exact.threshold,
@@ -318,7 +341,7 @@ def build_parser():
                        help="Chebyshev coefficients of a density, with the "
                             "normalization residual and even-coefficient sum")
     p.add_argument("--dist", type=_flag(parse_density), required=True, help="density selector")
-    p.add_argument("--order", type=_flag(_positive_int), default=64,
+    p.add_argument("--order", type=_flag(_positive_int), default=DEFAULT_ORDER,
                    help=f"truncation order, at most {MAX_ORDER}")
     _add_io_flags(p)
     p.set_defaults(func=cmd_expand)

@@ -23,7 +23,8 @@ has S_k identically 1/pi for every k, which is its invariance.
 Three routes to S_k live here and deliberately stay independent so they can
 cross-check each other: the direct angle sum above, a closed-form reassembly
 through the Chebyshev series of the input density, and a second-order
-asymptotic expansion in 1/k.
+asymptotic expansion in 1/k. The series route also integrates to the cdf,
+series_cdf, at a cost independent of k.
 
 The angle sum and the cdf share one evaluator, _preimage_sum. It takes
 SUM_BLOCK values of j at a time as an interleaved (a_1, b_1, a_2, b_2, ...)
@@ -82,6 +83,8 @@ SERIES_SPAN = 8
 # sum_{n>=1} cos(n x) / n^p for x in [0, 2 pi], p = 2 and 4 (Bernoulli polynomials)
 _COS_SUMS = {2: np.polynomial.Polynomial([np.pi**2 / 6, -np.pi / 2, 1 / 4]),
              4: np.polynomial.Polynomial([np.pi**4 / 90, 0, -np.pi**2 / 12, np.pi / 12, -1 / 48])}
+# their antiderivatives from 0: sum_{n>=1} sin(n x) / n^(p+1) on the same interval
+_SIN_SUMS = {p: s.integ() for p, s in _COS_SUMS.items()}
 
 
 def _open_interval(z):
@@ -185,6 +188,34 @@ def _sin_coeffs(j):
     return np.divide(-4.0 / np.pi, j * j - 1.0, out=np.zeros(j.shape), where=j % 2 == 0)
 
 
+def _aliased_coeffs(series, k):
+    """The Chebyshev coefficients of S_k, exact part and tail model apart.
+
+    Returns c = [c_0, 2 e_k, 2 e_2k, ...], e_{nk} the exact c_{nk} minus its
+    1/m^2, 1/m^4 model, for nk up to SERIES_SPAN (L + 1), and the model as
+    (p, odd, even) triples: the model part of S_k(cos beta) is
+    -(2 / pi) sum_p sum_{n>=1} w_n cos(n beta) / n^p, with w_n = odd for odd
+    n and even for even n. series_bounded_factor documents the formulas.
+    """
+    mu = series.coeffs
+    order = len(mu) - 1
+    l = np.arange(order + 1)
+    span = SERIES_SPAN * (order + 1)
+    # a_{|j|} for j = -L..span + L: the two correlations sum mu_l a_{|m-l|}
+    # and mu_l a_{m+l} over l, for m = 0..span
+    a = _sin_coeffs(np.abs(np.arange(-order, span + order + 1)))
+    c = (np.correlate(a[:span + order + 1], mu[::-1], "valid")
+         + np.correlate(a[order:], mu, "valid"))[::k] / 4.0
+    p_r = np.bincount(l % 2, mu, minlength=2)
+    q_r = np.bincount(l % 2, (6.0 * l * l + 2.0) * mu, minlength=2)
+    r = k * np.arange(1, len(c)) % 2
+    m2 = (k * np.arange(1.0, len(c))) ** 2
+    c[1:] = 2.0 * (c[1:] + (2.0 * p_r[r] + q_r[r] / m2) / (np.pi * m2))
+    # for odd k, nk has the parity of n; for even k every nk is even
+    model = tuple((p, w[k % 2] / k**p, w[0] / k**p) for p, w in ((2, 2.0 * p_r), (4, q_r)))
+    return c, model
+
+
 @_pointwise
 def series_bounded_factor(series, k, z):
     """S_k(z) reassembled from the Chebyshev coefficients of the input density.
@@ -203,28 +234,57 @@ def series_bounded_factor(series, k, z):
     k = _index(k, 1, "Chebyshev index")
     arr = _open_interval(z)
     beta = np.arccos(arr)
-    mu = series.coeffs
-    order = len(mu) - 1
-    l = np.arange(order + 1)
-    span = SERIES_SPAN * (order + 1)
-    # a_{|j|} for j = -L..span + L: the two correlations sum mu_l a_{|m-l|}
-    # and mu_l a_{m+l} over l, for m = 0..span
-    a = _sin_coeffs(np.abs(np.arange(-order, span + order + 1)))
-    c = (np.correlate(a[:span + order + 1], mu[::-1], "valid")
-         + np.correlate(a[order:], mu, "valid"))[::k] / 4.0
-    p_r = np.bincount(l % 2, mu, minlength=2)
-    q_r = np.bincount(l % 2, (6.0 * l * l + 2.0) * mu, minlength=2)
-    r = k * np.arange(1, len(c)) % 2
-    m2 = (k * np.arange(1.0, len(c))) ** 2
-    # exact minus model for n >= 1; the model comes back summed over every n
-    c[1:] = 2.0 * (c[1:] + (2.0 * p_r[r] + q_r[r] / m2) / (np.pi * m2))
-    # for odd k, nk has the parity of n: odd n by the weights of x = beta,
-    # even n by those of x = 2 beta
-    model = 0.0
-    for p, w in ((2, 2.0 * p_r), (4, q_r)):
-        odd, even = w[k % 2] / k**p, w[0] / k**p
-        model = model + odd * _COS_SUMS[p](beta) + (even - odd) * _COS_SUMS[p](2.0 * beta) / 2**p
-    return np.polynomial.chebyshev.chebval(arr, c) - 2.0 * model / np.pi
+    c, model = _aliased_coeffs(series, k)
+    # odd n take the weights of x = beta, even n those of x = 2 beta
+    tail = 0.0
+    for p, odd, even in model:
+        tail = tail + odd * _COS_SUMS[p](beta) + (even - odd) * _COS_SUMS[p](2.0 * beta) / 2**p
+    return np.polynomial.chebyshev.chebval(arr, c) - 2.0 * tail / np.pi
+
+
+@_pointwise
+def series_cdf(series, k, z):
+    """Distribution function of T_k(X) from the Chebyshev coefficients of the input density.
+
+    T_k(X) <= cos(beta) when the folded angle arccos(T_k(X)), whose density
+    is S_k(cos phi) on [0, pi], lies in [beta, pi]. Integrating the series of
+    series_bounded_factor over that interval gives
+
+        F_k(cos beta) = c_0 (pi - beta) - 2 sum_{n>=1} c_{nk} sin(n beta) / n.
+
+    The tail model integrates in closed form, and the exact part is one
+    Clenshaw pass through sin(n beta) = sin(beta) U_{n-1}(cos beta) over
+    about SERIES_SPAN (L + 1) / k terms, on chunks of SUM_CHUNK points. The
+    cost does not grow with k. z may stray past [-1, 1] by
+    chebpoly.DOMAIN_SLACK; z and the result are clipped, as in
+    pushforward_cdf.
+    """
+    k = _index(k, 1, "Chebyshev index")
+    arr = _unit_interval(z)
+    c, model = _aliased_coeffs(series, k)
+    u = c[:0:-1] / np.arange(len(c) - 1, 0, -1)  # 2 e_{nk} / n for n = N..1
+    flat = arr.ravel()
+    out = np.empty(flat.size)
+    for lo in range(0, flat.size, SUM_CHUNK):
+        x = flat[lo:lo + SUM_CHUNK]
+        beta = np.arccos(x)
+        # Clenshaw for sum_n u_n U_{n-1}(x): b <- u_n + 2 x b' - b'', in three buffers
+        twice = 2.0 * x
+        b1, b2, b = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
+        for un in u:
+            np.multiply(twice, b1, out=b)
+            b -= b2
+            b += un
+            b1, b2, b = b, b1, b2
+        # the model's integral: x = 2 beta halves its antiderivative once more
+        tail = 0.0
+        for p, odd, even in model:
+            tail = (tail + odd * _SIN_SUMS[p](beta)
+                    + (even - odd) * _SIN_SUMS[p](2.0 * beta) / 2**(p + 1))
+        out[lo:lo + SUM_CHUNK] = (c[0] * (np.pi - beta) - np.sqrt((1.0 - x) * (1.0 + x)) * b1
+                                  + 2.0 * tail / np.pi)
+    out = out.reshape(arr.shape)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 @_pointwise

@@ -24,6 +24,9 @@ from .chebpoly import _index, cheb_integral
 # density sits near 1e-2, so anything between separates the two cleanly.
 DECAY_TOL = 1e-10
 
+# Order of an expansion when none is asked for.
+DEFAULT_ORDER = 64
+
 
 @dataclass(frozen=True)
 class ChebSeries:
@@ -37,7 +40,7 @@ class ChebSeries:
     decayed: bool = True
 
 
-def expand_density(d, order=64):
+def expand_density(d, order=DEFAULT_ORDER):
     """Expand a bounded density to the given order.
 
     The quadrature uses n = max(256, 4 (order + 1)) roots-grid points. Its

@@ -397,6 +397,45 @@ def _load_run_experiments():
     return module
 
 
+def _experiment_mc_runs(n):
+    return [argv for _, argv in _load_run_experiments().runs(n) if argv[0] == "mc"]
+
+
+def test_the_experiment_mc_runs_pass_with_nothing_on_stderr(tmp_path):
+    # a fresh interpreter, so stderr is what a shell sees: a warning from the
+    # expansion behind mc's route choice would be printed there
+    runs = _experiment_mc_runs(1000)
+    assert len(runs) == 8
+    code = ("from chebpush.cli import main\n"
+            f"for i, argv in enumerate({runs!r}):\n"
+            f"    assert main(argv + ['--out', {str(tmp_path)!r} + f'/{{i}}.csv']) == 0\n")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    for i, argv in enumerate(runs):
+        _, _, trailers = parse_csv((tmp_path / f"{i}.csv").read_text())
+        assert {c[0]: c for c in trailers}["ks_exact"][3] == "true", argv
+
+
+def test_mc_takes_the_series_cdf_where_it_has_at_most_k_terms(capsys, monkeypatch):
+    # 520 / k series terms against k angle terms, and only for a decayed
+    # expansion: uniform01 has a jump and arcsine is unbounded
+    calls = []
+    for name in ("series_cdf", "pushforward_cdf"):
+        def spy(*args, _fn=getattr(cli, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, spy)
+    routes = {}
+    for argv in _experiment_mc_runs(1000):
+        calls.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        routes[argv[2], int(argv[4])] = calls[:]
+    assert len(routes) == 8
+    series = {key for key, used in routes.items() if used == ["series_cdf"]}
+    assert series == {("uniform", 32), ("gauss:0,0.25", 32)}
+    assert all(used == ["pushforward_cdf"] for key, used in routes.items() if key not in series)
+
+
 def test_budget_accepts_the_documented_runs():
     parser = cli.build_parser()
     accepted = [argv for _, argv in _load_run_experiments().runs(200000)]

@@ -16,6 +16,7 @@ from chebpush.pushforward import (
     LIMIT_BOUNDED_FACTOR,
     SUM_BLOCK,
     SUM_CHUNK,
+    _aliased_coeffs,
     _panel_breaks,
     asymptotic_bounded_factor,
     bounded_factor,
@@ -27,6 +28,7 @@ from chebpush.pushforward import (
     pushforward_on_grid,
     pushforward_pdf,
     series_bounded_factor,
+    series_cdf,
     sup_error,
 )
 from chebpush.spectral import ChebSeries, expand_density
@@ -82,6 +84,7 @@ INDEX_ARGUMENTS = {
     "pushforward_pdf": lambda v: pushforward_pdf(RAMP, v, 0.3),
     "pushforward_cdf": lambda v: pushforward_cdf(RAMP, v, 0.3),
     "series_bounded_factor": lambda v: series_bounded_factor(RAMP_SERIES, v, 0.3),
+    "series_cdf": lambda v: series_cdf(RAMP_SERIES, v, 0.3),
     "asymptotic_bounded_factor": lambda v: asymptotic_bounded_factor(RAMP_SERIES, v, 0.3),
     "convergence_report": lambda v: convergence_report(RAMP, [v]),
     "pushforward_mass": lambda v: pushforward_mass(RAMP, v),
@@ -97,12 +100,14 @@ INDEX_ARGUMENTS = {
 @pytest.mark.parametrize("value", [
     2.5, float("inf"), float("nan"), float("-inf"), -1,
     pytest.param(np.float64("inf"), id="np.float64-inf"),
-    pytest.param(2**63, id="2**63"), pytest.param(10**400, id="10**400")])
+    pytest.param(2**63, id="2**63"), pytest.param(10**400, id="10**400"),
+    # past Python's 4300-digit limit on int-to-string conversion
+    pytest.param(10**5000, id="10**5000")])
 @pytest.mark.parametrize("call", INDEX_ARGUMENTS.values(), ids=INDEX_ARGUMENTS.keys())
 def test_a_non_integer_index_is_a_value_error(call, value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be an integer >= "):
             call(value)
 
 
@@ -122,6 +127,7 @@ POINTWISE = {
     pushforward_pdf: ((RAMP, 3), ("d", "k", "z")),
     pushforward_cdf: ((RAMP, 3), ("d", "k", "z")),
     series_bounded_factor: ((RAMP_SERIES, 3), ("series", "k", "z")),
+    series_cdf: ((RAMP_SERIES, 3), ("series", "k", "z")),
     asymptotic_bounded_factor: ((RAMP_SERIES, 3), ("series", "k", "z")),
     normal_cdf: ((), ("t",)),
     normal_ppf: ((), ("p",)),
@@ -145,12 +151,12 @@ def test_pointwise_functions_share_one_argument_contract(fn):
     assert fn.__doc__ and fn.__doc__ == fn.__wrapped__.__doc__
 
 
-@pytest.mark.parametrize("fn", (bounded_factor, pushforward_pdf, pushforward_cdf),
+@pytest.mark.parametrize("fn", (bounded_factor, pushforward_pdf, pushforward_cdf, series_cdf),
                          ids=lambda fn: fn.__name__)
 @pytest.mark.parametrize("k", [3, 2 * SUM_BLOCK + 1])
 @pytest.mark.parametrize("shape", [(0,), (0, 3)])
 def test_no_points_give_an_empty_array(fn, k, shape):
-    out = fn(RAMP, k, np.empty(shape))
+    out = fn(RAMP_SERIES if fn is series_cdf else RAMP, k, np.empty(shape))
     assert isinstance(out, np.ndarray) and out.shape == shape
 
 
@@ -281,6 +287,8 @@ def test_series_route_matches_direct_route(name, k):
     z = default_grid(201)
     gap = np.max(np.abs(series_bounded_factor(s, k, z) - bounded_factor(d, k, z)))
     assert gap < 1e-10
+    z = np.r_[-1.0, z, 1.0]
+    assert np.max(np.abs(series_cdf(s, k, z) - pushforward_cdf(d, k, z))) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -293,6 +301,24 @@ def test_series_route_matches_direct_route_on_any_decayed_gaussian(mu, sigma, k)
     assume(s.decayed)
     z = default_grid(201)
     assert np.max(np.abs(series_bounded_factor(s, k, z) - bounded_factor(d, k, z))) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=-0.6, max_value=0.6),
+       st.floats(min_value=0.15, max_value=1.0),
+       st.integers(min_value=1, max_value=4096))
+def test_series_cdf_is_the_angle_sum_cdf_on_any_decayed_gaussian(mu, sigma, k):
+    d = make_density("gauss", mu=mu, sigma=sigma)
+    s = expand_density(d)
+    assume(s.decayed)
+    z = np.linspace(-1.0, 1.0, 401)
+    vals = series_cdf(s, k, z)
+    assert np.max(np.abs(vals - pushforward_cdf(d, k, z))) < 1e-12
+    assert np.all(np.diff(vals) >= -1e-12)
+    assert vals[0] == pytest.approx(0.0, abs=1e-12)
+    assert vals[-1] == pytest.approx(1.0, abs=1e-12)
+    # the mass is pi c_0, whatever k
+    assert np.pi * _aliased_coeffs(s, k)[0][0] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", ("uniform", "ramp", "gauss:0.3,0.4"))
@@ -461,6 +487,15 @@ def test_angle_sum_memory_is_flat_in_k_and_points():
     assert peak < 3 * z.nbytes + 2**21
     x = np.linspace(-1.0, 1.0, 200_000)
     peak = _peak_bytes(lambda: pushforward_cdf(d, 32, x))
+    assert peak < 3 * x.nbytes + 2**21
+
+
+def test_series_cdf_memory_is_flat_in_the_points():
+    # the input clipped and the output, plus Clenshaw buffers of SUM_CHUNK
+    # points; unchunked, its temporaries took about 18 MB here
+    s = expand_density(make_density("gauss", mu=0.0, sigma=0.25))
+    x = np.linspace(-1.0, 1.0, 200_000)
+    peak = _peak_bytes(lambda: series_cdf(s, 32, x))
     assert peak < 3 * x.nbytes + 2**21
 
 
