@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import warnings
+from contextlib import nullcontext
 from itertools import repeat
 
 import numpy as np
@@ -47,10 +48,16 @@ MAX_WORK = 2**28
 # Largest --order. expand_density is one FFT of 8 (order + 1) points, about
 # 4 ms at 4096, and expand writes one row per coefficient.
 MAX_ORDER = 4096
-# Largest --grid, --n and number of rows dance writes (k values x grid). An
-# output row costs about 800 B of peak memory, so 2^20 rows take about
-# 0.85 GB; a sample about 60 B.
+# Largest --grid, --n and number of rows dance writes (k values x grid). A
+# 5-column pdf row costs about 340 B of peak memory and a dance row about
+# 175 B, so 2^20 rows take at most about 0.36 GB; a sample about 60 B.
 MAX_POINTS = 2**20
+
+# Rows _emit formats and writes at a time, so the output text held in
+# memory is one chunk's, whatever the row count. A chunk of 1024 5-column
+# JSON records is about 0.4 MB of strings; at 4096 rows, the peak RSS of
+# back-to-back wide-grid commands was 6 MB higher.
+EMIT_ROWS = 1024
 
 # The angle terms of each command that sums any, as counted for MAX_WORK.
 _WORK = {
@@ -123,33 +130,44 @@ def _json_object(keys, values, depth):
     return f"{{\n{fields}\n{pad}}}"
 
 
+def _chunks(rows):
+    """rows in slices of EMIT_ROWS."""
+    for start in range(0, len(rows), EMIT_ROWS):
+        yield rows[start:start + EMIT_ROWS]
+
+
 def _json_records(headers, rows, depth):
     """The rows as an indented JSON array of records, its closing bracket
-    `depth` spaces deep.
+    `depth` spaces deep, in pieces of text of one chunk of rows each.
 
-    A column of finite floats is written with %r and a column of ints with
-    %d, which is what json.dumps writes for them; any other column is
-    turned into JSON tokens first.
+    In each chunk, a column of finite floats is written with %r and a
+    column of ints with %d, which is what json.dumps writes for them; any
+    other column is turned into JSON tokens first.
     """
     if not rows:
-        return "[]"
-    columns = list(zip(*rows))
-    specs = []
-    for i, column in enumerate(columns):
-        kind = type(column[0])
-        if kind is float and all(map(math.isfinite, column)):
-            specs.append("%r")
-        elif kind is int:
-            specs.append("%d")
-        else:
-            columns[i] = _json_tokens(column)
-            specs.append("%s")
+        yield "[]"
+        return
     keys = [h.replace("%", "%%") for h in headers]
-    template = " " * (depth + 2) + _json_object(keys, specs, depth + 2)
-    if "%s" in specs:
-        rows = zip(*columns)
-    body = ",\n".join([template % row for row in rows])
-    return f"[\n{body}\n{' ' * depth}]"
+    separator = "[\n"
+    for chunk in _chunks(rows):
+        columns = list(zip(*chunk))
+        specs = []
+        for i, column in enumerate(columns):
+            kind = type(column[0])
+            if kind is float and all(map(math.isfinite, column)):
+                specs.append("%r")
+            elif kind is int:
+                specs.append("%d")
+            else:
+                columns[i] = _json_tokens(column)
+                specs.append("%s")
+        template = " " * (depth + 2) + _json_object(keys, specs, depth + 2)
+        if "%s" in specs:
+            chunk = zip(*columns)
+        yield separator
+        yield ",\n".join([template % row for row in chunk])
+        separator = ",\n"
+    yield f"\n{' ' * depth}]"
 
 
 def _csv_template(cells):
@@ -167,36 +185,32 @@ def _emit(ns, headers, rows, trailers=()):
     JSON: a bare array of row records, or {"rows": [...], trailer: ...}
     when trailers exist. Field names match between formats. The bytes are
     those of the per-cell json.dumps(indent=2) and "%.17g" emitter kept in
-    tests/oracles.py.
+    tests/oracles.py. The rows are formatted and written EMIT_ROWS at a
+    time, so the text held in memory does not grow with the output.
     """
-    if ns.format == "json":
-        if trailers:
-            parts = ['{\n  "rows": ' + _json_records(headers, rows, 2)]
+    with open(ns.out, "w", encoding="utf-8") if ns.out != "-" else nullcontext(sys.stdout) as fh:
+        if ns.format == "json":
+            if trailers:
+                fh.write('{\n  "rows": ')
+            fh.writelines(_json_records(headers, rows, 2 if trailers else 0))
             for name, value in trailers:
                 if isinstance(value, dict):
                     token = _json_object(value, _json_tokens(list(value.values())), 2)
                 else:
                     token = _json_tokens([value])[0]
-                parts.append(f"  {json.dumps(name)}: {token}")
-            text = ",\n".join(parts) + "\n}\n"
+                fh.write(f",\n  {json.dumps(name)}: {token}")
+            fh.write("\n}\n" if trailers else "\n")
         else:
-            text = _json_records(headers, rows, 0) + "\n"
-    else:
-        lines = [",".join(headers)]
-        if rows:
-            template = _csv_template(rows[0])
-            lines.extend([template % row for row in rows])
-        for name, value in trailers:
-            cells = (name, *(value.values() if isinstance(value, dict) else (value,)))
-            # bools are written true/false, as in JSON
-            cells = tuple(json.dumps(c) if isinstance(c, bool) else c for c in cells)
-            lines.append(_csv_template(cells) % cells)
-        text = "\n".join(lines) + "\n"
-    if ns.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(",".join(headers) + "\n")
+            if rows:
+                template = _csv_template(rows[0]) + "\n"
+                for chunk in _chunks(rows):
+                    fh.write("".join([template % row for row in chunk]))
+            for name, value in trailers:
+                cells = (name, *(value.values() if isinstance(value, dict) else (value,)))
+                # bools are written true/false, as in JSON
+                cells = tuple(json.dumps(c) if isinstance(c, bool) else c for c in cells)
+                fh.write(_csv_template(cells) % cells + "\n")
 
 
 def cmd_pdf(ns):
@@ -215,10 +229,19 @@ def cmd_dance(ns):
     _emit(ns, ("k", "z", "f_k", "mass_left_of_zero"), rows)
 
 
+def _quiet_expansion(d):
+    """expand_density(d) without its RuntimeWarning for an undecayed series:
+    the callers read series.decayed, or the report's "empirical" label, and
+    no raw warning reaches stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return expand_density(d)
+
+
 def cmd_converge(ns):
     d = ns.dist
     report = convergence_report(d, ns.ks, ns.grid)
-    series = expand_density(d) if d.expandable else None
+    series = _quiet_expansion(d) if d.expandable else None
     z = default_grid(ns.grid)
     rows = []
     for k, err, bounded in zip(report.ks, report.sup_errors, report.bounded):
@@ -247,15 +270,14 @@ def _exact_cdf(d, k):
     series_cdf takes one Clenshaw step per series term, about
     SERIES_SPAN (L + 1) / k of them, and pushforward_cdf one term per
     preimage angle, k of them. The series route runs where it has at most k
-    terms and the density's expansion has decayed; the term count comes
-    first, so a small k expands nothing. uniform01 (a jump, not decayed) and
-    arcsine (unbounded, not expandable) stay on the angle sum.
+    terms and the density's expansion has decayed. The term count and the
+    density's flags come first, so a small k, a jump (uniform01, whose
+    series cannot decay) and an unbounded pdf (arcsine, not expandable)
+    expand nothing and stay on the angle sum.
     """
-    if SERIES_SPAN * (DEFAULT_ORDER + 1) // k <= k and d.expandable:
-        with warnings.catch_warnings():
-            # an undecayed series only sends the KS to the angle sum
-            warnings.simplefilter("ignore", RuntimeWarning)
-            series = expand_density(d)
+    if (SERIES_SPAN * (DEFAULT_ORDER + 1) // k <= k and d.expandable
+            and not d.discontinuous):
+        series = _quiet_expansion(d)
         if series.decayed:
             return lambda x: series_cdf(series, k, x)
     return lambda x: pushforward_cdf(d, k, x)

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -190,7 +191,9 @@ def test_converge_arcsine_flagged_invariant(capsys):
 
 
 def test_converge_uniform01_labeled_empirical(capsys):
-    with pytest.warns(RuntimeWarning):
+    # the undecayed series of a jump is said by the label, not by a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, out, _ = run_cli(capsys, "converge", "--dist", "uniform01",
                                "--ks", "8,16,32", "--grid", "101")
     assert code == 0
@@ -397,30 +400,37 @@ def _load_run_experiments():
     return module
 
 
+def _experiment_runs(n):
+    return [argv for _, argv in _load_run_experiments().runs(n)]
+
+
 def _experiment_mc_runs(n):
-    return [argv for _, argv in _load_run_experiments().runs(n) if argv[0] == "mc"]
+    return [argv for argv in _experiment_runs(n) if argv[0] == "mc"]
 
 
 def test_the_experiment_mc_runs_pass_with_nothing_on_stderr(tmp_path):
-    # a fresh interpreter, so stderr is what a shell sees: a warning from the
-    # expansion behind mc's route choice would be printed there
-    runs = _experiment_mc_runs(1000)
-    assert len(runs) == 8
+    # every command of the experiments script, in a fresh interpreter so that
+    # stderr is what a shell sees: a warning from an expansion, such as
+    # converge's or the one behind mc's route choice, would be printed there
+    runs = _experiment_runs(1000)
+    assert len(runs) == 21 and sum(argv[0] == "mc" for argv in runs) == 8
     code = ("from chebpush.cli import main\n"
             f"for i, argv in enumerate({runs!r}):\n"
             f"    assert main(argv + ['--out', {str(tmp_path)!r} + f'/{{i}}.csv']) == 0\n")
     proc = run_python("-c", code)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     for i, argv in enumerate(runs):
-        _, _, trailers = parse_csv((tmp_path / f"{i}.csv").read_text())
-        assert {c[0]: c for c in trailers}["ks_exact"][3] == "true", argv
+        if argv[0] == "mc":
+            _, _, trailers = parse_csv((tmp_path / f"{i}.csv").read_text())
+            assert {c[0]: c for c in trailers}["ks_exact"][3] == "true", argv
 
 
 def test_mc_takes_the_series_cdf_where_it_has_at_most_k_terms(capsys, monkeypatch):
     # 520 / k series terms against k angle terms, and only for a decayed
-    # expansion: uniform01 has a jump and arcsine is unbounded
+    # expansion: uniform01 has a jump and arcsine is unbounded, so neither
+    # is expanded
     calls = []
-    for name in ("series_cdf", "pushforward_cdf"):
+    for name in ("series_cdf", "pushforward_cdf", "expand_density"):
         def spy(*args, _fn=getattr(cli, name), _name=name):
             calls.append(_name)
             return _fn(*args)
@@ -431,8 +441,9 @@ def test_mc_takes_the_series_cdf_where_it_has_at_most_k_terms(capsys, monkeypatc
         assert run_cli(capsys, *argv)[0] == 0
         routes[argv[2], int(argv[4])] = calls[:]
     assert len(routes) == 8
-    series = {key for key, used in routes.items() if used == ["series_cdf"]}
+    series = {key for key, used in routes.items() if "series_cdf" in used}
     assert series == {("uniform", 32), ("gauss:0,0.25", 32)}
+    assert all(routes[key] == ["expand_density", "series_cdf"] for key in series)
     assert all(used == ["pushforward_cdf"] for key, used in routes.items() if key not in series)
 
 
@@ -458,10 +469,12 @@ def test_budget_accepts_the_documented_runs():
 
 
 # small runs of all six subcommands; converge arcsine has a nan column and
-# mc has bool trailers
+# mc has bool trailers; the second dance writes 6000 rows, more than one
+# chunk of EMIT_ROWS
 EMIT_CASES = (
     ["pdf", "--dist", "gauss:0,0.25", "--k", "5", "--grid", "17"],
     ["dance", "--ks", "2..4", "--grid", "9"],
+    ["dance", "--grid", "2000", "--ks", "2..4"],
     ["converge", "--dist", "uniform", "--ks", "8,16,32", "--grid", "33"],
     ["converge", "--dist", "arcsine", "--ks", "4,8,16", "--grid", "33"],
     ["expand", "--dist", "ramp", "--order", "8"],
@@ -507,6 +520,11 @@ EDGE_ROWS = [
     (-7, 1e300, NAN, -INF),
     (2**70, 5e-324, -0.0, 1.0),
 ]
+# three finite rows first, so that with 1, 2 or 3 rows to a chunk the nan
+# and the infinities appear only in a later chunk
+LATE_EDGE_ROWS = [(i, i / 3, 2.0**-i, -float(i)) for i in range(3)] + EDGE_ROWS
+# chunk sizes that put chunk boundaries inside the rows above
+EMIT_ROWS_SMALL = (1, 2, 3)
 EDGE_TRAILERS = (
     (),
     (("scalar", NAN),),
@@ -515,14 +533,16 @@ EDGE_TRAILERS = (
 
 
 @pytest.mark.parametrize("fmt", ("csv", "json"))
-def test_emit_is_the_reference_on_edge_values(capsys, fmt):
+def test_emit_is_the_reference_on_edge_values(capsys, monkeypatch, fmt):
     # an int column, a finite float column, then columns holding nan and +-inf
     headers = ("n", "finite", "b%", 'c"')
     ns = SimpleNamespace(format=fmt, out="-")
-    for rows in (EDGE_ROWS, EDGE_ROWS[:1], EDGE_ROWS[1:2], []):
-        for trailers in EDGE_TRAILERS:
-            cli._emit(ns, headers, rows, trailers)
-            assert capsys.readouterr().out == emit_reference(fmt, headers, rows, trailers)
+    for emit_rows in (cli.EMIT_ROWS, *EMIT_ROWS_SMALL):
+        monkeypatch.setattr(cli, "EMIT_ROWS", emit_rows)
+        for rows in (EDGE_ROWS, EDGE_ROWS[:1], EDGE_ROWS[1:2], [], LATE_EDGE_ROWS):
+            for trailers in EDGE_TRAILERS:
+                cli._emit(ns, headers, rows, trailers)
+                assert capsys.readouterr().out == emit_reference(fmt, headers, rows, trailers)
 
 
 @settings(max_examples=150, deadline=None)
@@ -533,9 +553,32 @@ def test_emit_is_the_reference_on_edge_values(capsys, fmt):
 def test_emit_is_the_reference_on_any_floats(rows, fmt, tmp_path_factory):
     target = tmp_path_factory.mktemp("emit") / "out"
     trailers = (("tail", {"v": rows[0][1] if rows else NAN, "pass": bool(rows)}),)
-    for tail in ((), trailers):
-        cli._emit(SimpleNamespace(format=fmt, out=str(target)), ("i", "x", "y"), rows, tail)
-        assert target.read_text() == emit_reference(fmt, ("i", "x", "y"), rows, tail)
+    default = cli.EMIT_ROWS
+    try:
+        for cli.EMIT_ROWS in (default, *EMIT_ROWS_SMALL):
+            for tail in ((), trailers):
+                cli._emit(SimpleNamespace(format=fmt, out=str(target)), ("i", "x", "y"), rows,
+                          tail)
+                assert target.read_text() == emit_reference(fmt, ("i", "x", "y"), rows, tail)
+    finally:
+        cli.EMIT_ROWS = default
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_emit_memory_is_flat_in_the_rows(tmp_path, fmt):
+    # one chunk of EMIT_ROWS formatted rows at a time; built whole before
+    # writing, the text of these 2e5 rows peaked at about 50 MB in CSV and
+    # 62 MB in JSON. The nan column sends JSON through its token path.
+    values = np.linspace(-1.0, 1.0, 200_000).tolist()
+    rows = [(x, 0.5 * x, NAN if i % 7 else x, -x) for i, x in enumerate(values)]
+    ns = SimpleNamespace(format=fmt, out=str(tmp_path / "out"))
+    tracemalloc.start()
+    try:
+        cli._emit(ns, ("a", "b", "c", "d"), rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
 
 
 def test_run_experiments_writes_every_file(tmp_path, monkeypatch, capsys):
