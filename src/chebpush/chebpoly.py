@@ -6,7 +6,8 @@ producing garbage; values inside the slack are clipped, because iterated
 polynomial maps routinely land a few ulp past the endpoints.
 
 The argument contract of the whole package lives here too: _index checks
-every integer index (degree, k, order, count) and _pointwise every point.
+every integer index (degree, k, order, count), _pointwise adapts every
+point argument, and _unit_interval and _open_interval check its domain.
 """
 
 from __future__ import annotations
@@ -64,6 +65,16 @@ def _unit_interval(x):
         worst = float(np.max(np.abs(x)))
         raise ValueError(f"argument outside [-1, 1] beyond rounding slack: |x| = {worst}")
     return np.clip(x, -1.0, 1.0)
+
+
+def _open_interval(z):
+    """Validate a float array z against the open interval (-1, 1); return it as is."""
+    if not np.all(np.isfinite(z)):
+        raise ValueError("evaluation point must be finite")
+    if np.any(np.abs(z) >= 1.0):
+        raise ValueError("pushforward density is evaluated on the open interval "
+                         "(-1, 1); it is singular at the endpoints")
+    return z
 
 
 @_pointwise

@@ -16,6 +16,7 @@ import sys
 import warnings
 from contextlib import nullcontext
 from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -130,57 +131,15 @@ def _json_object(keys, values, depth):
     return f"{{\n{fields}\n{pad}}}"
 
 
-def _chunks(rows):
-    """rows in slices of EMIT_ROWS."""
-    for start in range(0, len(rows), EMIT_ROWS):
-        yield rows[start:start + EMIT_ROWS]
-
-
-def _json_records(headers, rows, depth):
-    """The rows as an indented JSON array of records, its closing bracket
-    `depth` spaces deep, in pieces of text of one chunk of rows each.
-
-    In each chunk, a column of finite floats is written with %r and a
-    column of ints with %d, which is what json.dumps writes for them; any
-    other column is turned into JSON tokens first.
-    """
-    if not rows:
-        yield "[]"
-        return
-    keys = [h.replace("%", "%%") for h in headers]
-    separator = "[\n"
-    for chunk in _chunks(rows):
-        columns = list(zip(*chunk))
-        specs = []
-        for i, column in enumerate(columns):
-            kind = type(column[0])
-            if kind is float and all(map(math.isfinite, column)):
-                specs.append("%r")
-            elif kind is int:
-                specs.append("%d")
-            else:
-                columns[i] = _json_tokens(column)
-                specs.append("%s")
-        template = " " * (depth + 2) + _json_object(keys, specs, depth + 2)
-        if "%s" in specs:
-            chunk = zip(*columns)
-        yield separator
-        yield ",\n".join([template % row for row in chunk])
-        separator = ",\n"
-    yield f"\n{' ' * depth}]"
-
-
-def _csv_template(cells):
-    """%-template of one CSV line: %d for ints, %.17g for floats, %s otherwise."""
-    return ",".join("%.17g" if isinstance(c, float) else "%d" if type(c) is int else "%s"
-                    for c in cells)
-
-
 def _emit(ns, headers, rows, trailers=()):
     """Write rows (+ trailing summary records) in the selected format.
 
-    rows is a list of equal-length tuples of Python scalars, one type per
-    column; each column is formatted by the type of its first value.
+    rows is a list of equal-length tuples of Python ints and floats, one
+    type per column. The first row fixes each column's format: %d for an
+    int, and for a float %.17g in CSV or %r in JSON, which is what
+    json.dumps writes for a finite float. JSON has no literal for nan or
+    +-inf, so in a chunk of rows where a float column holds one, that
+    column is written from its JSON tokens (nan as null).
     CSV: header, data rows, then one row per trailer ("name,value,...").
     JSON: a bare array of row records, or {"rows": [...], trailer: ...}
     when trailers exist. Field names match between formats. The bytes are
@@ -188,29 +147,50 @@ def _emit(ns, headers, rows, trailers=()):
     tests/oracles.py. The rows are formatted and written EMIT_ROWS at a
     time, so the text held in memory does not grow with the output.
     """
+    json_out = ns.format == "json"
+    first = rows[0] if rows else ()
+    specs = ["%d" if type(c) is int else "%r" if json_out else "%.17g" for c in first]
+    tail = []
+    if json_out:
+        depth = 2 if trailers else 0
+        keys = [h.replace("%", "%%") for h in headers]
+
+        def line(fields):
+            return " " * (depth + 2) + _json_object(keys, fields, depth + 2)
+
+        head = ('{\n  "rows": ' if trailers else "") + ("[\n" if rows else "[]")
+        joint, floats = ",\n", [i for i, c in enumerate(first) if type(c) is float]
+        tail.append(f"\n{' ' * depth}]" if rows else "")
+        for name, value in trailers:
+            token = (_json_object(value, _json_tokens(list(value.values())), 2)
+                     if isinstance(value, dict) else _json_tokens([value])[0])
+            tail.append(f",\n  {json.dumps(name)}: {token}")
+        tail.append("\n}\n" if trailers else "\n")
+    else:
+        def line(fields):
+            return ",".join(fields) + "\n"
+
+        head, joint, floats = ",".join(headers) + "\n", "", ()
+        for name, value in trailers:
+            cells = (name, *(value.values() if isinstance(value, dict) else (value,)))
+            # bools are written true/false, as in JSON
+            tail.append(line([json.dumps(c) if isinstance(c, bool) else
+                              "%.17g" % c if type(c) is float else str(c) for c in cells]))
+    template = line(specs)
     with open(ns.out, "w", encoding="utf-8") if ns.out != "-" else nullcontext(sys.stdout) as fh:
-        if ns.format == "json":
-            if trailers:
-                fh.write('{\n  "rows": ')
-            fh.writelines(_json_records(headers, rows, 2 if trailers else 0))
-            for name, value in trailers:
-                if isinstance(value, dict):
-                    token = _json_object(value, _json_tokens(list(value.values())), 2)
-                else:
-                    token = _json_tokens([value])[0]
-                fh.write(f",\n  {json.dumps(name)}: {token}")
-            fh.write("\n}\n" if trailers else "\n")
-        else:
-            fh.write(",".join(headers) + "\n")
-            if rows:
-                template = _csv_template(rows[0]) + "\n"
-                for chunk in _chunks(rows):
-                    fh.write("".join([template % row for row in chunk]))
-            for name, value in trailers:
-                cells = (name, *(value.values() if isinstance(value, dict) else (value,)))
-                # bools are written true/false, as in JSON
-                cells = tuple(json.dumps(c) if isinstance(c, bool) else c for c in cells)
-                fh.write(_csv_template(cells) % cells + "\n")
+        fh.write(head)
+        for start in range(0, len(rows), EMIT_ROWS):
+            chunk, text = rows[start:start + EMIT_ROWS], template
+            # only JSON has float columns to check: it has no nan or +-inf literal
+            bad = [i for i in floats if not all(map(math.isfinite, map(itemgetter(i), chunk)))]
+            if bad:
+                columns = enumerate(zip(*chunk))
+                chunk = zip(*[_json_tokens(c) if i in bad else c for i, c in columns])
+                text = line(["%s" if i in bad else s for i, s in enumerate(specs)])
+            if start:
+                fh.write(joint)
+            fh.write(joint.join([text % row for row in chunk]))
+        fh.writelines(tail)
 
 
 def cmd_pdf(ns):
@@ -375,7 +355,8 @@ def build_parser():
     p.add_argument("--k", type=_flag(_positive_int), required=True,
                    help=f"Chebyshev index, at most {MAX_K}")
     p.add_argument("--n", type=_flag(_positive_int), default=100000,
-                   help=f"sample count, at most {MAX_POINTS}; k * n at most {MAX_WORK}")
+                   help=f"sample count, at least 100 (the KS needs them) and at most "
+                        f"{MAX_POINTS}; k * n at most {MAX_WORK}")
     p.add_argument("--seed", type=int, default=42, help="stream seed")
     _add_io_flags(p)
     p.set_defaults(func=cmd_mc)

@@ -238,10 +238,10 @@ def parse_density(text):
 
     Grammar: arcsine | uniform | ramp | uniform01 | gauss:MU,SIGMA.
     """
-    base, _, rest = str(text).partition(":")
+    base, colon, rest = str(text).partition(":")
     base = base.strip().lower()
     if base != "gauss":
-        if rest:
+        if colon and base in _BUILDERS:
             raise ValueError(f"density {base!r} takes no parameters")
         return make_density(base)
     if not rest:

@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chebpoly import _index, _pointwise, _unit_interval
+from .chebpoly import _index, _open_interval, _pointwise, _unit_interval
 from .spectral import even_moment_sum
 
 _TWO_PI = 2.0 * np.pi
@@ -85,15 +85,6 @@ _COS_SUMS = {2: np.polynomial.Polynomial([np.pi**2 / 6, -np.pi / 2, 1 / 4]),
              4: np.polynomial.Polynomial([np.pi**4 / 90, 0, -np.pi**2 / 12, np.pi / 12, -1 / 48])}
 # their antiderivatives from 0: sum_{n>=1} sin(n x) / n^(p+1) on the same interval
 _SIN_SUMS = {p: s.integ() for p, s in _COS_SUMS.items()}
-
-
-def _open_interval(z):
-    if not np.all(np.isfinite(z)):
-        raise ValueError("evaluation point must be finite")
-    if np.any(np.abs(z) >= 1.0):
-        raise ValueError("pushforward density is evaluated on the open interval "
-                         "(-1, 1); it is singular at the endpoints")
-    return z
 
 
 def default_grid(n=201):

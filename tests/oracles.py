@@ -13,8 +13,10 @@ The exceptions are the scalar j loop of the angle sum
 emitter (`emit_reference`). They repeat an earlier form of the library's
 code on purpose: the angle sum gives the summation order the library's
 block evaluation must reproduce bit for bit, and the emitter gives the
-bytes the column-at-a-time CLI output must reproduce, so they check the
-evaluation and the formatting, not the mathematics.
+bytes the CLI output must reproduce, so they check the evaluation and the
+formatting, not the mathematics. The CLI fixes each column's format from
+the first row, in CSV and JSON alike, and writes a JSON chunk with a
+non-finite value from JSON tokens.
 """
 
 import json
@@ -237,7 +239,9 @@ def _json_value(value):
 
 def emit_reference(fmt, headers, rows, trailers=()):
     """The CLI's output text, one cell at a time through json.dumps(indent=2)
-    or "%.17g": the emitter the column-at-a-time one must match byte for byte.
+    or "%.17g". The CLI's emitter, whose first row fixes each column's format
+    and which writes a JSON chunk with a non-finite value from JSON tokens,
+    must match it byte for byte.
 
     CSV: header, data rows, then one row per trailer ("name,value,...").
     JSON: a bare array of row records, or {"rows": [...], trailer: ...}

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -543,6 +544,46 @@ def test_emit_is_the_reference_on_edge_values(capsys, monkeypatch, fmt):
             for trailers in EDGE_TRAILERS:
                 cli._emit(ns, headers, rows, trailers)
                 assert capsys.readouterr().out == emit_reference(fmt, headers, rows, trailers)
+
+
+@pytest.mark.parametrize("fmt, expected", (
+    ("csv", "a,b\n1,0.5\n2,3\n"),
+    ("json", '[\n  {\n    "a": 1,\n    "b": 0.5\n  },\n  {\n    "a": 2,\n    "b": 3\n  }\n]\n'),
+), ids=("csv", "json"))
+def test_the_first_row_fixes_each_columns_format(capsys, monkeypatch, fmt, expected):
+    # rows hold one type per column, and the format is read off the first
+    # row alone: a cell of another type further down, in the same chunk or
+    # a later one, is written in its column's format
+    for emit_rows in (cli.EMIT_ROWS, 1):
+        monkeypatch.setattr(cli, "EMIT_ROWS", emit_rows)
+        cli._emit(SimpleNamespace(format=fmt, out="-"), ("a", "b"), [(1, 0.5), (2.5, 3)])
+        assert capsys.readouterr().out == expected
+
+
+def test_json_takes_the_token_path_only_for_a_chunk_with_a_non_finite_float(capsys,
+                                                                             monkeypatch):
+    # the bytes of the two paths are the same, so count the calls: %r alone
+    # writes a finite float, and _json_tokens is for nan and +-inf
+    calls = []
+    tokens = cli._json_tokens
+
+    def spy(values):
+        calls.append(list(values))
+        return tokens(calls[-1])
+
+    monkeypatch.setattr(cli, "_json_tokens", spy)
+    assert 3000 > cli.EMIT_ROWS
+    code, out, _ = run_cli(capsys, "pdf", "--dist", "gauss:0,0.25", "--k", "5", "--grid",
+                           "3000", "--format", "json")
+    assert code == 0 and len(json.loads(out)) == 3000
+    assert calls == []
+    code, _, _ = run_cli(capsys, "converge", "--dist", "arcsine", "--ks", "4,8,16", "--grid",
+                         "33", "--format", "json")
+    assert code == 0
+    # arcsine has no series, so its asymptotic_prediction_error column is
+    # nan; the other call is the fitted_order trailer's record
+    [column] = [values for values in calls if len(values) == 3]
+    assert len(calls) == 2 and all(map(math.isnan, column))
 
 
 @settings(max_examples=150, deadline=None)

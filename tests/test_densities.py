@@ -248,10 +248,13 @@ def test_parse_density_grammar():
     d = parse_density("gauss:0.5,0.3")
     assert d.name == "gauss:0.5,0.3"
     assert d.cdf(1.0) == pytest.approx(1.0)
-    for bad in ("gauss", "gauss:1", "gauss:a,b", "gauss:0,0.25,1", "uniform:2", "nope",
-                "linear_ramp", "truncated_gaussian:0,0.25"):
+    for bad in ("gauss", "gauss:1", "gauss:a,b", "gauss:0,0.25,1", "uniform:2", "uniform:",
+                "nope", "linear_ramp", "truncated_gaussian:0,0.25"):
         with pytest.raises(ValueError):
             parse_density(bad)
+    for unknown in ("nope:", "nope:3"):
+        with pytest.raises(ValueError, match="unknown density"):
+            parse_density(unknown)
 
 
 def test_catalog_contents():
