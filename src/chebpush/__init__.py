@@ -25,7 +25,6 @@ from .montecarlo import (
 from .pushforward import (
     LIMIT_BOUNDED_FACTOR,
     ConvergenceReport,
-    PushforwardResult,
     asymptotic_bounded_factor,
     bounded_factor,
     convergence_report,
@@ -33,7 +32,6 @@ from .pushforward import (
     mass_left_of_zero,
     pushforward_cdf,
     pushforward_mass,
-    pushforward_on_grid,
     pushforward_pdf,
     series_bounded_factor,
     series_cdf,
@@ -54,7 +52,6 @@ __all__ = [
     "Density",
     "KSResult",
     "LIMIT_BOUNDED_FACTOR",
-    "PushforwardResult",
     "SampleBatch",
     "asymptotic_bounded_factor",
     "bounded_factor",
@@ -73,7 +70,6 @@ __all__ = [
     "push_samples",
     "pushforward_cdf",
     "pushforward_mass",
-    "pushforward_on_grid",
     "pushforward_pdf",
     "sample",
     "series_bounded_factor",

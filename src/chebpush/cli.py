@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from contextlib import nullcontext
 from itertools import repeat
 from operator import itemgetter
@@ -23,13 +22,14 @@ import numpy as np
 from .densities import make_density, parse_density, sample
 from .montecarlo import histogram, ks_statistic, push_samples
 from .pushforward import (
+    LIMIT_BOUNDED_FACTOR,
     SERIES_SPAN,
     asymptotic_bounded_factor,
+    bounded_factor,
     convergence_report,
     default_grid,
     mass_left_of_zero,
     pushforward_cdf,
-    pushforward_on_grid,
     series_cdf,
     sup_error,
 )
@@ -51,7 +51,7 @@ MAX_WORK = 2**28
 MAX_ORDER = 4096
 # Largest --grid, --n and number of rows dance writes (k values x grid). A
 # 5-column pdf row costs about 340 B of peak memory and a dance row about
-# 175 B, so 2^20 rows take at most about 0.36 GB; a sample about 60 B.
+# 135 B, so 2^20 rows take at most about 0.36 GB; a sample about 60 B.
 MAX_POINTS = 2**20
 
 # Rows _emit formats and writes at a time, so the output text held in
@@ -194,34 +194,30 @@ def _emit(ns, headers, rows, trailers=()):
 
 
 def cmd_pdf(ns):
-    res = pushforward_on_grid(ns.dist, ns.k, ns.grid)
-    columns = (res.z, res.pdf, res.bounded, res.limit_pdf, res.abs_error)
+    z = default_grid(ns.grid)
+    s = bounded_factor(ns.dist, ns.k, z)
+    root = np.sqrt((1.0 - z) * (1.0 + z))
+    columns = (z, s / root, s, LIMIT_BOUNDED_FACTOR / root, np.abs(s - LIMIT_BOUNDED_FACTOR))
+    del root  # one grid-sized array fewer held while the rows are built
     rows = list(zip(*(c.tolist() for c in columns)))
     _emit(ns, ("z", "f_k", "s_k", "limit_pdf", "abs_error"), rows)
 
 
 def cmd_dance(ns):
+    z = default_grid(ns.grid)
+    root = np.sqrt((1.0 - z) * (1.0 + z))
+    zs = z.tolist()
     rows = []
     for k in ns.ks:
-        res = pushforward_on_grid(ns.dist, k, ns.grid)
-        mass = mass_left_of_zero(ns.dist, k)
-        rows.extend(zip(repeat(k), res.z.tolist(), res.pdf.tolist(), repeat(mass)))
+        pdf = bounded_factor(ns.dist, k, z) / root
+        rows.extend(zip(repeat(k), zs, pdf.tolist(), repeat(mass_left_of_zero(ns.dist, k))))
     _emit(ns, ("k", "z", "f_k", "mass_left_of_zero"), rows)
-
-
-def _quiet_expansion(d):
-    """expand_density(d) without its RuntimeWarning for an undecayed series:
-    the callers read series.decayed, or the report's "empirical" label, and
-    no raw warning reaches stderr."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return expand_density(d)
 
 
 def cmd_converge(ns):
     d = ns.dist
     report = convergence_report(d, ns.ks, ns.grid)
-    series = _quiet_expansion(d) if d.expandable else None
+    series = expand_density(d) if d.expandable else None
     z = default_grid(ns.grid)
     rows = []
     for k, err, bounded in zip(report.ks, report.sup_errors, report.bounded):
@@ -250,14 +246,15 @@ def _exact_cdf(d, k):
     series_cdf takes one Clenshaw step per series term, about
     SERIES_SPAN (L + 1) / k of them, and pushforward_cdf one term per
     preimage angle, k of them. The series route runs where it has at most k
-    terms and the density's expansion has decayed. The term count and the
+    terms and the density's expansion has decayed, which ChebSeries.decayed
+    reports (expand_density does not warn). The term count and the
     density's flags come first, so a small k, a jump (uniform01, whose
     series cannot decay) and an unbounded pdf (arcsine, not expandable)
     expand nothing and stay on the angle sum.
     """
     if (SERIES_SPAN * (DEFAULT_ORDER + 1) // k <= k and d.expandable
             and not d.discontinuous):
-        series = _quiet_expansion(d)
+        series = expand_density(d)
         if series.decayed:
             return lambda x: series_cdf(series, k, x)
     return lambda x: pushforward_cdf(d, k, x)
@@ -269,14 +266,10 @@ def cmd_mc(ns):
     edges, density = histogram(pushed)
     edges = edges.tolist()
     rows = list(zip(edges[:-1], edges[1:], density.tolist()))
-    exact = ks_statistic(pushed, _exact_cdf(d, ns.k))
-    limit = ks_statistic(pushed, make_density("arcsine").cdf)
-    trailers = (
-        ("ks_exact", {"statistic": exact.statistic, "threshold": exact.threshold,
-                      "pass": exact.passed}),
-        ("ks_limit", {"statistic": limit.statistic, "threshold": limit.threshold,
-                      "pass": limit.passed}),
-    )
+    tests = {"ks_exact": ks_statistic(pushed, _exact_cdf(d, ns.k)),
+             "ks_limit": ks_statistic(pushed, make_density("arcsine").cdf)}
+    trailers = [(name, {"statistic": t.statistic, "threshold": t.threshold, "pass": t.passed})
+                for name, t in tests.items()]
     _emit(ns, ("bin_left", "bin_right", "density"), rows, trailers)
 
 
@@ -295,7 +288,14 @@ def _add_io_flags(sp):
 
 def _add_grid_flag(sp):
     sp.add_argument("--grid", type=_flag(_positive_int), default=201, metavar="N",
-                    help=f"number of evaluation grid points, at most {MAX_POINTS}")
+                    help=f"number of evaluation grid points, at least 2 and at most {MAX_POINTS}")
+
+
+def _add_dist_flag(sp, default=argparse.SUPPRESS):
+    # required without a default selector; SUPPRESS keeps "(default: None)" out of the help
+    sp.add_argument("--dist", type=_flag(parse_density), default=default,
+                    required=default is argparse.SUPPRESS,
+                    help="density selector: arcsine | uniform | ramp | uniform01 | gauss:MU,SIGMA")
 
 
 def build_parser():
@@ -310,9 +310,8 @@ def build_parser():
 
     p = sub.add_parser("pdf", formatter_class=fmt,
                        help="exact pushforward density on a grid")
-    p.add_argument("--dist", type=_flag(parse_density), required=True,
-                   help="density selector: arcsine | uniform | ramp | uniform01 | gauss:MU,SIGMA")
-    p.add_argument("--k", type=_flag(_positive_int), required=True,
+    _add_dist_flag(p)
+    p.add_argument("--k", type=_flag(_positive_int), required=True, default=argparse.SUPPRESS,
                    help=f"Chebyshev index, at most {MAX_K}")
     _add_grid_flag(p)
     _add_io_flags(p)
@@ -321,8 +320,7 @@ def build_parser():
     p = sub.add_parser("dance", formatter_class=fmt,
                        help="pushforward across a ladder of k for a centered bump, "
                             "with the mass left of zero per k")
-    p.add_argument("--dist", type=_flag(parse_density), default="gauss:0,0.25",
-                   help="density selector")
+    _add_dist_flag(p, "gauss:0,0.25")
     p.add_argument("--ks", type=_flag(parse_ks), default="2..24",
                    help="k list: comma values and/or inclusive ranges a..b[:step], "
                         f"each at most {MAX_K}")
@@ -332,7 +330,7 @@ def build_parser():
 
     p = sub.add_parser("converge", formatter_class=fmt,
                        help="sup-error trace over k with a fitted log-log order")
-    p.add_argument("--dist", type=_flag(parse_density), required=True, help="density selector")
+    _add_dist_flag(p)
     p.add_argument("--ks", type=_flag(parse_ks), default="8,16,32,64,128",
                    help=f"k list, each at most {MAX_K}")
     _add_grid_flag(p)
@@ -342,7 +340,7 @@ def build_parser():
     p = sub.add_parser("expand", formatter_class=fmt,
                        help="Chebyshev coefficients of a density, with the "
                             "normalization residual and even-coefficient sum")
-    p.add_argument("--dist", type=_flag(parse_density), required=True, help="density selector")
+    _add_dist_flag(p)
     p.add_argument("--order", type=_flag(_positive_int), default=DEFAULT_ORDER,
                    help=f"truncation order, at most {MAX_ORDER}")
     _add_io_flags(p)
@@ -351,8 +349,8 @@ def build_parser():
     p = sub.add_parser("mc", formatter_class=fmt,
                        help="seeded Monte Carlo: histogram of pushed samples plus KS "
                             "distances against the exact law and the arcsine limit")
-    p.add_argument("--dist", type=_flag(parse_density), required=True, help="density selector")
-    p.add_argument("--k", type=_flag(_positive_int), required=True,
+    _add_dist_flag(p)
+    p.add_argument("--k", type=_flag(_positive_int), required=True, default=argparse.SUPPRESS,
                    help=f"Chebyshev index, at most {MAX_K}")
     p.add_argument("--n", type=_flag(_positive_int), default=100000,
                    help=f"sample count, at least 100 (the KS needs them) and at most "

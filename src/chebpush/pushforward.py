@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chebpoly import _index, _open_interval, _pointwise, _unit_interval
+from .chebpoly import _index, _open_interval, _pointwise, _unit_interval, cheb_eval
 from .spectral import even_moment_sum
 
 _TWO_PI = 2.0 * np.pi
@@ -361,7 +361,7 @@ def _panel_breaks(d, k):
     # beta values where a preimage angle crosses an interior pdf jump x*:
     # that angle is arccos(x*), so cos(beta) = T_k(x*); integrating panelwise
     # keeps Gauss-Legendre spectrally accurate
-    betas = np.arccos(np.cos(k * np.arccos(np.asarray(d.breakpoints, dtype=float))))
+    betas = np.arccos(cheb_eval(k, d.breakpoints))
     return [0.0] + sorted({float(b) for b in betas if 0.0 < b < np.pi}) + [float(np.pi)]
 
 
@@ -380,24 +380,3 @@ def pushforward_mass(d, k):
     half = 0.5 * np.diff(breaks)[:, None]
     beta = (half * x + 0.5 * (breaks[1:] + breaks[:-1])[:, None]).ravel()
     return float(np.dot((half * w).ravel(), _bounded_from_beta(d, k, beta)))
-
-
-@dataclass(frozen=True)
-class PushforwardResult:
-    """Exact pushforward evaluated on a grid, with the limit alongside."""
-
-    z: np.ndarray
-    pdf: np.ndarray
-    bounded: np.ndarray
-    limit_pdf: np.ndarray
-    abs_error: np.ndarray
-
-
-def pushforward_on_grid(d, k, grid=201):
-    """Evaluate f_k, S_k, the arcsine limit, and |S_k - 1/pi| on the grid."""
-    z = default_grid(grid)
-    bounded = bounded_factor(d, k, z)
-    root = np.sqrt((1.0 - z) * (1.0 + z))
-    return PushforwardResult(z=z, pdf=bounded / root, bounded=bounded,
-                             limit_pdf=LIMIT_BOUNDED_FACTOR / root,
-                             abs_error=np.abs(bounded - LIMIT_BOUNDED_FACTOR))

@@ -8,19 +8,22 @@ computed by Gauss-Chebyshev quadrature on the roots grid x_j = cos(theta_j),
 theta_j = pi (j + 1/2) / N. The nodes absorb the weight exactly, so the
 endpoint singularity of the weight never appears numerically, and the rule
 is exact for integrands of polynomial degree < 2N - l.
+
+A series whose tail has not decayed (a density with a jump, or too low an
+order) is still returned, with ChebSeries.decayed False. That flag is the
+only report of it: no warning is raised.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chebpoly import _index, cheb_integral
 
-# A truncated series is considered decayed when its last coefficient is
-# below this. Smooth catalog densities sit below 1e-16 at order 64; a jump
+# A truncated series is considered decayed when its last four coefficients
+# are below this. Smooth catalog densities sit below 1e-16 at order 64; a jump
 # density sits near 1e-2, so anything between separates the two cleanly.
 DECAY_TOL = 1e-10
 
@@ -48,9 +51,9 @@ def expand_density(d, order=DEFAULT_ORDER):
     time is O(n log n) and memory O(n).
 
     Densities flagged non-expandable (unbounded pdf) raise ValueError: their
-    coefficients are not defined by this quadrature. A series whose last
-    coefficient has not decayed below DECAY_TOL triggers a RuntimeWarning
-    and is returned with decayed=False.
+    coefficients are not defined by this quadrature. A series whose tail
+    has not decayed below DECAY_TOL is returned with decayed=False, which is
+    the only report of it: no warning is raised.
     """
     if not d.expandable:
         raise ValueError(f"{d.name} has no convergent Chebyshev expansion (unbounded pdf)")
@@ -67,14 +70,8 @@ def expand_density(d, order=DEFAULT_ORDER):
     # judge decay on a short tail window, not the last coefficient alone:
     # symmetric or half-supported densities zero out every other coefficient
     tail = float(np.max(np.abs(mu[max(1, order - 3):])))
-    decayed = tail < DECAY_TOL
-    if not decayed:
-        warnings.warn(
-            f"Chebyshev series for {d.name} has not decayed by order {order}: "
-            f"tail max |mu_l| = {tail:.2e}",
-            RuntimeWarning, stacklevel=2)
     mu.flags.writeable = False
-    return ChebSeries(coeffs=mu, decayed=decayed)
+    return ChebSeries(coeffs=mu, decayed=tail < DECAY_TOL)
 
 
 def normalization_residual(series):

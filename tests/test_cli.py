@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from chebpush import cli
 from chebpush.cli import MAX_K, MAX_ORDER, MAX_POINTS, MAX_WORK, main, parse_ks
+from chebpush.densities import make_density
+from chebpush.pushforward import default_grid, pushforward_pdf
 from oracles import emit_reference
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -82,7 +84,7 @@ def _refuse_computing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("computation started")
 
-    for name in ("pushforward_on_grid", "mass_left_of_zero", "convergence_report",
+    for name in ("bounded_factor", "mass_left_of_zero", "convergence_report",
                  "expand_density", "sample", "sup_error"):
         monkeypatch.setattr(cli, name, refuse)
 
@@ -134,9 +136,6 @@ def test_pdf_uniform_k2_closed_form(capsys):
 def test_csv_floats_round_trip(capsys):
     _, out, _ = run_cli(capsys, "pdf", "--dist", "gauss:0,0.25", "--k", "3", "--grid", "17")
     _, rows, _ = parse_csv(out)
-    from chebpush.densities import make_density
-    from chebpush.pushforward import default_grid, pushforward_pdf
-
     z = default_grid(17)
     f = pushforward_pdf(make_density("gauss", sigma=0.25), 3, z)
     # 17 significant digits reparse to the exact binary values
@@ -154,6 +153,12 @@ def test_dance_defaults_and_mass_pattern(capsys):
     mass = {int(r[0]): float(r[3]) for r in rows}
     assert mass[2] > 0.5 and mass[6] > 0.5
     assert mass[4] < 0.5 and mass[8] < 0.5
+    # every k's column is the library's f_k, bit for bit: %.17g round-trips
+    d, z = make_density("gauss", sigma=0.25), default_grid(33)
+    for k in ks:
+        k_rows = [r for r in rows if int(r[0]) == k]
+        assert [float(r[1]) for r in k_rows] == z.tolist()
+        assert [float(r[2]) for r in k_rows] == pushforward_pdf(d, k, z).tolist()
 
 
 def test_dance_arcsine_rows_sit_on_the_limit(capsys):
@@ -364,6 +369,33 @@ def test_help_prints(command):
     assert proc.stdout.startswith("usage: chebpush")
 
 
+@pytest.mark.parametrize("command", ["pdf", "dance", "converge", "expand", "mc"])
+def test_every_dist_flag_shows_the_selector_grammar(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert "gauss:MU,SIGMA" in text
+    # a required flag has no default to print
+    assert "(default: None)" not in text
+
+
+def test_a_grid_below_two_exits_one_with_the_reason(capsys):
+    code, out, err = run_cli(capsys, "pdf", "--dist", "uniform", "--k", "3", "--grid", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "chebpush: error: grid size must be an integer >= 2, got 1\n"
+
+
+def test_the_readme_library_example_runs_with_no_warning():
+    # the README's python block, in a fresh interpreter where any warning is an error
+    readme = (ROOT / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    proc = run_python("-W", "error", "-c", blocks[0].split("```")[0])
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+
 def test_caps_and_work_budget_exit_one_before_computing(capsys, monkeypatch):
     _refuse_computing(monkeypatch)
     big = str(2**63)
@@ -410,15 +442,17 @@ def _experiment_mc_runs(n):
 
 
 def test_the_experiment_mc_runs_pass_with_nothing_on_stderr(tmp_path):
-    # every command of the experiments script, in a fresh interpreter so that
-    # stderr is what a shell sees: a warning from an expansion, such as
-    # converge's or the one behind mc's route choice, would be printed there
+    # every command of the experiments script, plus expansions whose series do
+    # not decay, in a fresh interpreter so that stderr is what a shell sees;
+    # -W error turns any Python warning into a failed run
     runs = _experiment_runs(1000)
     assert len(runs) == 21 and sum(argv[0] == "mc" for argv in runs) == 8
+    runs += [["expand", "--dist", "uniform01"], ["converge", "--dist", "uniform01"],
+             ["expand", "--dist", "gauss:0,0.001"]]
     code = ("from chebpush.cli import main\n"
             f"for i, argv in enumerate({runs!r}):\n"
             f"    assert main(argv + ['--out', {str(tmp_path)!r} + f'/{{i}}.csv']) == 0\n")
-    proc = run_python("-c", code)
+    proc = run_python("-W", "error", "-c", code)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     for i, argv in enumerate(runs):
         if argv[0] == "mc":

@@ -1,4 +1,5 @@
 import inspect
+import json
 import time
 import tracemalloc
 import warnings
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chebpush.chebpoly import cheb_eval, cheb_integral
+from chebpush.cli import main
 from chebpush.densities import make_density, normal_cdf, normal_ppf, sample
 from chebpush.montecarlo import push_samples, uniform_stream
 from chebpush.pushforward import (
@@ -25,7 +27,6 @@ from chebpush.pushforward import (
     mass_left_of_zero,
     pushforward_cdf,
     pushforward_mass,
-    pushforward_on_grid,
     pushforward_pdf,
     series_bounded_factor,
     series_cdf,
@@ -114,9 +115,7 @@ def test_a_non_integer_index_is_a_value_error(call, value):
 @pytest.mark.parametrize("value", [3, 3.0, np.int64(3)], ids=["int", "float", "np.int64"])
 @pytest.mark.parametrize("call", INDEX_ARGUMENTS.values(), ids=INDEX_ARGUMENTS.keys())
 def test_an_integral_index_of_any_type_is_accepted(call, value):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # order 3 leaves the ramp undecayed
-        call(value)
+    call(value)
 
 
 # each function wrapped by chebpoly._pointwise -> its leading arguments and
@@ -410,13 +409,21 @@ def test_convergence_report_guards():
     assert np.isnan(rep.fitted_order)
 
 
-def test_grid_result_fields_are_consistent():
+def test_grid_result_fields_are_consistent(capsys):
+    # the columns of `pdf`, whose JSON floats round-trip to the exact binary values
+    assert main(["pdf", "--dist", "ramp", "--k", "5", "--grid", "33", "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    col = {name: np.array([r[name] for r in records]) for name in records[0]}
+    z, bounded = col["z"], col["s_k"]
+    root = np.sqrt(1.0 - z**2)
+    assert np.allclose(col["f_k"] * root, bounded, atol=1e-14)
+    assert np.allclose(col["limit_pdf"] * root, LIMIT_BOUNDED_FACTOR, atol=1e-14)
+    assert np.allclose(col["abs_error"], np.abs(bounded - LIMIT_BOUNDED_FACTOR), atol=0)
+    # and they are the library's values, bit for bit
     d = make_density("ramp")
-    res = pushforward_on_grid(d, 5, grid=33)
-    root = np.sqrt(1.0 - res.z**2)
-    assert np.allclose(res.pdf * root, res.bounded, atol=1e-14)
-    assert np.allclose(res.limit_pdf * root, LIMIT_BOUNDED_FACTOR, atol=1e-14)
-    assert np.allclose(res.abs_error, np.abs(res.bounded - LIMIT_BOUNDED_FACTOR), atol=0)
+    assert np.array_equal(z, default_grid(33))
+    assert np.array_equal(bounded, bounded_factor(d, 5, z))
+    assert np.array_equal(col["f_k"], pushforward_pdf(d, 5, z))
 
 
 def test_chunked_evaluation_is_bit_identical():

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -95,8 +96,10 @@ def test_even_moment_sum_equals_endpoint_average():
 
 
 def test_jump_density_warns_and_is_flagged():
+    # the flag is the only report of an undecayed series: nothing is warned
     d = make_density("uniform01")
-    with pytest.warns(RuntimeWarning, match="has not decayed"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         s = expand_density(d)
     assert not s.decayed
     # the slow 1/l tail still integrates to the right mass at coarse accuracy
