@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from contextlib import nullcontext
+from functools import partial
 from itertools import repeat
 from operator import itemgetter
 
@@ -23,13 +24,12 @@ from .densities import make_density, parse_density, sample
 from .montecarlo import histogram, ks_statistic, push_samples
 from .pushforward import (
     LIMIT_BOUNDED_FACTOR,
-    SERIES_SPAN,
     asymptotic_bounded_factor,
     bounded_factor,
     convergence_report,
     default_grid,
-    mass_left_of_zero,
     pushforward_cdf,
+    series_bounded_factor,
     series_cdf,
     sup_error,
 )
@@ -39,8 +39,8 @@ from .spectral import DEFAULT_ORDER, even_moment_sum, expand_density, normalizat
 # with the reason before any computation starts. Times and sizes are from a
 # 2-core x86-64 container.
 # Largest Chebyshev index of any --k or --ks value. The angle sum costs O(k)
-# per grid point: `pdf --k 1048576` on the default 201-point grid takes
-# about 10 s.
+# per grid point: `pdf --dist uniform01 --k 1048576` on the default
+# 201-point grid, which stays on it, takes 8-9 s.
 MAX_K = 2**20
 # Angle terms one command may sum: k per grid point (per sample for mc's
 # exact-cdf KS), added up over every k it computes. `pdf --k 1048576` on
@@ -50,8 +50,10 @@ MAX_WORK = 2**28
 # 4 ms at 4096, and expand writes one row per coefficient.
 MAX_ORDER = 4096
 # Largest --grid, --n and number of rows dance writes (k values x grid). A
-# 5-column pdf row costs about 340 B of peak memory and a dance row about
-# 135 B, so 2^20 rows take at most about 0.36 GB; a sample about 60 B.
+# 5-column pdf row costs about 340 B of peak memory (338 B above import on
+# `pdf --dist gauss:0,0.25 --k 128 --grid 1048576`, CSV or JSON) and a
+# dance row about 135 B, so 2^20 rows take at most about 0.36 GB; a sample
+# about 60 B.
 MAX_POINTS = 2**20
 
 # Rows _emit formats and writes at a time, so the output text held in
@@ -59,6 +61,17 @@ MAX_POINTS = 2**20
 # JSON records is about 0.4 MB of strings; at 4096 rows, the peak RSS of
 # back-to-back wide-grid commands was 6 MB higher.
 EMIT_ROWS = 1024
+
+# The smallest k that pdf, dance and mc take the series route for, where the
+# density allows it (see _exact_routes). At DEFAULT_ORDER, the angle sum's
+# time over the series route's, best of 5 on 2e5 sorted points (cdf) and a
+# 1e5-point grid (S_k): gauss:0,0.25 0.78 / 0.72 at k = 4, 2.11 / 1.16 at 7
+# and 2.41 / 1.53 at 8; uniform and ramp 0.46-0.50 / 0.51-0.66 at k = 4,
+# 1.01-1.04 / 1.52-1.56 at 7 and 1.29 / 1.39-1.92 at 8. From k = 8 on,
+# both series routes are the cheaper on every density. The series route
+# has a fixed cost of about 0.3-0.6 ms, so on a few hundred points the
+# angle sum stays cheaper further up; the rule does not look at the count.
+SERIES_MIN_K = 8
 
 # The angle terms of each command that sums any, as counted for MAX_WORK.
 _WORK = {
@@ -193,9 +206,40 @@ def _emit(ns, headers, rows, trailers=()):
         fh.writelines(tail)
 
 
+def _exact_routes(d, ks):
+    """S_k and F_k of T_k(X), the bounded factor and the cdf, for each k of ks.
+
+    Both come from the same one of two routes. The angle sum
+    (bounded_factor, pushforward_cdf) costs O(k) per point; the series
+    route (series_bounded_factor, series_cdf) aliases the density's
+    Chebyshev expansion at a cost independent of k, and is the cheaper on
+    wide inputs from k = SERIES_MIN_K. A k takes the series route when it
+    is at least SERIES_MIN_K, the density is expandable and has no jump,
+    and its expansion has decayed, which ChebSeries.decayed reports. The
+    density's flags and the k values come first, so a jump
+    (uniform01, whose series cannot decay), an unbounded pdf (arcsine, not
+    expandable) or a ladder of small k expands nothing; otherwise the
+    density is expanded once for the whole ladder. Where the series route
+    runs, the two routes agree in S_k to within 5.3e-15 on the catalog
+    densities at eleven k from 8 to 32768, and to within 1.3e-13 over a
+    sweep of gaussians with mu in [-0.6, 0.6] and sigma in [0.15, 1].
+    """
+    series = None
+    if max(ks) >= SERIES_MIN_K and d.expandable and not d.discontinuous:
+        series = expand_density(d)
+        if not series.decayed:
+            series = None
+    for k in ks:
+        if series is not None and k >= SERIES_MIN_K:
+            yield partial(series_bounded_factor, series, k), partial(series_cdf, series, k)
+        else:
+            yield partial(bounded_factor, d, k), partial(pushforward_cdf, d, k)
+
+
 def cmd_pdf(ns):
     z = default_grid(ns.grid)
-    s = bounded_factor(ns.dist, ns.k, z)
+    [(bounded, _)] = _exact_routes(ns.dist, (ns.k,))
+    s = bounded(z)
     root = np.sqrt((1.0 - z) * (1.0 + z))
     columns = (z, s / root, s, LIMIT_BOUNDED_FACTOR / root, np.abs(s - LIMIT_BOUNDED_FACTOR))
     del root  # one grid-sized array fewer held while the rows are built
@@ -208,9 +252,10 @@ def cmd_dance(ns):
     root = np.sqrt((1.0 - z) * (1.0 + z))
     zs = z.tolist()
     rows = []
-    for k in ns.ks:
-        pdf = bounded_factor(ns.dist, k, z) / root
-        rows.extend(zip(repeat(k), zs, pdf.tolist(), repeat(mass_left_of_zero(ns.dist, k))))
+    for k, (bounded, cdf) in zip(ns.ks, _exact_routes(ns.dist, ns.ks)):
+        pdf = bounded(z) / root
+        # P(T_k(X) < 0), which oscillates about 1/2 before it settles
+        rows.extend(zip(repeat(k), zs, pdf.tolist(), repeat(cdf(0.0))))
     _emit(ns, ("k", "z", "f_k", "mass_left_of_zero"), rows)
 
 
@@ -240,33 +285,14 @@ def cmd_expand(ns):
     _emit(ns, ("l", "mu_l"), rows, trailers)
 
 
-def _exact_cdf(d, k):
-    """The exact cdf of T_k(X) for mc's KS, by the cheaper of two routes.
-
-    series_cdf takes one Clenshaw step per series term, about
-    SERIES_SPAN (L + 1) / k of them, and pushforward_cdf one term per
-    preimage angle, k of them. The series route runs where it has at most k
-    terms and the density's expansion has decayed, which ChebSeries.decayed
-    reports (expand_density does not warn). The term count and the
-    density's flags come first, so a small k, a jump (uniform01, whose
-    series cannot decay) and an unbounded pdf (arcsine, not expandable)
-    expand nothing and stay on the angle sum.
-    """
-    if (SERIES_SPAN * (DEFAULT_ORDER + 1) // k <= k and d.expandable
-            and not d.discontinuous):
-        series = expand_density(d)
-        if series.decayed:
-            return lambda x: series_cdf(series, k, x)
-    return lambda x: pushforward_cdf(d, k, x)
-
-
 def cmd_mc(ns):
     d = ns.dist
     pushed = push_samples(sample(d, ns.n, ns.seed), ns.k)
     edges, density = histogram(pushed)
     edges = edges.tolist()
     rows = list(zip(edges[:-1], edges[1:], density.tolist()))
-    tests = {"ks_exact": ks_statistic(pushed, _exact_cdf(d, ns.k)),
+    [(_, cdf)] = _exact_routes(d, (ns.k,))
+    tests = {"ks_exact": ks_statistic(pushed, cdf),
              "ks_limit": ks_statistic(pushed, make_density("arcsine").cdf)}
     trailers = [(name, {"statistic": t.statistic, "threshold": t.threshold, "pass": t.passed})
                 for name, t in tests.items()]

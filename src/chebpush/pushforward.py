@@ -207,6 +207,47 @@ def _aliased_coeffs(series, k):
     return c, model
 
 
+def _series_on_chunks(series, k, arr, sums, halve, finish):
+    """A series route at the points arr, SUM_CHUNK points at a time.
+
+    For each chunk of points x, with beta = arccos(x), the tail model is
+    summed in closed form as (2 / pi) sum_p [odd s_p(beta)
+    + (even - odd) s_p(2 beta) / 2^(p + halve)], s_p = sums[p]: odd n take
+    the weights of beta, even n those of 2 beta. finish(c, x, beta, model)
+    gives the chunk's values from that and the aliased coefficients c.
+    Every step is pointwise, so a point's value does not depend on the
+    chunking, and no temporary is larger than a chunk.
+    """
+    c, model = _aliased_coeffs(series, k)
+    flat = arr.ravel()
+    out = np.empty(flat.size)
+    for lo in range(0, flat.size, SUM_CHUNK):
+        x = flat[lo:lo + SUM_CHUNK]
+        beta = np.arccos(x)
+        tail = 0.0
+        for p, odd, even in model:
+            tail = tail + odd * sums[p](beta) + (even - odd) * sums[p](2.0 * beta) / 2**(p + halve)
+        out[lo:lo + SUM_CHUNK] = finish(c, x, beta, 2.0 * tail / np.pi)
+    return out.reshape(arr.shape)
+
+
+def _series_pdf_chunk(c, x, beta, model):
+    return np.polynomial.chebyshev.chebval(x, c) - model
+
+
+def _series_cdf_chunk(c, x, beta, model):
+    # Clenshaw for sum_n u_n U_{n-1}(x), u_n = 2 e_{nk} / n: b <- u_n + 2 x b' - b'',
+    # in three buffers
+    twice = 2.0 * x
+    b1, b2, b = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
+    for un in c[:0:-1] / np.arange(len(c) - 1, 0, -1):
+        np.multiply(twice, b1, out=b)
+        b -= b2
+        b += un
+        b1, b2, b = b, b1, b2
+    return c[0] * (np.pi - beta) - np.sqrt((1.0 - x) * (1.0 + x)) * b1 + model
+
+
 @_pointwise
 def series_bounded_factor(series, k, z):
     """S_k(z) reassembled from the Chebyshev coefficients of the input density.
@@ -220,17 +261,12 @@ def series_bounded_factor(series, k, z):
     c_m = -(2 P_r / m^2 + Q_r / m^4) / pi + O(m^-6), with P_r and Q_r the
     sums of mu_l and (6 l^2 + 2) mu_l over l of the parity r of m; that
     model is summed in closed form over every n and taken out of the exact
-    part. The route sees only the coefficients, never the density.
+    part. The route sees only the coefficients, never the density. It runs
+    on chunks of SUM_CHUNK points, so its cost does not grow with k and its
+    memory beyond the result does not grow with the number of points.
     """
     k = _index(k, 1, "Chebyshev index")
-    arr = _open_interval(z)
-    beta = np.arccos(arr)
-    c, model = _aliased_coeffs(series, k)
-    # odd n take the weights of x = beta, even n those of x = 2 beta
-    tail = 0.0
-    for p, odd, even in model:
-        tail = tail + odd * _COS_SUMS[p](beta) + (even - odd) * _COS_SUMS[p](2.0 * beta) / 2**p
-    return np.polynomial.chebyshev.chebval(arr, c) - 2.0 * tail / np.pi
+    return _series_on_chunks(series, k, _open_interval(z), _COS_SUMS, 0, _series_pdf_chunk)
 
 
 @_pointwise
@@ -243,38 +279,16 @@ def series_cdf(series, k, z):
 
         F_k(cos beta) = c_0 (pi - beta) - 2 sum_{n>=1} c_{nk} sin(n beta) / n.
 
-    The tail model integrates in closed form, and the exact part is one
-    Clenshaw pass through sin(n beta) = sin(beta) U_{n-1}(cos beta) over
-    about SERIES_SPAN (L + 1) / k terms, on chunks of SUM_CHUNK points. The
-    cost does not grow with k. z may stray past [-1, 1] by
-    chebpoly.DOMAIN_SLACK; z and the result are clipped, as in
+    The tail model integrates in closed form (x = 2 beta halves its
+    antiderivative once more), and the exact part is one Clenshaw pass
+    through sin(n beta) = sin(beta) U_{n-1}(cos beta) over about
+    SERIES_SPAN (L + 1) / k terms, on chunks of SUM_CHUNK points, as in
+    series_bounded_factor. The cost does not grow with k. z may stray past
+    [-1, 1] by chebpoly.DOMAIN_SLACK; z and the result are clipped, as in
     pushforward_cdf.
     """
     k = _index(k, 1, "Chebyshev index")
-    arr = _unit_interval(z)
-    c, model = _aliased_coeffs(series, k)
-    u = c[:0:-1] / np.arange(len(c) - 1, 0, -1)  # 2 e_{nk} / n for n = N..1
-    flat = arr.ravel()
-    out = np.empty(flat.size)
-    for lo in range(0, flat.size, SUM_CHUNK):
-        x = flat[lo:lo + SUM_CHUNK]
-        beta = np.arccos(x)
-        # Clenshaw for sum_n u_n U_{n-1}(x): b <- u_n + 2 x b' - b'', in three buffers
-        twice = 2.0 * x
-        b1, b2, b = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
-        for un in u:
-            np.multiply(twice, b1, out=b)
-            b -= b2
-            b += un
-            b1, b2, b = b, b1, b2
-        # the model's integral: x = 2 beta halves its antiderivative once more
-        tail = 0.0
-        for p, odd, even in model:
-            tail = (tail + odd * _SIN_SUMS[p](beta)
-                    + (even - odd) * _SIN_SUMS[p](2.0 * beta) / 2**(p + 1))
-        out[lo:lo + SUM_CHUNK] = (c[0] * (np.pi - beta) - np.sqrt((1.0 - x) * (1.0 + x)) * b1
-                                  + 2.0 * tail / np.pi)
-    out = out.reshape(arr.shape)
+    out = _series_on_chunks(series, k, _unit_interval(z), _SIN_SUMS, 1, _series_cdf_chunk)
     return np.clip(out, 0.0, 1.0, out=out)
 
 

@@ -14,10 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebpush import cli
+from chebpush import cli, pushforward
 from chebpush.cli import MAX_K, MAX_ORDER, MAX_POINTS, MAX_WORK, main, parse_ks
 from chebpush.densities import make_density
-from chebpush.pushforward import default_grid, pushforward_pdf
+from chebpush.pushforward import (
+    bounded_factor,
+    default_grid,
+    pushforward_cdf,
+    pushforward_pdf,
+    series_bounded_factor,
+    series_cdf,
+)
+from chebpush.spectral import expand_density
 from oracles import emit_reference
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -84,8 +92,9 @@ def _refuse_computing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("computation started")
 
-    for name in ("bounded_factor", "mass_left_of_zero", "convergence_report",
-                 "expand_density", "sample", "sup_error"):
+    # every compute function the commands call
+    for name in ("bounded_factor", "pushforward_cdf", "series_bounded_factor", "series_cdf",
+                 "expand_density", "convergence_report", "sample", "sup_error"):
         monkeypatch.setattr(cli, name, refuse)
 
 
@@ -153,12 +162,23 @@ def test_dance_defaults_and_mass_pattern(capsys):
     mass = {int(r[0]): float(r[3]) for r in rows}
     assert mass[2] > 0.5 and mass[6] > 0.5
     assert mass[4] < 0.5 and mass[8] < 0.5
-    # every k's column is the library's f_k, bit for bit: %.17g round-trips
+    # every k's columns are those of the route the rule picks, bit for bit
+    # (%.17g round-trips): the angle sum up to k = 7, the series route from
+    # k = 8; that route stays within 1e-12 of the angle sum, S_k and mass alike
     d, z = make_density("gauss", sigma=0.25), default_grid(33)
+    series, root = expand_density(d), np.sqrt((1.0 - z) * (1.0 + z))
     for k in ks:
         k_rows = [r for r in rows if int(r[0]) == k]
         assert [float(r[1]) for r in k_rows] == z.tolist()
-        assert [float(r[2]) for r in k_rows] == pushforward_pdf(d, k, z).tolist()
+        angle, mass = bounded_factor(d, k, z), pushforward_cdf(d, k, 0.0)
+        if k >= 8:
+            bounded, left = series_bounded_factor(series, k, z), series_cdf(series, k, 0.0)
+            assert np.max(np.abs(bounded - angle)) < 1e-12
+            assert abs(left - mass) < 1e-12
+        else:
+            bounded, left = angle, mass
+        assert [float(r[2]) for r in k_rows] == (bounded / root).tolist()
+        assert {float(r[3]) for r in k_rows} == {left}
 
 
 def test_dance_arcsine_rows_sit_on_the_limit(capsys):
@@ -461,9 +481,9 @@ def test_the_experiment_mc_runs_pass_with_nothing_on_stderr(tmp_path):
 
 
 def test_mc_takes_the_series_cdf_where_it_has_at_most_k_terms(capsys, monkeypatch):
-    # 520 / k series terms against k angle terms, and only for a decayed
-    # expansion: uniform01 has a jump and arcsine is unbounded, so neither
-    # is expanded
+    # from k = SERIES_MIN_K = 8, where the series route is the cheaper one,
+    # and only for a decayed expansion: uniform01 has a jump and arcsine is
+    # unbounded, so neither is expanded
     calls = []
     for name in ("series_cdf", "pushforward_cdf", "expand_density"):
         def spy(*args, _fn=getattr(cli, name), _name=name):
@@ -477,9 +497,71 @@ def test_mc_takes_the_series_cdf_where_it_has_at_most_k_terms(capsys, monkeypatc
         routes[argv[2], int(argv[4])] = calls[:]
     assert len(routes) == 8
     series = {key for key, used in routes.items() if "series_cdf" in used}
-    assert series == {("uniform", 32), ("gauss:0,0.25", 32)}
+    assert series == {(dist, k) for dist in ("uniform", "gauss:0,0.25") for k in (8, 32)}
     assert all(routes[key] == ["expand_density", "series_cdf"] for key in series)
     assert all(used == ["pushforward_cdf"] for key, used in routes.items() if key not in series)
+
+
+ROUTE_FUNCTIONS = ("bounded_factor", "pushforward_cdf", "series_bounded_factor", "series_cdf")
+
+# argv -> the compute calls of the command, in order
+ROUTE_CASES = (
+    # k = 7 stays on the angle sum and k = 8 takes the series route
+    (["pdf", "--dist", "gauss:0,0.25", "--k", "7"], ["bounded_factor"]),
+    (["pdf", "--dist", "gauss:0,0.25", "--k", "8"], ["expand_density", "series_bounded_factor"]),
+    (["pdf", "--dist", "ramp", "--k", "32768"], ["expand_density", "series_bounded_factor"]),
+    # a jump and an unbounded pdf are never expanded
+    (["pdf", "--dist", "uniform01", "--k", "64"], ["bounded_factor"]),
+    (["pdf", "--dist", "arcsine", "--k", "64"], ["bounded_factor"]),
+    # an expansion that has not decayed leaves the angle sum in place
+    (["pdf", "--dist", "gauss:0,0.001", "--k", "8"], ["expand_density", "bounded_factor"]),
+    # one expansion for the whole ladder, S_k and F_k from the same route
+    (["dance", "--ks", "6..9"], ["expand_density"] + ["bounded_factor", "pushforward_cdf"] * 2
+     + ["series_bounded_factor", "series_cdf"] * 2),
+    (["dance", "--ks", "2..7"], ["bounded_factor", "pushforward_cdf"] * 6),
+    (["dance", "--dist", "uniform01", "--ks", "7..9"], ["bounded_factor", "pushforward_cdf"] * 3),
+    (["dance", "--dist", "arcsine", "--ks", "8,16"], ["bounded_factor", "pushforward_cdf"] * 2),
+    (["mc", "--dist", "uniform", "--k", "7"], ["pushforward_cdf"]),
+    (["mc", "--dist", "uniform", "--k", "8"], ["expand_density", "series_cdf"]),
+    (["mc", "--dist", "uniform01", "--k", "8"], ["pushforward_cdf"]),
+    (["mc", "--dist", "arcsine", "--k", "8"], ["pushforward_cdf"]),
+    # converge and invariance measure the angle sum itself
+    (["converge", "--dist", "gauss:0,0.25", "--ks", "8,16,32"], ["bounded_factor"] * 3
+     + ["expand_density"]),
+    (["invariance", "--k", "9"], ["bounded_factor"] * 9),
+)
+
+
+def test_pdf_dance_and_mc_follow_one_route_rule(capsys, monkeypatch):
+    # spies in cli and in pushforward, whose convergence_report, sup_error
+    # and mass_left_of_zero call its own functions
+    calls = []
+    for module, names in ((cli, ("expand_density", *ROUTE_FUNCTIONS)),
+                          (pushforward, ROUTE_FUNCTIONS)):
+        for name in names:
+            def spy(*args, _fn=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(module, name, spy)
+    small = {"pdf": ["--grid", "9"], "dance": ["--grid", "9"], "mc": ["--n", "1000"],
+             "converge": ["--grid", "9"], "invariance": ["--grid", "9"]}
+    for argv, expected in ROUTE_CASES:
+        calls.clear()
+        assert run_cli(capsys, *argv, *small[argv[0]])[0] == 0, argv
+        assert calls == expected, argv
+        assert calls.count("expand_density") <= 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(mu=st.floats(-0.6, 0.6), sigma=st.floats(0.15, 1.0), k=st.integers(8, 4096))
+def test_the_route_of_a_decayed_gaussian_matches_the_angle_sum(mu, sigma, k):
+    d = make_density("gauss", mu=mu, sigma=sigma)
+    assert expand_density(d).decayed
+    [(bounded, cdf)] = cli._exact_routes(d, (k,))
+    assert bounded.func is series_bounded_factor and cdf.func is series_cdf
+    z = default_grid(33)
+    assert np.max(np.abs(bounded(z) - bounded_factor(d, k, z))) <= 1e-11
+    assert abs(cdf(0.0) - pushforward_cdf(d, k, 0.0)) <= 1e-12
 
 
 def test_budget_accepts_the_documented_runs():

@@ -506,6 +506,15 @@ def test_series_cdf_memory_is_flat_in_the_points():
     assert peak < 3 * x.nbytes + 2**21
 
 
+def test_series_bounded_factor_memory_is_flat_in_the_points():
+    # the output plus temporaries of SUM_CHUNK points; unchunked, its
+    # temporaries took about 11 MB here
+    s = expand_density(make_density("gauss", mu=0.0, sigma=0.25))
+    z = default_grid(200_000)
+    peak = _peak_bytes(lambda: series_bounded_factor(s, 32, z))
+    assert peak < z.nbytes + 2**22
+
+
 def test_series_route_memory_is_linear_in_the_order():
     # a dense (SERIES_SPAN (L + 1) / k) x (L + 1) coefficient matrix would
     # take 67 MB here; only the series length matters, so the uniform
