@@ -39,8 +39,10 @@ from .spectral import DEFAULT_ORDER, even_moment_sum, expand_density, normalizat
 # with the reason before any computation starts. Times and sizes are from a
 # 2-core x86-64 container.
 # Largest Chebyshev index of any --k or --ks value. The angle sum costs O(k)
-# per grid point: `pdf --dist uniform01 --k 1048576` on the default
-# 201-point grid, which stays on it, takes 8-9 s.
+# per grid point: `pdf --dist gauss:0,0.001 --k 1048576` on the default
+# 201-point grid, whose expansion has not decayed and which so stays on it,
+# takes about 10 s. The series route takes `pdf --dist uniform01` there in
+# 0.02 s, which took 7.4 s on the angle sum.
 MAX_K = 2**20
 # Angle terms one command may sum: k per grid point (per sample for mc's
 # exact-cdf KS), added up over every k it computes. `pdf --k 1048576` on
@@ -68,9 +70,14 @@ EMIT_ROWS = 1024
 # 1e5-point grid (S_k): gauss:0,0.25 0.78 / 0.72 at k = 4, 2.11 / 1.16 at 7
 # and 2.41 / 1.53 at 8; uniform and ramp 0.46-0.50 / 0.51-0.66 at k = 4,
 # 1.01-1.04 / 1.52-1.56 at 7 and 1.29 / 1.39-1.92 at 8. From k = 8 on,
-# both series routes are the cheaper on every density. The series route
-# has a fixed cost of about 0.3-0.6 ms, so on a few hundred points the
-# angle sum stays cheaper further up; the rule does not look at the count.
+# both series routes are the cheaper on every smooth density. uniform01,
+# whose jump adds terms to the route and whose angle law is cheap, reads
+# 0.27 / 0.56 at k = 4, 0.58 / 1.23 at 7, 0.67 / 1.54 at 8, 1.00 / 2.01 at
+# 10 and 1.88 / 3.91 at 16: its S_k crosses below k = 7 and its cdf at
+# k = 10, so mc pays for k = 8 and 9 there. The series route has a fixed
+# cost of about 0.3-0.6 ms (0.2-0.7 ms more with a jump), so on a few
+# hundred points the angle sum stays cheaper further up; the rule does not
+# look at the count.
 SERIES_MIN_K = 8
 
 # The angle terms of each command that sums any, as counted for MAX_WORK.
@@ -214,18 +221,21 @@ def _exact_routes(d, ks):
     route (series_bounded_factor, series_cdf) aliases the density's
     Chebyshev expansion at a cost independent of k, and is the cheaper on
     wide inputs from k = SERIES_MIN_K. A k takes the series route when it
-    is at least SERIES_MIN_K, the density is expandable and has no jump,
-    and its expansion has decayed, which ChebSeries.decayed reports. The
-    density's flags and the k values come first, so a jump
-    (uniform01, whose series cannot decay), an unbounded pdf (arcsine, not
-    expandable) or a ladder of small k expands nothing; otherwise the
-    density is expanded once for the whole ladder. Where the series route
-    runs, the two routes agree in S_k to within 5.3e-15 on the catalog
-    densities at eleven k from 8 to 32768, and to within 1.3e-13 over a
-    sweep of gaussians with mu in [-0.6, 0.6] and sigma in [0.15, 1].
+    is at least SERIES_MIN_K, the density is expandable and its expansion
+    has decayed, which ChebSeries.decayed reports. A density with jumps,
+    such as uniform01, is expanded piece by piece between them, and the
+    route adds each jump's terms in closed form. The density's flag and
+    the k values come first, so an unbounded pdf (arcsine, not expandable)
+    or a ladder of small k expands nothing; otherwise the density is
+    expanded once for the whole ladder. Where the series route runs, the
+    two routes agree in S_k to within 5.3e-15 on the smooth catalog
+    densities at eleven k from 8 to 32768, to within 1.3e-13 over a sweep of
+    gaussians with mu in [-0.6, 0.6] and sigma in [0.15, 1], and to within
+    1.1e-14 on uniform01 at 131 k from 8 to 8000 away from the jump's image
+    T_k(0), where S_k jumps and the series route gives the midpoint.
     """
     series = None
-    if max(ks) >= SERIES_MIN_K and d.expandable and not d.discontinuous:
+    if max(ks) >= SERIES_MIN_K and d.expandable:
         series = expand_density(d)
         if not series.decayed:
             series = None

@@ -24,7 +24,12 @@ Three routes to S_k live here and deliberately stay independent so they can
 cross-check each other: the direct angle sum above, a closed-form reassembly
 through the Chebyshev series of the input density, and a second-order
 asymptotic expansion in 1/k. The series route also integrates to the cdf,
-series_cdf, at a cost independent of k.
+series_cdf, at a cost independent of k. A density with interior jumps
+enters it through one series per piece between the jumps: the route adds
+each jump's terms to the aliased sum in closed form (Eckhoff's
+correction), so it covers any bounded piecewise-smooth pdf. S_k itself
+jumps where z = T_k(x*), x* a pdf jump; there the series route gives the
+midpoint of its two one-sided values.
 
 The angle sum and the cdf share one evaluator, _preimage_sum. It takes
 SUM_BLOCK values of j at a time as an interleaved (a_1, b_1, a_2, b_2, ...)
@@ -83,8 +88,22 @@ SERIES_SPAN = 8
 # sum_{n>=1} cos(n x) / n^p for x in [0, 2 pi], p = 2 and 4 (Bernoulli polynomials)
 _COS_SUMS = {2: np.polynomial.Polynomial([np.pi**2 / 6, -np.pi / 2, 1 / 4]),
              4: np.polynomial.Polynomial([np.pi**4 / 90, 0, -np.pi**2 / 12, np.pi / 12, -1 / 48])}
-# their antiderivatives from 0: sum_{n>=1} sin(n x) / n^(p+1) on the same interval
-_SIN_SUMS = {p: s.integ() for p, s in _COS_SUMS.items()}
+# and, keyed by p + 1, their antiderivatives from 0: sum_{n>=1} sin(n x) / n^(p+1)
+_SUMS = {p: s for q, c in _COS_SUMS.items() for p, s in ((q, c), (q + 1, c.integ()))}
+# sum_{n>=1} sin(n x) / n^p for odd p and cos(n x) / n^p for even p, x in
+# (0, 2 pi), as coefficients, lowest degree first, one row per p = 1..6: the
+# sawtooth (pi - x) / 2, _SUMS, and zeta(6) minus the antiderivative of p = 5
+_SUM_COEFS = np.zeros((6, 7))
+_SUM_COEFS[0, :2] = np.pi / 2, -1 / 2
+_SUM_COEFS[5] = np.pi**6 / 945, 0, -np.pi**4 / 180, 0, np.pi**2 / 144, -np.pi / 240, 1 / 1440
+for _p, _s in _SUMS.items():
+    _SUM_COEFS[_p - 1, :len(_s.coef)] = _s.coef
+
+# The sawtooth jumps where its argument is a multiple of 2 pi, and so does
+# S_k at the image T_k(x*) of a pdf jump x*. There the series route gives
+# the midpoint of the two one-sided values: at an argument within this
+# many ulps of (k + 1) pi of the jump, past the rounding of k t* +- beta.
+IMAGE_ULPS = 16
 
 
 def default_grid(n=201):
@@ -179,46 +198,164 @@ def _sin_coeffs(j):
     return np.divide(-4.0 / np.pi, j * j - 1.0, out=np.zeros(j.shape), where=j % 2 == 0)
 
 
+def _on_roots(b, n):
+    """sum_l b_l cos(l theta_j) at theta_j = pi (j + 1/2) / n for j < n.
+
+    That is a DCT-III, taken by one FFT of length 2n.
+    """
+    phase = np.exp(-0.5j * np.pi * np.arange(len(b)) / n)
+    return np.fft.fft(b * phase, 2 * n)[:n].real
+
+
+@lru_cache(maxsize=4)
+def _fejer_rule(n):
+    """Nodes cos(pi (j + 1/2) / n) and weights of Fejer's first rule on [-1, 1].
+
+    The rule is exact for polynomials of degree below n. Its weights are
+    (2 / n) sum_l b_l cos(l theta_j), with b_0 = 1, b_l = 2 / (1 - l^2) for
+    even l and 0 for odd l.
+    """
+    b = np.zeros(n)
+    b[::2] = 2.0 / (1.0 - np.arange(0.0, n, 2.0) ** 2)
+    b[0] = 1.0
+    u, w = np.cos(np.pi * (np.arange(n) + 0.5) / n), _on_roots(b, n) * (2.0 / n)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
+def _piece_moments(pieces, k, span):
+    """The exact c_m = (1/pi) int f T_m dx for m = 0, k, 2k, ... up to span, piece by piece.
+
+    Fejer's rule on each piece integrates its degree-L expansion times T_m
+    exactly for m up to span; the expansion's values on the rule's nodes
+    are one DCT-III. A piece where f is 0, such as uniform01's left one,
+    adds nothing and is skipped. The cosines are taken a block of m at a
+    time, so no temporary holds much more than SUM_CHUNK elements.
+    """
+    n = len(pieces[0][2]) + span
+    u, w = _fejer_rule(n)
+    pieces = [piece for piece in pieces if piece[2].any()]
+    theta = np.concatenate([np.arccos(0.5 * (lo + hi) + 0.5 * (hi - lo) * u)
+                            for lo, hi, _ in pieces])
+    vals = np.concatenate([0.5 * (hi - lo) / np.pi * w * _on_roots(coeffs, n)
+                           for lo, hi, coeffs in pieces])
+    m = np.arange(0, span + 1, k)
+    rows = max(1, SUM_CHUNK // theta.size)
+    return np.concatenate([np.cos(np.outer(m[i:i + rows], theta)) @ vals
+                           for i in range(0, m.size, rows)])
+
+
+def _end_sums(l, left, right):
+    """The even and odd sums P_r of a series' coefficients, read from its end pieces.
+
+    f(1) is the sum of both of the right piece's sums and f(-1) the even
+    minus the odd one of the left piece's; P_0 = (f(1) + f(-1)) / 2 and
+    P_1 = (f(1) - f(-1)) / 2. A piece that is both ends gives its own sums,
+    bit for bit.
+    """
+    lsum, rsum = np.bincount(l % 2, left, minlength=2), np.bincount(l % 2, right, minlength=2)
+    return 0.5 * (rsum + lsum) + 0.5 * (rsum - lsum)[::-1]
+
+
+def _end_derivatives(lo, hi, coeffs, end):
+    """f and its first four derivatives from a piece's series, at hi (end 1) or lo (end -1)."""
+    l = np.arange(len(coeffs))
+    terms = coeffs * float(end) ** l
+    scale = end * 2.0 / (hi - lo)
+    out = []
+    for j in range(5):
+        out.append(terms.sum() * scale**j)
+        # T_l^(j+1)(1) = T_l^(j)(1) (l^2 - j^2) / (2 j + 1); at -1, times (-1)^(l + j + 1)
+        terms = terms * (l * l - j * j) / (2 * j + 1)
+    return np.array(out)
+
+
+def _jump_model(x, df):
+    """G = (-[h], -[h'], [h''], [h'''], -[h'''']) of h(t) = f(cos t) sin t at t* = arccos(x).
+
+    df holds the jumps of f and its first four derivatives across x, the
+    left piece's value minus the right one's: [.] is the value after t*
+    minus the value before, and t grows as x falls. Integrating by parts,
+    c_m gains (1/pi) sum_p G_p trig_p(m t*) / m^p + O(m^-6), trig_p = sin
+    for odd p and cos for even p.
+    """
+    s, c = np.sqrt((1.0 - x) * (1.0 + x)), x
+    # the t derivatives of g(t) = f(cos t), then by Leibniz those of h = g sin t
+    g = (df[0], -s * df[1], s * s * df[2] - c * df[1],
+         s * df[1] + 3.0 * s * c * df[2] - s**3 * df[3],
+         c * df[1] + (3.0 * c * c - 4.0 * s * s) * df[2] - 6.0 * s * s * c * df[3] + s**4 * df[4])
+    h = (g[0] * s, g[1] * s + g[0] * c, g[2] * s + 2.0 * g[1] * c - g[0] * s,
+         g[3] * s + 3.0 * g[2] * c - 3.0 * g[1] * s - g[0] * c,
+         g[4] * s + 4.0 * g[3] * c - 6.0 * g[2] * s - 4.0 * g[1] * c + g[0] * s)
+    return np.array([-h[0], -h[1], h[2], h[3], -h[4]])
+
+
 def _aliased_coeffs(series, k):
     """The Chebyshev coefficients of S_k, exact part and tail model apart.
 
     Returns c = [c_0, 2 e_k, 2 e_2k, ...], e_{nk} the exact c_{nk} minus its
-    1/m^2, 1/m^4 model, for nk up to SERIES_SPAN (L + 1), and the model as
-    (p, odd, even) triples: the model part of S_k(cos beta) is
+    model, for nk up to SERIES_SPAN (L + 1); the endpoint model as
+    (p, odd, even) triples: its part of S_k(cos beta) is
     -(2 / pi) sum_p sum_{n>=1} w_n cos(n beta) / n^p, with w_n = odd for odd
-    n and even for even n. series_bounded_factor documents the formulas.
+    n and even for even n; and the jump model as (phase, g) pairs, phase =
+    k t* mod 2 pi and g_p = G_p / k^p: its part of S_k(cos beta) is
+    (1/pi) sum_p g_p [s_p(phase + beta) + s_p(phase - beta)], s_p = _SUMS[p].
+    series_bounded_factor documents the formulas.
     """
     mu = series.coeffs
     order = len(mu) - 1
     l = np.arange(order + 1)
     span = SERIES_SPAN * (order + 1)
-    # a_{|j|} for j = -L..span + L: the two correlations sum mu_l a_{|m-l|}
-    # and mu_l a_{m+l} over l, for m = 0..span
-    a = _sin_coeffs(np.abs(np.arange(-order, span + order + 1)))
-    c = (np.correlate(a[:span + order + 1], mu[::-1], "valid")
-         + np.correlate(a[order:], mu, "valid"))[::k] / 4.0
-    p_r = np.bincount(l % 2, mu, minlength=2)
-    q_r = np.bincount(l % 2, (6.0 * l * l + 2.0) * mu, minlength=2)
+    pieces = series.pieces or ((-1.0, 1.0, mu),)
+    if series.pieces:
+        c = _piece_moments(pieces, k, span)
+    else:
+        # a_{|j|} for j = -L..span + L: the two correlations sum mu_l a_{|m-l|}
+        # and mu_l a_{m+l} over l, for m = 0..span
+        a = _sin_coeffs(np.abs(np.arange(-order, span + order + 1)))
+        c = (np.correlate(a[:span + order + 1], mu[::-1], "valid")
+             + np.correlate(a[order:], mu, "valid"))[::k] / 4.0
+    # the endpoint model reads f and f' at -1 and 1, each f' scaled to its piece
+    (lo, left_hi, left), (right_lo, hi, right) = pieces[0], pieces[-1]
+    p_r = _end_sums(l, left, right)
+    q_r = _end_sums(l, (6.0 * (2.0 / (left_hi - lo)) * l * l + 2.0) * left,
+                    (6.0 * (2.0 / (hi - right_lo)) * l * l + 2.0) * right)
+    m = k * np.arange(1.0, len(c))
+    jumps = []
+    for (below_lo, x, below), (_, above_hi, above) in zip(pieces, pieces[1:]):
+        g = _jump_model(x, _end_derivatives(below_lo, x, below, 1)
+                        - _end_derivatives(x, above_hi, above, -1))
+        t = np.arccos(x)
+        trig = np.cos(m * t), np.sin(m * t)
+        c[1:] -= sum(gp * trig[p % 2] / m**p for p, gp in enumerate(g, 1)) / np.pi
+        jumps.append((np.mod(k * t, _TWO_PI), g / float(k) ** np.arange(1, 6)))
     r = k * np.arange(1, len(c)) % 2
     m2 = (k * np.arange(1.0, len(c))) ** 2
     c[1:] = 2.0 * (c[1:] + (2.0 * p_r[r] + q_r[r] / m2) / (np.pi * m2))
     # for odd k, nk has the parity of n; for even k every nk is even
     model = tuple((p, w[k % 2] / k**p, w[0] / k**p) for p, w in ((2, 2.0 * p_r), (4, q_r)))
-    return c, model
+    return c, model, jumps
 
 
-def _series_on_chunks(series, k, arr, sums, halve, finish):
+def _series_on_chunks(series, k, arr, shift, finish):
     """A series route at the points arr, SUM_CHUNK points at a time.
 
-    For each chunk of points x, with beta = arccos(x), the tail model is
-    summed in closed form as (2 / pi) sum_p [odd s_p(beta)
-    + (even - odd) s_p(2 beta) / 2^(p + halve)], s_p = sums[p]: odd n take
-    the weights of beta, even n those of 2 beta. finish(c, x, beta, model)
-    gives the chunk's values from that and the aliased coefficients c.
+    For each chunk of points x, with beta = arccos(x), the endpoint model is
+    summed in closed form as (2 / pi) sum_p [odd s(beta)
+    + (even - odd) s(2 beta) / 2^(p + shift)], s = _SUMS[p + shift]: odd n
+    take the weights of beta, even n those of 2 beta. finish(c, x, beta,
+    model) gives the chunk's values from that and the aliased coefficients
+    c. Each jump adds (1/pi) [P(x+) + (-1)^shift P(x-)], x+- = (phase +- beta)
+    mod 2 pi, with P = sum_p g_p _SUMS[p] for S_k (shift 0) and, integrated
+    once more for F_k (shift 1), P = sum_p (-1)^(p+1) g_p _SUMS[p + 1].
     Every step is pointwise, so a point's value does not depend on the
     chunking, and no temporary is larger than a chunk.
     """
-    c, model = _aliased_coeffs(series, k)
+    c, model, jumps = _aliased_coeffs(series, k)
+    signs = np.array([1.0, -1.0, 1.0, -1.0, 1.0]) ** shift
+    polys = [(phase, (signs * g) @ _SUM_COEFS[shift:shift + 5], g[0] if shift == 0 else 0.0)
+             for phase, g in jumps]
+    near = IMAGE_ULPS * np.spacing((k + 1) * np.pi)
     flat = arr.ravel()
     out = np.empty(flat.size)
     for lo in range(0, flat.size, SUM_CHUNK):
@@ -226,13 +363,53 @@ def _series_on_chunks(series, k, arr, sums, halve, finish):
         beta = np.arccos(x)
         tail = 0.0
         for p, odd, even in model:
-            tail = tail + odd * sums[p](beta) + (even - odd) * sums[p](2.0 * beta) / 2**(p + halve)
-        out[lo:lo + SUM_CHUNK] = finish(c, x, beta, 2.0 * tail / np.pi)
+            s = _SUMS[p + shift]
+            tail = tail + odd * s(beta) + (even - odd) * s(2.0 * beta) / 2**(p + shift)
+        values = finish(c, x, beta, 2.0 * tail / np.pi)
+        for phase, coefs, saw in polys:
+            for side in (1.0, -1.0):
+                # phase + side beta lies in [-pi, 3 pi); one shift of 2 pi takes it to [0, 2 pi)
+                arg = side * beta
+                arg += phase
+                np.subtract(arg, side * _TWO_PI, out=arg, where=(arg < 0.0) | (arg >= _TWO_PI))
+                part = np.full_like(arg, coefs[-1])
+                for ci in coefs[-2::-1]:
+                    part *= arg
+                    part += ci
+                if saw:
+                    # at the sawtooth's jump, its midpoint 0 rather than +-pi/2
+                    at = np.flatnonzero((arg <= near) | (arg >= _TWO_PI - near))
+                    part[at] -= saw * (np.pi - arg[at]) / 2.0
+                part *= side**shift / np.pi
+                values += part
+        out[lo:lo + SUM_CHUNK] = values
     return out.reshape(arr.shape)
 
 
+def _clenshaw(x, c):
+    """np.polynomial.chebyshev.chebval(x, c) for a 1-d x, in three buffers.
+
+    It does chebval's operations in chebval's order, so its bits are
+    chebval's: b'' <- c_i - b', b' <- b'' + 2 x b', then b'' + x b'.
+    """
+    if len(c) < 3:
+        return c[0] + (c[1] if len(c) == 2 else 0) * x
+    twice = 2 * x
+    b0, b1, t = np.full_like(x, c[-2]), np.full_like(x, c[-1]), np.empty_like(x)
+    for ci in c[-3::-1]:
+        np.subtract(ci, b1, out=t)
+        b1 *= twice
+        b1 += b0
+        b0, t = t, b0
+    b1 *= x
+    b1 += b0
+    return b1
+
+
 def _series_pdf_chunk(c, x, beta, model):
-    return np.polynomial.chebyshev.chebval(x, c) - model
+    out = _clenshaw(x, c)
+    out -= model
+    return out
 
 
 def _series_cdf_chunk(c, x, beta, model):
@@ -261,12 +438,30 @@ def series_bounded_factor(series, k, z):
     c_m = -(2 P_r / m^2 + Q_r / m^4) / pi + O(m^-6), with P_r and Q_r the
     sums of mu_l and (6 l^2 + 2) mu_l over l of the parity r of m; that
     model is summed in closed form over every n and taken out of the exact
-    part. The route sees only the coefficients, never the density. It runs
-    on chunks of SUM_CHUNK points, so its cost does not grow with k and its
+    part.
+
+    A density with interior jumps x* has one series per piece between them
+    (ChebSeries.pieces). Its exact c_m = (1/pi) int f T_m dx are integrated
+    piece by piece, and P_r and Q_r come from the two end pieces. Each jump
+    adds (1/pi) (G_1 sin(m t*) / m + G_2 cos(m t*) / m^2 + G_3 sin(m t*) / m^3
+    + G_4 cos(m t*) / m^4 + G_5 sin(m t*) / m^5) to c_m, t* = arccos(x*),
+    G the one-sided jumps of h and its first four derivatives there, read
+    from the two pieces' series (Eckhoff's correction; _jump_model gives the
+    signs). The fifth term takes the gap to the angle sum next to a jump's
+    image at k = 9 from 1.1e-13 to 1.0e-14. Aliased over m = nk, each term sums in
+    closed form: sum_n sin(n k t*) cos(n beta) / n^p is half the sum of
+    sin(n x) / n^p at x = k t* + beta and at k t* - beta, a sawtooth for
+    p = 1 and a Bernoulli polynomial otherwise. S_k then jumps where
+    z = T_k(x*), and there the route gives the midpoint of its two one-sided
+    values. The angle sum gives one of them, whichever side the rounded
+    preimage angle falls on.
+
+    The route sees only the coefficients, never the density. It runs on
+    chunks of SUM_CHUNK points, so its cost does not grow with k and its
     memory beyond the result does not grow with the number of points.
     """
     k = _index(k, 1, "Chebyshev index")
-    return _series_on_chunks(series, k, _open_interval(z), _COS_SUMS, 0, _series_pdf_chunk)
+    return _series_on_chunks(series, k, _open_interval(z), 0, _series_pdf_chunk)
 
 
 @_pointwise
@@ -279,16 +474,17 @@ def series_cdf(series, k, z):
 
         F_k(cos beta) = c_0 (pi - beta) - 2 sum_{n>=1} c_{nk} sin(n beta) / n.
 
-    The tail model integrates in closed form (x = 2 beta halves its
-    antiderivative once more), and the exact part is one Clenshaw pass
-    through sin(n beta) = sin(beta) U_{n-1}(cos beta) over about
-    SERIES_SPAN (L + 1) / k terms, on chunks of SUM_CHUNK points, as in
-    series_bounded_factor. The cost does not grow with k. z may stray past
-    [-1, 1] by chebpoly.DOMAIN_SLACK; z and the result are clipped, as in
+    The endpoint and jump models integrate in closed form (x = 2 beta halves
+    the endpoint model's antiderivative once more), and the exact part is
+    one Clenshaw pass through sin(n beta) = sin(beta) U_{n-1}(cos beta) over
+    about SERIES_SPAN (L + 1) / k terms, on chunks of SUM_CHUNK points, as
+    in series_bounded_factor. The cost does not grow with k. F_k is
+    continuous at the images of pdf jumps. z may stray past [-1, 1] by
+    chebpoly.DOMAIN_SLACK; z and the result are clipped, as in
     pushforward_cdf.
     """
     k = _index(k, 1, "Chebyshev index")
-    out = _series_on_chunks(series, k, _unit_interval(z), _SIN_SUMS, 1, _series_cdf_chunk)
+    out = _series_on_chunks(series, k, _unit_interval(z), 1, _series_cdf_chunk)
     return np.clip(out, 0.0, 1.0, out=out)
 
 

@@ -9,7 +9,11 @@ theta_j = pi (j + 1/2) / N. The nodes absorb the weight exactly, so the
 endpoint singularity of the weight never appears numerically, and the rule
 is exact for integrands of polynomial degree < 2N - l.
 
-A series whose tail has not decayed (a density with a jump, or too low an
+A density with interior jumps is also expanded piece by piece, one series
+per piece between its breakpoints, each on its piece mapped to [-1, 1]. Its
+global series converges slowly, like 1/l, but its pieces' series decay as a
+smooth density's do, and they are what the series route of pushforward
+reads. A series whose tail has not decayed (a narrow bump, or too low an
 order) is still returned, with ChebSeries.decayed False. That flag is the
 only report of it: no warning is raised.
 """
@@ -35,32 +39,30 @@ DEFAULT_ORDER = 64
 class ChebSeries:
     """Truncated Chebyshev expansion f ~ sum_l coeffs[l] T_l.
 
-    decayed is False when the tail had not dropped below DECAY_TOL at the
-    truncation order, i.e. the series is usable but not spectrally accurate.
+    For a density with interior jumps, pieces holds one expansion per piece
+    between them, left to right, as (lo, hi, coeffs) with
+    f(x) ~ sum_l coeffs[l] T_l(u) on [lo, hi], x = (lo + hi) / 2 + (hi - lo) u / 2;
+    it is empty for a density without jumps, whose one piece is coeffs.
+    decayed is False when the tail of the pieces (of coeffs without jumps)
+    had not dropped below DECAY_TOL at the truncation order, i.e. the series
+    is usable but not spectrally accurate.
     """
 
     coeffs: np.ndarray
     decayed: bool = True
+    pieces: tuple = ()
 
 
-def expand_density(d, order=DEFAULT_ORDER):
-    """Expand a bounded density to the given order.
+def _fit(pdf, lo, hi, order):
+    """The coefficients of pdf on [lo, hi] mapped to [-1, 1], and whether they decayed.
 
     The quadrature uses n = max(256, 4 (order + 1)) roots-grid points. Its
     sums over the grid are a DCT-II, taken by one real FFT of length 2n, so
     time is O(n log n) and memory O(n).
-
-    Densities flagged non-expandable (unbounded pdf) raise ValueError: their
-    coefficients are not defined by this quadrature. A series whose tail
-    has not decayed below DECAY_TOL is returned with decayed=False, which is
-    the only report of it: no warning is raised.
     """
-    if not d.expandable:
-        raise ValueError(f"{d.name} has no convergent Chebyshev expansion (unbounded pdf)")
-    order = _index(order, 1, "series order")
     n = max(256, 4 * (order + 1))
     theta = np.pi * (np.arange(n) + 0.5) / n
-    fx = d.pdf(np.cos(theta))
+    fx = pdf(0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta))
     # sum_j fx_j cos(l theta_j) is half of exp(-i pi l / 2n) times the l-th
     # FFT term of fx followed by its mirror image
     ls = np.arange(order + 1)
@@ -71,7 +73,27 @@ def expand_density(d, order=DEFAULT_ORDER):
     # symmetric or half-supported densities zero out every other coefficient
     tail = float(np.max(np.abs(mu[max(1, order - 3):])))
     mu.flags.writeable = False
-    return ChebSeries(coeffs=mu, decayed=tail < DECAY_TOL)
+    return mu, tail < DECAY_TOL
+
+
+def expand_density(d, order=DEFAULT_ORDER):
+    """Expand a bounded density to the given order, and each piece of one with jumps.
+
+    Densities flagged non-expandable (unbounded pdf) raise ValueError: their
+    coefficients are not defined by this quadrature. A series whose tail
+    has not decayed below DECAY_TOL is returned with decayed=False, which is
+    the only report of it: no warning is raised.
+    """
+    if not d.expandable:
+        raise ValueError(f"{d.name} has no convergent Chebyshev expansion (unbounded pdf)")
+    order = _index(order, 1, "series order")
+    mu, decayed = _fit(d.pdf, -1.0, 1.0, order)
+    if not d.breakpoints:
+        return ChebSeries(coeffs=mu, decayed=decayed)
+    edges = (-1.0, *sorted(map(float, d.breakpoints)), 1.0)
+    fits = [(lo, hi, *_fit(d.pdf, lo, hi, order)) for lo, hi in zip(edges, edges[1:])]
+    return ChebSeries(coeffs=mu, decayed=all(fit[3] for fit in fits),
+                      pieces=tuple(fit[:3] for fit in fits))
 
 
 def normalization_residual(series):

@@ -6,7 +6,8 @@ bisection points for branch inversion, interval unions in angle space for
 distribution functions, adaptive quadrature for moments and cdfs, and the
 error function for the truncated gaussian. Tests compare the library
 against these, never against itself. CATALOG is the set of densities the
-tests sweep over.
+tests sweep over; two_piece_density builds one outside it, with its jump
+anywhere inside (-1, 1).
 
 The exceptions are the scalar j loop of the angle sum
 (`angle_sum_reference`, `angle_cdf_reference`) and the per-cell output
@@ -26,13 +27,52 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erf, ndtr, ndtri
 
-from chebpush.densities import make_density
+from chebpush.densities import Density, make_density
 
 TWO_PI = 2.0 * np.pi
 
 # Every catalog density, the gaussian as gauss:0,0.25.
 CATALOG = (*(make_density(name) for name in ("arcsine", "uniform", "ramp", "uniform01")),
            make_density("gauss", mu=0.0, sigma=0.25))
+
+
+def two_piece_density(xstar, left, right):
+    """A density linear on [-1, x*] and on (x*, 1], with a jump at x*.
+
+    left and right are the unnormalized pdf values at the ends of each
+    piece, (at -1, at x*) and (at x*, at 1). The cdf is the integral of the
+    two lines, the ppf inverts it by bisection, and the angle law is built
+    from both as in the catalog, so the density is as exact as they are.
+    """
+    width = (xstar + 1.0, 1.0 - xstar)
+    mass_left = 0.5 * (left[0] + left[1]) * width[0]
+    total = mass_left + 0.5 * (right[0] + right[1]) * width[1]
+
+    def pdf(x):
+        x = np.asarray(x, dtype=float)
+        a = left[0] + (left[1] - left[0]) * (x + 1.0) / width[0]
+        b = right[0] + (right[1] - right[0]) * (x - xstar) / width[1]
+        inside = (x >= -1.0) & (x <= 1.0)
+        return np.where(inside, np.where(x <= xstar, a, b), 0.0) / total
+
+    def cdf(x):
+        x = np.clip(np.asarray(x, dtype=float), -1.0, 1.0)
+        u, v = x + 1.0, x - xstar
+        a = left[0] * u + (left[1] - left[0]) * u * u / (2.0 * width[0])
+        b = mass_left + right[0] * v + (right[1] - right[0]) * v * v / (2.0 * width[1])
+        return np.where(x <= xstar, a, b) / total
+
+    def ppf(q):
+        lo, hi = np.full(np.shape(q), -1.0), np.full(np.shape(q), 1.0)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            below = cdf(mid) < q
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        return 0.5 * (lo + hi)
+
+    return Density(f"two-piece:{xstar}", pdf, cdf, ppf,
+                   angle_pdf=lambda theta: pdf(np.cos(theta)) * np.sin(theta),
+                   angle_cdf=lambda theta: 1.0 - cdf(np.cos(theta)), breakpoints=(xstar,))
 
 
 def cheb_eval_recurrence(k, x):

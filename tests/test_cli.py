@@ -26,7 +26,7 @@ from chebpush.pushforward import (
     series_cdf,
 )
 from chebpush.spectral import expand_density
-from oracles import emit_reference
+from oracles import emit_reference, two_piece_density
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -482,8 +482,8 @@ def test_the_experiment_mc_runs_pass_with_nothing_on_stderr(tmp_path):
 
 def test_mc_takes_the_series_cdf_where_it_has_at_most_k_terms(capsys, monkeypatch):
     # from k = SERIES_MIN_K = 8, where the series route is the cheaper one,
-    # and only for a decayed expansion: uniform01 has a jump and arcsine is
-    # unbounded, so neither is expanded
+    # and only for a decayed expansion: uniform01 is expanded piece by piece
+    # around its jump, and arcsine is unbounded, so it is never expanded
     calls = []
     for name in ("series_cdf", "pushforward_cdf", "expand_density"):
         def spy(*args, _fn=getattr(cli, name), _name=name):
@@ -497,7 +497,8 @@ def test_mc_takes_the_series_cdf_where_it_has_at_most_k_terms(capsys, monkeypatc
         routes[argv[2], int(argv[4])] = calls[:]
     assert len(routes) == 8
     series = {key for key, used in routes.items() if "series_cdf" in used}
-    assert series == {(dist, k) for dist in ("uniform", "gauss:0,0.25") for k in (8, 32)}
+    assert series == {(dist, k) for dist in ("uniform", "gauss:0,0.25", "uniform01")
+                      for k in (8, 32)}
     assert all(routes[key] == ["expand_density", "series_cdf"] for key in series)
     assert all(used == ["pushforward_cdf"] for key, used in routes.items() if key not in series)
 
@@ -510,8 +511,9 @@ ROUTE_CASES = (
     (["pdf", "--dist", "gauss:0,0.25", "--k", "7"], ["bounded_factor"]),
     (["pdf", "--dist", "gauss:0,0.25", "--k", "8"], ["expand_density", "series_bounded_factor"]),
     (["pdf", "--dist", "ramp", "--k", "32768"], ["expand_density", "series_bounded_factor"]),
-    # a jump and an unbounded pdf are never expanded
-    (["pdf", "--dist", "uniform01", "--k", "64"], ["bounded_factor"]),
+    # a jump is expanded piece by piece from k = 8, and an unbounded pdf never
+    (["pdf", "--dist", "uniform01", "--k", "7"], ["bounded_factor"]),
+    (["pdf", "--dist", "uniform01", "--k", "64"], ["expand_density", "series_bounded_factor"]),
     (["pdf", "--dist", "arcsine", "--k", "64"], ["bounded_factor"]),
     # an expansion that has not decayed leaves the angle sum in place
     (["pdf", "--dist", "gauss:0,0.001", "--k", "8"], ["expand_density", "bounded_factor"]),
@@ -519,11 +521,13 @@ ROUTE_CASES = (
     (["dance", "--ks", "6..9"], ["expand_density"] + ["bounded_factor", "pushforward_cdf"] * 2
      + ["series_bounded_factor", "series_cdf"] * 2),
     (["dance", "--ks", "2..7"], ["bounded_factor", "pushforward_cdf"] * 6),
-    (["dance", "--dist", "uniform01", "--ks", "7..9"], ["bounded_factor", "pushforward_cdf"] * 3),
+    (["dance", "--dist", "uniform01", "--ks", "7..9"], ["expand_density", "bounded_factor",
+     "pushforward_cdf"] + ["series_bounded_factor", "series_cdf"] * 2),
     (["dance", "--dist", "arcsine", "--ks", "8,16"], ["bounded_factor", "pushforward_cdf"] * 2),
     (["mc", "--dist", "uniform", "--k", "7"], ["pushforward_cdf"]),
     (["mc", "--dist", "uniform", "--k", "8"], ["expand_density", "series_cdf"]),
-    (["mc", "--dist", "uniform01", "--k", "8"], ["pushforward_cdf"]),
+    (["mc", "--dist", "uniform01", "--k", "7"], ["pushforward_cdf"]),
+    (["mc", "--dist", "uniform01", "--k", "8"], ["expand_density", "series_cdf"]),
     (["mc", "--dist", "arcsine", "--k", "8"], ["pushforward_cdf"]),
     # converge and invariance measure the angle sum itself
     (["converge", "--dist", "gauss:0,0.25", "--ks", "8,16,32"], ["bounded_factor"] * 3
@@ -562,6 +566,41 @@ def test_the_route_of_a_decayed_gaussian_matches_the_angle_sum(mu, sigma, k):
     z = default_grid(33)
     assert np.max(np.abs(bounded(z) - bounded_factor(d, k, z))) <= 1e-11
     assert abs(cdf(0.0) - pushforward_cdf(d, k, 0.0)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(xstar=st.floats(-0.8, 0.8), ends=st.lists(st.floats(0.05, 2.0), min_size=4, max_size=4),
+       k=st.integers(8, 4096))
+def test_the_route_of_a_two_piece_density_matches_the_angle_sum(xstar, ends, k):
+    # a jump at x* between two linear pieces; S_k jumps where k t* +- beta is
+    # a multiple of 2 pi, t* = arccos(x*), and is compared away from there
+    d = two_piece_density(xstar, ends[:2], ends[2:])
+    [(bounded, cdf)] = cli._exact_routes(d, (k,))
+    assert bounded.func is series_bounded_factor and cdf.func is series_cdf
+    z = default_grid(33)
+    beta, t = np.arccos(z), np.arccos(xstar)
+    image = np.min([np.abs(np.mod(k * t + side * beta + np.pi, 2.0 * np.pi) - np.pi)
+                    for side in (1.0, -1.0)], axis=0)
+    away = image > 1e-9
+    assert np.max(np.abs(bounded(z) - bounded_factor(d, k, z))[away]) <= 1e-11
+    assert abs(cdf(0.0) - pushforward_cdf(d, k, 0.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("workload", ("experiments", "large_k", "wide_grid"))
+def test_the_benchmark_outputs_pass_their_reference_checks(workload, tmp_path, monkeypatch):
+    # each unseeded command of one benchmark pass, checked against the
+    # recorded reference values within the benchmark's own tolerances
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    import checks
+    import workloads
+
+    reference = checks.load_reference()
+    for name, argv in workloads.commands(workload, 1):
+        if workloads.is_seeded(argv):
+            continue
+        path = tmp_path / name
+        assert main(argv + ["--out", str(path)]) == 0, argv
+        assert checks.check_file(reference, workload, name, argv, path) == [], argv
 
 
 def test_budget_accepts_the_documented_runs():

@@ -18,7 +18,10 @@ from chebpush.pushforward import (
     LIMIT_BOUNDED_FACTOR,
     SUM_BLOCK,
     SUM_CHUNK,
+    _SUM_COEFS,
     _aliased_coeffs,
+    _clenshaw,
+    _fejer_rule,
     _panel_breaks,
     asymptotic_bounded_factor,
     bounded_factor,
@@ -318,6 +321,82 @@ def test_series_cdf_is_the_angle_sum_cdf_on_any_decayed_gaussian(mu, sigma, k):
     assert vals[-1] == pytest.approx(1.0, abs=1e-12)
     # the mass is pi c_0, whatever k
     assert np.pi * _aliased_coeffs(s, k)[0][0] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("length", (1, 2, 3, 4, 65, 600))
+@pytest.mark.parametrize("points", (1, 100_000))
+def test_clenshaw_is_chebval_bit_for_bit(length, points):
+    rng = np.random.default_rng(length * 7 + points)
+    x = rng.uniform(-1.0, 1.0, points)
+    for scale in (1.0, 1e-300, 1e300):
+        c = rng.normal(size=length) * scale
+        want = np.polynomial.chebyshev.chebval(x, c)
+        assert _clenshaw(x, c).tobytes() == want.tobytes()
+
+
+def test_each_row_of_the_trig_sum_table_sums_its_series():
+    # row p holds sum_{n>=1} sin(n x) / n^p for odd p and cos(n x) / n^p for
+    # even p on (0, 2 pi); for p = 5 and 6, 4000 terms leave under 1e-14, and
+    # the polynomial form rounds to about 1e-14 near 2 pi
+    x = np.linspace(0.1, 2.0 * np.pi - 0.1, 7)
+    n = np.arange(1.0, 4001.0)[:, None]
+    for p in (5, 6):
+        trig = np.sin if p % 2 else np.cos
+        want = np.sum(trig(n * x) / n**p, axis=0)
+        got = np.polynomial.polynomial.polyval(x, _SUM_COEFS[p - 1])
+        assert np.max(np.abs(got - want)) < 5e-14
+    # and each row is the one before it integrated: sin sums from 0, cos sums
+    # from zeta(p) at 0 with the sign of d cos(n x) / dx = -n sin(n x)
+    for p in range(2, 7):
+        slope = np.polynomial.polynomial.polyder(_SUM_COEFS[p - 1])
+        assert np.allclose(slope, (1.0 if p % 2 else -1.0) * _SUM_COEFS[p - 2][:6], atol=1e-15)
+
+
+def test_fejer_rule_integrates_each_chebyshev_polynomial_below_its_size():
+    n = 585
+    u, w = _fejer_rule(n)
+    for j in (0, 1, 2, 63, 64, 520, 583, 584):
+        assert np.dot(w, cheb_eval(j, u)) == pytest.approx(cheb_integral(j), abs=1e-14)
+
+
+@pytest.mark.parametrize("k", [8, 9, 33, 64, 1000, 1025, 4097, 8000])
+def test_the_series_route_of_a_jump_matches_the_angle_sum(k):
+    # uniform01 away from the image T_k(0) of its jump, which for odd k is
+    # the middle point of the grid; the cdf gap grows like k with the angle
+    # sum's running-sum rounding
+    d = make_density("uniform01")
+    s = expand_density(d)
+    z = default_grid(201)
+    keep = np.arange(201) != 100 if k % 2 else slice(None)
+    gap = np.abs(series_bounded_factor(s, k, z) - bounded_factor(d, k, z))
+    assert np.max(gap[keep]) < 1e-13
+    assert abs(series_cdf(s, k, 0.0) - pushforward_cdf(d, k, 0.0)) < 2e-13
+    c = np.linspace(-1.0, 1.0, 401)
+    assert np.max(np.abs(series_cdf(s, k, c) - pushforward_cdf(d, k, c))) < 1e-12
+
+
+@pytest.mark.parametrize("k", [3, 9])
+def test_the_series_route_takes_the_midpoint_at_a_jump_image(k, capsys):
+    # for odd k, T_k(0) = 0, and the middle point of the 201-point grid,
+    # cos(pi/2) = 6.1e-17, sits on that image of uniform01's jump. The
+    # preimage angles of 0 are the odd multiples of pi / 2k; the pdf is 1
+    # on those below pi/2 and jumps to 0 at pi/2, so S_k jumps by 1/k there
+    d = make_density("uniform01")
+    z = default_grid(201)
+    got = series_bounded_factor(expand_density(d), k, z)
+    theta = (2 * np.arange(k) + 1) * np.pi / (2 * k)
+    below = np.sum(np.sin(theta[: k // 2])) / k
+    assert got[100] == pytest.approx(below + 0.5 / k, abs=1e-14)
+    # the angle sum gives a one-sided value, and elsewhere the routes agree
+    angle = bounded_factor(d, k, z)
+    assert min(abs(angle[100] - below), abs(angle[100] - below - 1.0 / k)) < 1e-14
+    rest = np.arange(201) != 100
+    assert np.max(np.abs(got - angle)[rest]) < 1e-13
+    if k >= 8:
+        # the CLI's route writes the midpoint too
+        assert main(["pdf", "--dist", "uniform01", "--k", str(k)]) == 0
+        row = capsys.readouterr().out.splitlines()[1 + 100].split(",")
+        assert float(row[2]) == got[100]
 
 
 @pytest.mark.parametrize("name", ("uniform", "ramp", "gauss:0.3,0.4"))

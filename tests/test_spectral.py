@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chebpush.densities import make_density
-from chebpush.spectral import even_moment_sum, expand_density, normalization_residual
+from chebpush.spectral import DECAY_TOL, even_moment_sum, expand_density, normalization_residual
 
 from oracles import moment_oracle
 
@@ -96,14 +96,23 @@ def test_even_moment_sum_equals_endpoint_average():
 
 
 def test_jump_density_warns_and_is_flagged():
-    # the flag is the only report of an undecayed series: nothing is warned
+    # a jump density is flagged by its pieces: its global series keeps the
+    # slow 1/l tail and is not decayed, nothing is warned, and the series of
+    # each piece between the jumps has decayed, which is what decayed reports
     d = make_density("uniform01")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         s = expand_density(d)
-    assert not s.decayed
+    assert np.max(np.abs(s.coeffs[-4:])) > DECAY_TOL
+    assert [(lo, hi) for lo, hi, _ in s.pieces] == [(-1.0, 0.0), (0.0, 1.0)]
+    assert s.decayed
+    (_, _, left), (_, _, right) = s.pieces
+    assert np.max(np.abs(left)) < 1e-15
+    assert right[0] == pytest.approx(1.0, abs=1e-15) and np.max(np.abs(right[1:])) < 1e-15
     # the slow 1/l tail still integrates to the right mass at coarse accuracy
     assert normalization_residual(s) < 1e-2
+    # a density without jumps has no pieces: its one piece is coeffs
+    assert expand_density(make_density("uniform")).pieces == ()
 
 
 def test_arcsine_is_not_expandable():
