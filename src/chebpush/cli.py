@@ -21,7 +21,7 @@ from operator import itemgetter
 import numpy as np
 
 from .densities import make_density, parse_density, sample
-from .montecarlo import histogram, ks_statistic, push_samples
+from .montecarlo import KS_MIN_SAMPLES, histogram, ks_statistic, push_samples
 from .pushforward import (
     LIMIT_BOUNDED_FACTOR,
     asymptotic_bounded_factor,
@@ -66,18 +66,19 @@ EMIT_ROWS = 1024
 
 # The smallest k that pdf, dance and mc take the series route for, where the
 # density allows it (see _exact_routes). At DEFAULT_ORDER, the angle sum's
-# time over the series route's, best of 5 on 2e5 sorted points (cdf) and a
-# 1e5-point grid (S_k): gauss:0,0.25 0.78 / 0.72 at k = 4, 2.11 / 1.16 at 7
-# and 2.41 / 1.53 at 8; uniform and ramp 0.46-0.50 / 0.51-0.66 at k = 4,
-# 1.01-1.04 / 1.52-1.56 at 7 and 1.29 / 1.39-1.92 at 8. From k = 8 on,
-# both series routes are the cheaper on every smooth density. uniform01,
-# whose jump adds terms to the route and whose angle law is cheap, reads
-# 0.27 / 0.56 at k = 4, 0.58 / 1.23 at 7, 0.67 / 1.54 at 8, 1.00 / 2.01 at
-# 10 and 1.88 / 3.91 at 16: its S_k crosses below k = 7 and its cdf at
-# k = 10, so mc pays for k = 8 and 9 there. The series route has a fixed
-# cost of about 0.3-0.6 ms (0.2-0.7 ms more with a jump), so on a few
-# hundred points the angle sum stays cheaper further up; the rule does not
-# look at the count.
+# time over the series route's, best of 9 with the two alternating, on 2e5
+# sorted points (cdf) and a 1e5-point grid (S_k): gauss:0,0.25 0.80 / 0.72
+# at k = 4, 1.91 / 1.64 at 7 and 2.44 / 2.40 at 8; uniform and ramp
+# 0.31-0.42 / 0.82-0.87 at k = 4, 0.84-0.91 / 1.35-1.75 at 7 and
+# 1.24-1.27 / 2.55-2.63 at 8. From k = 8 on, both series routes are the
+# cheaper on every smooth density. uniform01, whose jump is one more edge of
+# the route's model and whose angle law is cheap, reads 0.36 / 0.69 at
+# k = 4, 0.72-0.82 / 1.30-1.33 at 7, 0.86-1.13 / 2.01-2.03 at 8, 1.14 / 1.85
+# at 9 and 3.82 / 6.17 at 16: its S_k crosses below k = 7 and its cdf at
+# k = 8 or 9, so mc may pay a little at k = 8 there. The series route has a
+# fixed cost of about 0.15-0.4 ms per call (0.2-1.0 ms with a jump), so on a
+# few hundred points the angle sum stays cheaper further up; the rule does
+# not look at the count.
 SERIES_MIN_K = 8
 
 # The angle terms of each command that sums any, as counted for MAX_WORK.
@@ -223,16 +224,17 @@ def _exact_routes(d, ks):
     wide inputs from k = SERIES_MIN_K. A k takes the series route when it
     is at least SERIES_MIN_K, the density is expandable and its expansion
     has decayed, which ChebSeries.decayed reports. A density with jumps,
-    such as uniform01, is expanded piece by piece between them, and the
-    route adds each jump's terms in closed form. The density's flag and
-    the k values come first, so an unbounded pdf (arcsine, not expandable)
-    or a ladder of small k expands nothing; otherwise the density is
-    expanded once for the whole ladder. Where the series route runs, the
-    two routes agree in S_k to within 5.3e-15 on the smooth catalog
-    densities at eleven k from 8 to 32768, to within 1.3e-13 over a sweep of
-    gaussians with mu in [-0.6, 0.6] and sigma in [0.15, 1], and to within
-    1.1e-14 on uniform01 at 131 k from 8 to 8000 away from the jump's image
-    T_k(0), where S_k jumps and the series route gives the midpoint.
+    such as uniform01, is expanded piece by piece between them, and its
+    jumps are edges of the route's one model, as -1 and 1 are. The
+    density's flag and the k values come first, so an unbounded pdf
+    (arcsine, not expandable) or a ladder of small k expands nothing;
+    otherwise the density is expanded once for the whole ladder. Where the
+    series route runs, the two routes agree in S_k to within 5.3e-15 on the
+    smooth catalog densities at eleven k from 8 to 32768, to within 1.2e-13
+    over 378 cases of a sweep of gaussians (mu in [-0.6, 0.6], sigma in
+    [0.15, 1], nine k from 8 to 4097), and to within 1.0e-14 on uniform01 at
+    131 k from 8 to 8000 away from the jump's image T_k(0), where S_k jumps
+    and the series route gives the midpoint.
     """
     series = None
     if max(ks) >= SERIES_MIN_K and d.expandable:
@@ -389,7 +391,7 @@ def build_parser():
     p.add_argument("--k", type=_flag(_positive_int), required=True, default=argparse.SUPPRESS,
                    help=f"Chebyshev index, at most {MAX_K}")
     p.add_argument("--n", type=_flag(_positive_int), default=100000,
-                   help=f"sample count, at least 100 (the KS needs them) and at most "
+                   help=f"sample count, at least {KS_MIN_SAMPLES} (the KS needs them) and at most "
                         f"{MAX_POINTS}; k * n at most {MAX_WORK}")
     p.add_argument("--seed", type=int, default=42, help="stream seed")
     _add_io_flags(p)
@@ -422,6 +424,8 @@ def _check_budget(ns):
     for what, value, cap, name in sizes:
         if value > cap:
             raise ValueError(f"{what} {value} is above the cap {name} = {cap}")
+    if ns.command == "mc" and ns.n < KS_MIN_SAMPLES:
+        raise ValueError(f"KS needs at least {KS_MIN_SAMPLES} samples, got {ns.n}")
     work = _WORK[ns.command](ns) if ns.command in _WORK else 0
     if work > MAX_WORK:
         raise ValueError(f"{ns.command} would sum {work} angle terms, above the budget "

@@ -18,6 +18,9 @@ from .chebpoly import _index, cheb_eval
 # to alpha ~ 0.001.
 KS_FACTOR = 1.95
 
+# Fewer samples than this make the KS statistic too noisy to gate anything.
+KS_MIN_SAMPLES = 100
+
 
 def uniform_stream(seed, n):
     """The first n uniform variates of the Philox stream keyed by seed."""
@@ -58,12 +61,12 @@ def ks_statistic(batch, cdf):
 
     Sorted-sample formula: D = max(D+, D-) with D+ = max_i(i/n - F(x_(i)))
     and D- = max_i(F(x_(i)) - (i-1)/n). The test passes below
-    KS_FACTOR / sqrt(n). Below n = 100 the statistic is too noisy to gate
-    anything, so that is rejected outright.
+    KS_FACTOR / sqrt(n). Below n = KS_MIN_SAMPLES the statistic is too
+    noisy to gate anything, so that is rejected outright.
     """
     n = batch.n
-    if n < 100:
-        raise ValueError(f"KS needs at least 100 samples, got {n}")
+    if n < KS_MIN_SAMPLES:
+        raise ValueError(f"KS needs at least {KS_MIN_SAMPLES} samples, got {n}")
     xs = np.sort(batch.values)
     ref = np.asarray(cdf(xs), dtype=float)
     i = np.arange(1, n + 1)

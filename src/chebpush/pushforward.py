@@ -24,12 +24,14 @@ Three routes to S_k live here and deliberately stay independent so they can
 cross-check each other: the direct angle sum above, a closed-form reassembly
 through the Chebyshev series of the input density, and a second-order
 asymptotic expansion in 1/k. The series route also integrates to the cdf,
-series_cdf, at a cost independent of k. A density with interior jumps
-enters it through one series per piece between the jumps: the route adds
-each jump's terms to the aliased sum in closed form (Eckhoff's
-correction), so it covers any bounded piecewise-smooth pdf. S_k itself
-jumps where z = T_k(x*), x* a pdf jump; there the series route gives the
-midpoint of its two one-sided values.
+series_cdf, at a cost independent of k. Past the coefficients it takes
+exactly, it has one model: the edges where f jumps, -1 and 1 with f = 0
+outside [-1, 1] and each interior jump of a density expanded piece by
+piece between its jumps. Each edge's terms sum in closed form over the
+aliased coefficients (Eckhoff's correction), so the route covers any
+bounded piecewise-smooth pdf. S_k itself jumps where z = T_k(x*), x* an
+interior jump; there the series route gives the midpoint of its two
+one-sided values.
 
 The angle sum and the cdf share one evaluator, _preimage_sum. It takes
 SUM_BLOCK values of j at a time as an interleaved (a_1, b_1, a_2, b_2, ...)
@@ -44,6 +46,7 @@ the running sum shifts that order in its seventh digit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -85,19 +88,19 @@ np.empty(2**18)
 # The series route takes c_m exactly up to m = SERIES_SPAN (L + 1) and models the rest.
 SERIES_SPAN = 8
 
-# sum_{n>=1} cos(n x) / n^p for x in [0, 2 pi], p = 2 and 4 (Bernoulli polynomials)
-_COS_SUMS = {2: np.polynomial.Polynomial([np.pi**2 / 6, -np.pi / 2, 1 / 4]),
-             4: np.polynomial.Polynomial([np.pi**4 / 90, 0, -np.pi**2 / 12, np.pi / 12, -1 / 48])}
-# and, keyed by p + 1, their antiderivatives from 0: sum_{n>=1} sin(n x) / n^(p+1)
-_SUMS = {p: s for q, c in _COS_SUMS.items() for p, s in ((q, c), (q + 1, c.integ()))}
 # sum_{n>=1} sin(n x) / n^p for odd p and cos(n x) / n^p for even p, x in
-# (0, 2 pi), as coefficients, lowest degree first, one row per p = 1..6: the
-# sawtooth (pi - x) / 2, _SUMS, and zeta(6) minus the antiderivative of p = 5
-_SUM_COEFS = np.zeros((6, 7))
-_SUM_COEFS[0, :2] = np.pi / 2, -1 / 2
-_SUM_COEFS[5] = np.pi**6 / 945, 0, -np.pi**4 / 180, 0, np.pi**2 / 144, -np.pi / 240, 1 / 1440
-for _p, _s in _SUMS.items():
-    _SUM_COEFS[_p - 1, :len(_s.coef)] = _s.coef
+# (0, 2 pi), as coefficients in y = x - pi, lowest degree first, one row per
+# p = 1..6: the sawtooth -y / 2, then Bernoulli polynomials, each row the one
+# above it integrated, sin sums from 0 and cos sums from -eta(p) at y = 0.
+# Centred, each row is odd or even in y and the terms cancel far less near
+# x = 0 and 2 pi than in x.
+_SUM_COEFS = np.array([
+    [0, -1 / 2, 0, 0, 0, 0, 0],
+    [-np.pi**2 / 12, 0, 1 / 4, 0, 0, 0, 0],
+    [0, -np.pi**2 / 12, 0, 1 / 12, 0, 0, 0],
+    [-7 * np.pi**4 / 720, 0, np.pi**2 / 24, 0, -1 / 48, 0, 0],
+    [0, -7 * np.pi**4 / 720, 0, np.pi**2 / 72, 0, -1 / 240, 0],
+    [-31 * np.pi**6 / 30240, 0, 7 * np.pi**4 / 1440, 0, -np.pi**2 / 288, 0, 1 / 1440]])
 
 # The sawtooth jumps where its argument is a multiple of 2 pi, and so does
 # S_k at the image T_k(x*) of a pdf jump x*. There the series route gives
@@ -245,41 +248,31 @@ def _piece_moments(pieces, k, span):
                            for i in range(0, m.size, rows)])
 
 
-def _end_sums(l, left, right):
-    """The even and odd sums P_r of a series' coefficients, read from its end pieces.
-
-    f(1) is the sum of both of the right piece's sums and f(-1) the even
-    minus the odd one of the left piece's; P_0 = (f(1) + f(-1)) / 2 and
-    P_1 = (f(1) - f(-1)) / 2. A piece that is both ends gives its own sums,
-    bit for bit.
-    """
-    lsum, rsum = np.bincount(l % 2, left, minlength=2), np.bincount(l % 2, right, minlength=2)
-    return 0.5 * (rsum + lsum) + 0.5 * (rsum - lsum)[::-1]
-
-
-def _end_derivatives(lo, hi, coeffs, end):
-    """f and its first four derivatives from a piece's series, at hi (end 1) or lo (end -1)."""
-    l = np.arange(len(coeffs))
-    terms = coeffs * float(end) ** l
-    scale = end * 2.0 / (hi - lo)
-    out = []
-    for j in range(5):
-        out.append(terms.sum() * scale**j)
-        # T_l^(j+1)(1) = T_l^(j)(1) (l^2 - j^2) / (2 j + 1); at -1, times (-1)^(l + j + 1)
-        terms = terms * (l * l - j * j) / (2 * j + 1)
-    return np.array(out)
+@lru_cache(maxsize=4)
+def _end_table(order):
+    """T_l^(j)(1) and T_l^(j)(-1) for j = 0..4 and l = 0..order, as a (2, 5, order + 1) array."""
+    l = np.arange(order + 1.0)
+    rows = [np.ones(order + 1)]
+    for j in range(4):
+        # T_l^(j+1)(1) = T_l^(j)(1) (l^2 - j^2) / (2 j + 1); T_l^(j)(-1) = (-1)^(l + j) T_l^(j)(1)
+        rows.append(rows[-1] * (l * l - j * j) / (2 * j + 1))
+    rows = np.array(rows)
+    table = np.array([rows, rows * (-1.0) ** (l + np.arange(5.0)[:, None])])
+    table.flags.writeable = False
+    return table
 
 
 def _jump_model(x, df):
     """G = (-[h], -[h'], [h''], [h'''], -[h'''']) of h(t) = f(cos t) sin t at t* = arccos(x).
 
-    df holds the jumps of f and its first four derivatives across x, the
-    left piece's value minus the right one's: [.] is the value after t*
-    minus the value before, and t grows as x falls. Integrating by parts,
+    x is a float and df the five jumps of f and its first four derivatives
+    across it, the value below x minus the one above: [.] is the value after
+    t* minus the value before, and t grows as x falls. Integrating by parts,
     c_m gains (1/pi) sum_p G_p trig_p(m t*) / m^p + O(m^-6), trig_p = sin
-    for odd p and cos for even p.
+    for odd p and cos for even p. At x = +-1, s = 0, so h, h'' and h'''' are
+    0 and only the cos terms are left.
     """
-    s, c = np.sqrt((1.0 - x) * (1.0 + x)), x
+    s, c = math.sqrt((1.0 - x) * (1.0 + x)), x
     # the t derivatives of g(t) = f(cos t), then by Leibniz those of h = g sin t
     g = (df[0], -s * df[1], s * s * df[2] - c * df[1],
          s * df[1] + 3.0 * s * c * df[2] - s**3 * df[3],
@@ -287,24 +280,47 @@ def _jump_model(x, df):
     h = (g[0] * s, g[1] * s + g[0] * c, g[2] * s + 2.0 * g[1] * c - g[0] * s,
          g[3] * s + 3.0 * g[2] * c - 3.0 * g[1] * s - g[0] * c,
          g[4] * s + 4.0 * g[3] * c - 6.0 * g[2] * s - 4.0 * g[1] * c + g[0] * s)
-    return np.array([-h[0], -h[1], h[2], h[3], -h[4]])
+    return -h[0], -h[1], h[2], h[3], -h[4]
+
+
+def _edges(pieces):
+    """t* = arccos(x) of each edge x of the pieces, -1, each breakpoint and 1, and its G.
+
+    G is _jump_model's, on f and its first four derivatives just below the
+    edge minus those just above it, read from the series of the piece on
+    each side, with f = 0 outside [-1, 1].
+    """
+    lo, hi, coeffs = zip(*pieces)
+    x = np.array((*lo, hi[-1]))
+    scale = (2.0 / (x[1:] - x[:-1])) ** np.arange(5.0)[:, None]
+    at_hi, at_lo = _end_table(len(coeffs[0]) - 1) @ np.array(coeffs).T * scale
+    df = np.zeros((5, len(x)))
+    df[:, 1:] += at_hi
+    df[:, :-1] -= at_lo
+    return np.arccos(x), np.array([_jump_model(*edge) for edge in zip(x.tolist(), df.T.tolist())])
+
+
+def _edge_model(t, jumps, m):
+    """The Eckhoff terms of c_m, (1/pi) sum_p G_p trig_p(m t*) / m^p, summed over the edges."""
+    inv = m ** -np.arange(1.0, 6.0)[:, None]
+    mt = np.outer(t, m)
+    model = (jumps[:, 0::2] @ inv[0::2]) * np.sin(mt) + (jumps[:, 1::2] @ inv[1::2]) * np.cos(mt)
+    return model.sum(axis=0) / np.pi
 
 
 def _aliased_coeffs(series, k):
-    """The Chebyshev coefficients of S_k, exact part and tail model apart.
+    """The Chebyshev coefficients of S_k, exact part and edge model apart.
 
-    Returns c = [c_0, 2 e_k, 2 e_2k, ...], e_{nk} the exact c_{nk} minus its
-    model, for nk up to SERIES_SPAN (L + 1); the endpoint model as
-    (p, odd, even) triples: its part of S_k(cos beta) is
-    -(2 / pi) sum_p sum_{n>=1} w_n cos(n beta) / n^p, with w_n = odd for odd
-    n and even for even n; and the jump model as (phase, g) pairs, phase =
-    k t* mod 2 pi and g_p = G_p / k^p: its part of S_k(cos beta) is
-    (1/pi) sum_p g_p [s_p(phase + beta) + s_p(phase - beta)], s_p = _SUMS[p].
-    series_bounded_factor documents the formulas.
+    Returns c = [c_0, 2 e_k, 2 e_2k, ...], e_{nk} the exact c_{nk} minus the
+    edges' model, for nk up to SERIES_SPAN (L + 1), and the model as phases
+    and g: phase = k t* mod 2 pi, t* = arccos(x) of an edge x, and g_p =
+    G_p / k^p summed over the edges at that phase. An edge where G is 0,
+    such as uniform01's -1, is left out. The model's part of S_k(cos beta)
+    is (1/pi) sum_p g_p [s_p(phase + beta) + s_p(phase - beta)], s_p the row
+    p of _SUM_COEFS. series_bounded_factor documents the formulas.
     """
     mu = series.coeffs
     order = len(mu) - 1
-    l = np.arange(order + 1)
     span = SERIES_SPAN * (order + 1)
     pieces = series.pieces or ((-1.0, 1.0, mu),)
     if series.pieces:
@@ -315,73 +331,59 @@ def _aliased_coeffs(series, k):
         a = _sin_coeffs(np.abs(np.arange(-order, span + order + 1)))
         c = (np.correlate(a[:span + order + 1], mu[::-1], "valid")
              + np.correlate(a[order:], mu, "valid"))[::k] / 4.0
-    # the endpoint model reads f and f' at -1 and 1, each f' scaled to its piece
-    (lo, left_hi, left), (right_lo, hi, right) = pieces[0], pieces[-1]
-    p_r = _end_sums(l, left, right)
-    q_r = _end_sums(l, (6.0 * (2.0 / (left_hi - lo)) * l * l + 2.0) * left,
-                    (6.0 * (2.0 / (hi - right_lo)) * l * l + 2.0) * right)
-    m = k * np.arange(1.0, len(c))
-    jumps = []
-    for (below_lo, x, below), (_, above_hi, above) in zip(pieces, pieces[1:]):
-        g = _jump_model(x, _end_derivatives(below_lo, x, below, 1)
-                        - _end_derivatives(x, above_hi, above, -1))
-        t = np.arccos(x)
-        trig = np.cos(m * t), np.sin(m * t)
-        c[1:] -= sum(gp * trig[p % 2] / m**p for p, gp in enumerate(g, 1)) / np.pi
-        jumps.append((np.mod(k * t, _TWO_PI), g / float(k) ** np.arange(1, 6)))
-    r = k * np.arange(1, len(c)) % 2
-    m2 = (k * np.arange(1.0, len(c))) ** 2
-    c[1:] = 2.0 * (c[1:] + (2.0 * p_r[r] + q_r[r] / m2) / (np.pi * m2))
-    # for odd k, nk has the parity of n; for even k every nk is even
-    model = tuple((p, w[k % 2] / k**p, w[0] / k**p) for p, w in ((2, 2.0 * p_r), (4, q_r)))
-    return c, model, jumps
+    t, jumps = _edges(pieces)
+    c[1:] = 2.0 * (c[1:] - _edge_model(t, jumps, k * np.arange(1.0, len(c))))
+    merged = {}
+    for tx, gx in zip(t.tolist(), jumps.tolist()):
+        if any(gx):
+            # in turns first, so that the phases of -1 and 1 are exact
+            merged.setdefault(_TWO_PI * math.fmod(k * (tx / _TWO_PI), 1.0), []).append(gx)
+    g = np.reshape([[sum(p) for p in zip(*gs)] for gs in merged.values()], (-1, 5))
+    return c, np.array(list(merged)), g / float(k) ** np.arange(1, 6)
 
 
 def _series_on_chunks(series, k, arr, shift, finish):
     """A series route at the points arr, SUM_CHUNK points at a time.
 
-    For each chunk of points x, with beta = arccos(x), the endpoint model is
-    summed in closed form as (2 / pi) sum_p [odd s(beta)
-    + (even - odd) s(2 beta) / 2^(p + shift)], s = _SUMS[p + shift]: odd n
-    take the weights of beta, even n those of 2 beta. finish(c, x, beta,
-    model) gives the chunk's values from that and the aliased coefficients
-    c. Each jump adds (1/pi) [P(x+) + (-1)^shift P(x-)], x+- = (phase +- beta)
-    mod 2 pi, with P = sum_p g_p _SUMS[p] for S_k (shift 0) and, integrated
-    once more for F_k (shift 1), P = sum_p (-1)^(p+1) g_p _SUMS[p + 1].
-    Every step is pointwise, so a point's value does not depend on the
-    chunking, and no temporary is larger than a chunk.
+    For each chunk of points x, with beta = arccos(x), finish(c, x, beta)
+    gives the exact part from the aliased coefficients c. Each edge phase
+    adds (1/pi) [P(x+) + (-1)^shift P(x-)], x+- = (phase +- beta) mod 2 pi,
+    with P = sum_p g_p s_p for S_k (shift 0) and, integrated once more for
+    F_k (shift 1), P = sum_p (-1)^(p+1) g_p s_(p+1), s_p the rows of
+    _SUM_COEFS, in x - pi: one Horner pass over every phase and side at
+    once. Every step is pointwise, so a point's value does not depend on the
+    chunking.
     """
-    c, model, jumps = _aliased_coeffs(series, k)
+    c, phase, g = _aliased_coeffs(series, k)
+    # one row per edge phase and side; the S_k rows have degree 5
+    phase, g = np.repeat(phase - np.pi, 2)[:, None], np.repeat(g, 2, axis=0)
+    side = np.array([1.0, -1.0] * (len(phase) // 2)).reshape(-1, 1)
     signs = np.array([1.0, -1.0, 1.0, -1.0, 1.0]) ** shift
-    polys = [(phase, (signs * g) @ _SUM_COEFS[shift:shift + 5], g[0] if shift == 0 else 0.0)
-             for phase, g in jumps]
+    coefs = ((signs * g) @ _SUM_COEFS[shift:shift + 5, :6 + shift]).T[:, :, None]
+    weight = side[:, 0] ** shift / np.pi
+    saw = g[:, :1] if shift == 0 and g[:, 0].any() else None
     near = IMAGE_ULPS * np.spacing((k + 1) * np.pi)
     flat = arr.ravel()
     out = np.empty(flat.size)
     for lo in range(0, flat.size, SUM_CHUNK):
         x = flat[lo:lo + SUM_CHUNK]
         beta = np.arccos(x)
-        tail = 0.0
-        for p, odd, even in model:
-            s = _SUMS[p + shift]
-            tail = tail + odd * s(beta) + (even - odd) * s(2.0 * beta) / 2**(p + shift)
-        values = finish(c, x, beta, 2.0 * tail / np.pi)
-        for phase, coefs, saw in polys:
-            for side in (1.0, -1.0):
-                # phase + side beta lies in [-pi, 3 pi); one shift of 2 pi takes it to [0, 2 pi)
-                arg = side * beta
-                arg += phase
-                np.subtract(arg, side * _TWO_PI, out=arg, where=(arg < 0.0) | (arg >= _TWO_PI))
-                part = np.full_like(arg, coefs[-1])
-                for ci in coefs[-2::-1]:
-                    part *= arg
-                    part += ci
-                if saw:
-                    # at the sawtooth's jump, its midpoint 0 rather than +-pi/2
-                    at = np.flatnonzero((arg <= near) | (arg >= _TWO_PI - near))
-                    part[at] -= saw * (np.pi - arg[at]) / 2.0
-                part *= side**shift / np.pi
-                values += part
+        values = finish(c, x, beta)
+        # y = phase - pi + side beta lies in [-2 pi, 2 pi); one shift of 2 pi
+        # takes it to [-pi, pi]
+        y = side * beta
+        y += phase
+        np.subtract(y, side * _TWO_PI, out=y, where=side * y >= np.pi)
+        part = coefs[-1] * y
+        for ci in coefs[-2:0:-1]:
+            part += ci
+            part *= y
+        part += coefs[0]
+        if saw is not None:
+            # at the sawtooth's jump, its midpoint 0 rather than +-pi/2
+            at = np.nonzero((saw != 0.0) & (np.abs(y) >= np.pi - near))
+            part[at] += saw[at[0], 0] * y[at] / 2.0
+        values += weight @ part
         out[lo:lo + SUM_CHUNK] = values
     return out.reshape(arr.shape)
 
@@ -406,13 +408,11 @@ def _clenshaw(x, c):
     return b1
 
 
-def _series_pdf_chunk(c, x, beta, model):
-    out = _clenshaw(x, c)
-    out -= model
-    return out
+def _series_pdf_chunk(c, x, beta):
+    return _clenshaw(x, c)
 
 
-def _series_cdf_chunk(c, x, beta, model):
+def _series_cdf_chunk(c, x, beta):
     # Clenshaw for sum_n u_n U_{n-1}(x), u_n = 2 e_{nk} / n: b <- u_n + 2 x b' - b'',
     # in three buffers
     twice = 2.0 * x
@@ -422,7 +422,7 @@ def _series_cdf_chunk(c, x, beta, model):
         b -= b2
         b += un
         b1, b2, b = b, b1, b2
-    return c[0] * (np.pi - beta) - np.sqrt((1.0 - x) * (1.0 + x)) * b1 + model
+    return c[0] * (np.pi - beta) - np.sqrt((1.0 - x) * (1.0 + x)) * b1
 
 
 @_pointwise
@@ -434,23 +434,24 @@ def series_bounded_factor(series, k, z):
     h(t) = f(cos t) |sin t| on [0, pi]: S_k(z) = c_0 + 2 sum_{n>=1} c_{nk} T_n(z).
     With |sin t| = a_0 / 2 + sum_j a_j cos(j t), a_j = -4 / (pi (j^2 - 1))
     for even j, c_m = (1/4) sum_l mu_l (a_{|m-l|} + a_{m+l}), taken exactly
-    for m up to SERIES_SPAN (L + 1), L the series order. The rest follows
-    c_m = -(2 P_r / m^2 + Q_r / m^4) / pi + O(m^-6), with P_r and Q_r the
-    sums of mu_l and (6 l^2 + 2) mu_l over l of the parity r of m; that
-    model is summed in closed form over every n and taken out of the exact
-    part.
+    for m up to SERIES_SPAN (L + 1), L the series order.
 
-    A density with interior jumps x* has one series per piece between them
-    (ChebSeries.pieces). Its exact c_m = (1/pi) int f T_m dx are integrated
-    piece by piece, and P_r and Q_r come from the two end pieces. Each jump
-    adds (1/pi) (G_1 sin(m t*) / m + G_2 cos(m t*) / m^2 + G_3 sin(m t*) / m^3
-    + G_4 cos(m t*) / m^4 + G_5 sin(m t*) / m^5) to c_m, t* = arccos(x*),
-    G the one-sided jumps of h and its first four derivatives there, read
-    from the two pieces' series (Eckhoff's correction; _jump_model gives the
-    signs). The fifth term takes the gap to the angle sum next to a jump's
-    image at k = 9 from 1.1e-13 to 1.0e-14. Aliased over m = nk, each term sums in
-    closed form: sum_n sin(n k t*) cos(n beta) / n^p is half the sum of
-    sin(n x) / n^p at x = k t* + beta and at k t* - beta, a sawtooth for
+    The rest comes from the edges of f, where it jumps: -1 and 1, with
+    f = 0 outside [-1, 1], and each interior jump x* of a density with one
+    series per piece between its jumps (ChebSeries.pieces), whose exact
+    c_m = (1/pi) int f T_m dx are integrated piece by piece. Integrating by
+    parts, each edge x adds (1/pi) (G_1 sin(m t*) / m + G_2 cos(m t*) / m^2
+    + G_3 sin(m t*) / m^3 + G_4 cos(m t*) / m^4 + G_5 sin(m t*) / m^5) to
+    c_m, t* = arccos(x), G the one-sided jumps of h and its first four
+    derivatives there, read from the series on each side (Eckhoff's
+    correction; _jump_model gives the signs). At -1 and 1, sin t* = 0
+    leaves only the cos terms, which over both ends are the closed form
+    c_m = -(2 P_r / m^2 + Q_r / m^4) / pi, P_r and Q_r the sums of mu_l and
+    (6 l^2 + 2) mu_l over l of the parity r of m. The fifth term takes the
+    gap to the angle sum next to a jump's image at k = 9 from 1.1e-13 to
+    1.0e-14. The model is summed in closed form over every n and taken out
+    of the exact part: sum_n sin(n k t*) cos(n beta) / n^p is half the sum
+    of sin(n x) / n^p at x = k t* + beta and at k t* - beta, a sawtooth for
     p = 1 and a Bernoulli polynomial otherwise. S_k then jumps where
     z = T_k(x*), and there the route gives the midpoint of its two one-sided
     values. The angle sum gives one of them, whichever side the rounded
@@ -474,11 +475,11 @@ def series_cdf(series, k, z):
 
         F_k(cos beta) = c_0 (pi - beta) - 2 sum_{n>=1} c_{nk} sin(n beta) / n.
 
-    The endpoint and jump models integrate in closed form (x = 2 beta halves
-    the endpoint model's antiderivative once more), and the exact part is
-    one Clenshaw pass through sin(n beta) = sin(beta) U_{n-1}(cos beta) over
-    about SERIES_SPAN (L + 1) / k terms, on chunks of SUM_CHUNK points, as
-    in series_bounded_factor. The cost does not grow with k. F_k is
+    The edges' model integrates in closed form, each sum over n by the next
+    row of _SUM_COEFS, and the exact part is one Clenshaw pass through
+    sin(n beta) = sin(beta) U_{n-1}(cos beta) over about SERIES_SPAN (L + 1) / k
+    terms, on chunks of SUM_CHUNK points, as in series_bounded_factor. The
+    cost does not grow with k. F_k is
     continuous at the images of pdf jumps. z may stray past [-1, 1] by
     chebpoly.DOMAIN_SLACK; z and the result are clipped, as in
     pushforward_cdf.

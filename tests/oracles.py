@@ -6,18 +6,21 @@ bisection points for branch inversion, interval unions in angle space for
 distribution functions, adaptive quadrature for moments and cdfs, and the
 error function for the truncated gaussian. Tests compare the library
 against these, never against itself. CATALOG is the set of densities the
-tests sweep over; two_piece_density builds one outside it, with its jump
-anywhere inside (-1, 1).
+tests sweep over; two_piece_density builds one outside it, with one or two
+jumps anywhere inside (-1, 1).
 
 The exceptions are the scalar j loop of the angle sum
-(`angle_sum_reference`, `angle_cdf_reference`) and the per-cell output
-emitter (`emit_reference`). They repeat an earlier form of the library's
-code on purpose: the angle sum gives the summation order the library's
-block evaluation must reproduce bit for bit, and the emitter gives the
-bytes the CLI output must reproduce, so they check the evaluation and the
-formatting, not the mathematics. The CLI fixes each column's format from
-the first row, in CSV and JSON alike, and writes a JSON chunk with a
-non-finite value from JSON tokens.
+(`angle_sum_reference`, `angle_cdf_reference`), the per-cell output
+emitter (`emit_reference`) and the closed-form endpoint model of the series
+route (`endpoint_model_reference`). They repeat an earlier form of the
+library's code on purpose: the angle sum gives the summation order the
+library's block evaluation must reproduce bit for bit, the emitter gives the
+bytes the CLI output must reproduce, and the endpoint model gives the 1/m^2
+and 1/m^4 law of c_m that the series route's edges at -1 and 1 must
+reproduce, so they check the evaluation, the formatting and the rewritten
+form, not the mathematics. The CLI fixes each column's format from the
+first row, in CSV and JSON alike, and writes a JSON chunk with a non-finite
+value from JSON tokens.
 """
 
 import json
@@ -36,43 +39,66 @@ CATALOG = (*(make_density(name) for name in ("arcsine", "uniform", "ramp", "unif
            make_density("gauss", mu=0.0, sigma=0.25))
 
 
-def two_piece_density(xstar, left, right):
-    """A density linear on [-1, x*] and on (x*, 1], with a jump at x*.
+def two_piece_density(xstars, ends):
+    """A density linear between its jumps, at the one or two points xstars inside (-1, 1).
 
-    left and right are the unnormalized pdf values at the ends of each
-    piece, (at -1, at x*) and (at x*, at 1). The cdf is the integral of the
-    two lines, the ppf inverts it by bisection, and the angle law is built
-    from both as in the catalog, so the density is as exact as they are.
+    ends holds the unnormalized pdf values at the two ends of each piece,
+    left to right: (at -1, at x*_1, at x*_1, ..., at 1). At a jump the pdf
+    takes the left piece's value. The cdf is the integral of the lines, the
+    ppf inverts it by bisection, and the angle law is built from both as in
+    the catalog, so the density is as exact as they are.
     """
-    width = (xstar + 1.0, 1.0 - xstar)
-    mass_left = 0.5 * (left[0] + left[1]) * width[0]
-    total = mass_left + 0.5 * (right[0] + right[1]) * width[1]
+    edges = np.array([-1.0, *sorted(xstars), 1.0])
+    lo, width = edges[:-1], np.diff(edges)
+    a, b = np.reshape(np.asarray(ends, dtype=float), (-1, 2)).T
+    below = np.concatenate([[0.0], np.cumsum(0.5 * (a + b) * width)])
+
+    def piece(x):
+        return np.clip(np.searchsorted(edges, x) - 1, 0, len(lo) - 1)
 
     def pdf(x):
         x = np.asarray(x, dtype=float)
-        a = left[0] + (left[1] - left[0]) * (x + 1.0) / width[0]
-        b = right[0] + (right[1] - right[0]) * (x - xstar) / width[1]
-        inside = (x >= -1.0) & (x <= 1.0)
-        return np.where(inside, np.where(x <= xstar, a, b), 0.0) / total
+        i = piece(x)
+        val = a[i] + (b[i] - a[i]) * (x - lo[i]) / width[i]
+        return np.where((x >= -1.0) & (x <= 1.0), val, 0.0) / below[-1]
 
     def cdf(x):
         x = np.clip(np.asarray(x, dtype=float), -1.0, 1.0)
-        u, v = x + 1.0, x - xstar
-        a = left[0] * u + (left[1] - left[0]) * u * u / (2.0 * width[0])
-        b = mass_left + right[0] * v + (right[1] - right[0]) * v * v / (2.0 * width[1])
-        return np.where(x <= xstar, a, b) / total
+        i = piece(x)
+        u = x - lo[i]
+        return (below[i] + a[i] * u + (b[i] - a[i]) * u * u / (2.0 * width[i])) / below[-1]
 
     def ppf(q):
-        lo, hi = np.full(np.shape(q), -1.0), np.full(np.shape(q), 1.0)
+        lo_q, hi_q = np.full(np.shape(q), -1.0), np.full(np.shape(q), 1.0)
         for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            below = cdf(mid) < q
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+            mid = 0.5 * (lo_q + hi_q)
+            left = cdf(mid) < q
+            lo_q, hi_q = np.where(left, mid, lo_q), np.where(left, hi_q, mid)
+        return 0.5 * (lo_q + hi_q)
 
-    return Density(f"two-piece:{xstar}", pdf, cdf, ppf,
+    return Density(f"two-piece:{','.join(map(str, sorted(xstars)))}", pdf, cdf, ppf,
                    angle_pdf=lambda theta: pdf(np.cos(theta)) * np.sin(theta),
-                   angle_cdf=lambda theta: 1.0 - cdf(np.cos(theta)), breakpoints=(xstar,))
+                   angle_cdf=lambda theta: 1.0 - cdf(np.cos(theta)),
+                   breakpoints=tuple(sorted(xstars)))
+
+
+def endpoint_model_reference(coeffs, m):
+    """The endpoint model of c_m for a series on [-1, 1], and the size of its terms.
+
+    c_m ~ -(2 P_r / m^2 + Q_r / m^4) / pi, with P_r and Q_r the sums of
+    coeffs[l] and (6 l^2 + 2) coeffs[l] over the l of the parity r of m:
+    the series route's closed form for the ends before they became edges.
+    The size, (2 (|P_0| + |P_1|) / m^2 + (|Q_0| + |Q_1|) / m^4) / pi, is
+    what agreement is judged against: at odd m the two terms can cancel,
+    and a symmetric density's odd sums are rounding noise.
+    """
+    coeffs, m = np.asarray(coeffs, dtype=float), np.asarray(m, dtype=float)
+    l = np.arange(len(coeffs))
+    p = np.array([np.sum(coeffs[l % 2 == r]) for r in (0, 1)])
+    q = np.array([np.sum(((6.0 * l * l + 2.0) * coeffs)[l % 2 == r]) for r in (0, 1)])
+    r = (m % 2).astype(int)
+    size = (2.0 * np.sum(np.abs(p)) / m**2 + np.sum(np.abs(q)) / m**4) / np.pi
+    return -(2.0 * p[r] / m**2 + q[r] / m**4) / np.pi, size
 
 
 def cheb_eval_recurrence(k, x):

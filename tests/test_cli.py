@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from chebpush import cli, pushforward
 from chebpush.cli import MAX_K, MAX_ORDER, MAX_POINTS, MAX_WORK, main, parse_ks
 from chebpush.densities import make_density
+from chebpush.montecarlo import KS_MIN_SAMPLES
 from chebpush.pushforward import (
     bounded_factor,
     default_grid,
@@ -438,7 +439,10 @@ def test_caps_and_work_budget_exit_one_before_computing(capsys, monkeypatch):
             (["dance", "--ks", f"{MAX_K // 2},{MAX_K}"], budget),
             (["converge", "--dist", "uniform", "--ks", f"1..{MAX_K}"], budget),
             (["mc", "--dist", "uniform", "--k", "4096", "--n", "100000"],
-             f"mc would sum {4096 * 100000} angle terms")):
+             f"mc would sum {4096 * 100000} angle terms"),
+            # the KS needs KS_MIN_SAMPLES; sampling first only to fail there wastes the run
+            (["mc", "--dist", "uniform", "--k", "2", "--n", "50"],
+             f"KS needs at least {KS_MIN_SAMPLES} samples, got 50")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert out == ""
@@ -569,18 +573,23 @@ def test_the_route_of_a_decayed_gaussian_matches_the_angle_sum(mu, sigma, k):
 
 
 @settings(max_examples=40, deadline=None)
-@given(xstar=st.floats(-0.8, 0.8), ends=st.lists(st.floats(0.05, 2.0), min_size=4, max_size=4),
-       k=st.integers(8, 4096))
-def test_the_route_of_a_two_piece_density_matches_the_angle_sum(xstar, ends, k):
-    # a jump at x* between two linear pieces; S_k jumps where k t* +- beta is
-    # a multiple of 2 pi, t* = arccos(x*), and is compared away from there
-    d = two_piece_density(xstar, ends[:2], ends[2:])
+@given(xstars=st.lists(st.floats(-0.8, 0.8), min_size=1, max_size=2).filter(
+           lambda xs: len(xs) == 1 or abs(xs[0] - xs[1]) >= 0.1),
+       ends=st.lists(st.floats(0.05, 2.0), min_size=6, max_size=6), k=st.integers(8, 4096))
+def test_the_route_of_a_two_piece_density_matches_the_angle_sum(xstars, ends, k):
+    # one or two jumps between linear pieces, each end of each piece above
+    # 0, so -1 and 1 are jumps to 0 as well; S_k jumps where k t* +- beta is
+    # a multiple of 2 pi, t* = arccos(x*), and is compared away from there.
+    # The jumps are at least 0.1 apart: a piece's fourth derivative scales
+    # its series' rounding noise by (2 / width)^4, and at width 0.01 the
+    # route already misses by 1.5e-9
+    d = two_piece_density(xstars, ends[:2 * len(xstars) + 2])
     [(bounded, cdf)] = cli._exact_routes(d, (k,))
     assert bounded.func is series_bounded_factor and cdf.func is series_cdf
     z = default_grid(33)
-    beta, t = np.arccos(z), np.arccos(xstar)
+    beta, t = np.arccos(z), np.arccos(np.array(xstars))[:, None]
     image = np.min([np.abs(np.mod(k * t + side * beta + np.pi, 2.0 * np.pi) - np.pi)
-                    for side in (1.0, -1.0)], axis=0)
+                    for side in (1.0, -1.0)], axis=(0, 1))
     away = image > 1e-9
     assert np.max(np.abs(bounded(z) - bounded_factor(d, k, z))[away]) <= 1e-11
     assert abs(cdf(0.0) - pushforward_cdf(d, k, 0.0)) <= 1e-12

@@ -16,11 +16,14 @@ from chebpush.densities import make_density, normal_cdf, normal_ppf, sample
 from chebpush.montecarlo import push_samples, uniform_stream
 from chebpush.pushforward import (
     LIMIT_BOUNDED_FACTOR,
+    SERIES_SPAN,
     SUM_BLOCK,
     SUM_CHUNK,
     _SUM_COEFS,
     _aliased_coeffs,
     _clenshaw,
+    _edge_model,
+    _edges,
     _fejer_rule,
     _panel_breaks,
     asymptotic_bounded_factor,
@@ -42,6 +45,7 @@ from oracles import (
     angle_cdf_reference,
     angle_sum_reference,
     branch_pushforward_pdf,
+    endpoint_model_reference,
     mass_left_oracle,
     pushforward_cdf_oracle,
 )
@@ -336,20 +340,36 @@ def test_clenshaw_is_chebval_bit_for_bit(length, points):
 
 def test_each_row_of_the_trig_sum_table_sums_its_series():
     # row p holds sum_{n>=1} sin(n x) / n^p for odd p and cos(n x) / n^p for
-    # even p on (0, 2 pi); for p = 5 and 6, 4000 terms leave under 1e-14, and
-    # the polynomial form rounds to about 1e-14 near 2 pi
+    # even p on (0, 2 pi), in y = x - pi; for p = 5 and 6, 4000 terms leave
+    # under 1e-14
     x = np.linspace(0.1, 2.0 * np.pi - 0.1, 7)
     n = np.arange(1.0, 4001.0)[:, None]
     for p in (5, 6):
         trig = np.sin if p % 2 else np.cos
         want = np.sum(trig(n * x) / n**p, axis=0)
-        got = np.polynomial.polynomial.polyval(x, _SUM_COEFS[p - 1])
+        got = np.polynomial.polynomial.polyval(x - np.pi, _SUM_COEFS[p - 1])
         assert np.max(np.abs(got - want)) < 5e-14
-    # and each row is the one before it integrated: sin sums from 0, cos sums
-    # from zeta(p) at 0 with the sign of d cos(n x) / dx = -n sin(n x)
+    # and each row is the one before it integrated: sin sums from 0 at y = 0,
+    # cos sums from -eta(p), with the sign of d cos(n x) / dx = -n sin(n x);
+    # with row 6 above, that pins every coefficient of every row
     for p in range(2, 7):
         slope = np.polynomial.polynomial.polyder(_SUM_COEFS[p - 1])
         assert np.allclose(slope, (1.0 if p % 2 else -1.0) * _SUM_COEFS[p - 2][:6], atol=1e-15)
+
+
+@pytest.mark.parametrize("name", ("uniform", "ramp", "gauss:0.3,0.4"))
+def test_the_end_edges_give_the_closed_form_endpoint_model(name):
+    # -1 and 1 are edges like a jump, with f = 0 outside [-1, 1]. There
+    # sin t = 0, so h, h'' and h'''' are exactly 0, and the cos terms give
+    # the earlier -(2 P_r / m^2 + Q_r / m^4) / pi at every m up to
+    # SERIES_SPAN (L + 1), so at every m = nk the route models
+    mu = expand_density(_dist(name)).coeffs
+    t, jumps = _edges(((-1.0, 1.0, mu),))
+    assert t.tolist() == [np.pi, 0.0]
+    assert np.all(jumps[:, 0::2] == 0.0)
+    m = np.arange(1.0, SERIES_SPAN * len(mu) + 1)
+    want, size = endpoint_model_reference(mu, m)
+    assert np.max(np.abs(_edge_model(t, jumps, m) - want) / size) < 1e-15
 
 
 def test_fejer_rule_integrates_each_chebyshev_polynomial_below_its_size():
