@@ -11,7 +11,9 @@ import argparse
 import pathlib
 import sys
 
+from chebpush.cli import MAX_POINTS
 from chebpush.cli import main as chebpush_main
+from chebpush.montecarlo import KS_MIN_SAMPLES
 
 
 def runs(n_mc):
@@ -33,10 +35,20 @@ def runs(n_mc):
         yield f"pdf_gauss_k{k}.csv", ["pdf", "--dist", "gauss:0,0.25", "--k", str(k)]
 
 
+def sample_count(text):
+    """--n as an int that every mc run accepts, so a bad value writes no file."""
+    n = int(text)
+    if not KS_MIN_SAMPLES <= n <= MAX_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {KS_MIN_SAMPLES} (the KS needs them) and at most {MAX_POINTS}, "
+            f"got {n}")
+    return n
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="out", help="directory for the CSV files")
-    parser.add_argument("--n", type=int, default=200000,
+    parser.add_argument("--n", type=sample_count, default=200000,
                         help="Monte Carlo sample count per run")
     args = parser.parse_args()
     outdir = pathlib.Path(args.outdir)

@@ -214,6 +214,21 @@ def _emit(ns, headers, rows, trailers=()):
         fh.writelines(tail)
 
 
+def _decayed_series(d):
+    """The Chebyshev expansion of d where it may be read, else None.
+
+    It may be read where d is expandable (arcsine, an unbounded pdf, is not)
+    and its expansion has decayed, which ChebSeries.decayed reports. This
+    is the one rule for the series route and the asymptotic expansion
+    alike; d is expanded at most once.
+    """
+    if d.expandable:
+        series = expand_density(d)
+        if series.decayed:
+            return series
+    return None
+
+
 def _exact_routes(d, ks):
     """S_k and F_k of T_k(X), the bounded factor and the cdf, for each k of ks.
 
@@ -222,13 +237,11 @@ def _exact_routes(d, ks):
     route (series_bounded_factor, series_cdf) aliases the density's
     Chebyshev expansion at a cost independent of k, and is the cheaper on
     wide inputs from k = SERIES_MIN_K. A k takes the series route when it
-    is at least SERIES_MIN_K, the density is expandable and its expansion
-    has decayed, which ChebSeries.decayed reports. A density with jumps,
-    such as uniform01, is expanded piece by piece between them, and its
-    jumps are edges of the route's one model, as -1 and 1 are. The
-    density's flag and the k values come first, so an unbounded pdf
-    (arcsine, not expandable) or a ladder of small k expands nothing;
-    otherwise the density is expanded once for the whole ladder. Where the
+    is at least SERIES_MIN_K and _decayed_series gives an expansion. A
+    density with jumps, such as uniform01, is expanded piece by piece
+    between them, and its jumps are edges of the route's one model, as -1
+    and 1 are. A ladder of small k expands nothing; otherwise the density
+    is expanded at most once for the whole ladder. Where the
     series route runs, the two routes agree in S_k to within 5.3e-15 on the
     smooth catalog densities at eleven k from 8 to 32768, to within 1.2e-13
     over 378 cases of a sweep of gaussians (mu in [-0.6, 0.6], sigma in
@@ -236,11 +249,7 @@ def _exact_routes(d, ks):
     131 k from 8 to 8000 away from the jump's image T_k(0), where S_k jumps
     and the series route gives the midpoint.
     """
-    series = None
-    if max(ks) >= SERIES_MIN_K and d.expandable:
-        series = expand_density(d)
-        if not series.decayed:
-            series = None
+    series = _decayed_series(d) if max(ks) >= SERIES_MIN_K else None
     for k in ks:
         if series is not None and k >= SERIES_MIN_K:
             yield partial(series_bounded_factor, series, k), partial(series_cdf, series, k)
@@ -274,7 +283,7 @@ def cmd_dance(ns):
 def cmd_converge(ns):
     d = ns.dist
     report = convergence_report(d, ns.ks, ns.grid)
-    series = expand_density(d) if d.expandable else None
+    series = _decayed_series(d)
     z = default_grid(ns.grid)
     rows = []
     for k, err, bounded in zip(report.ks, report.sup_errors, report.bounded):

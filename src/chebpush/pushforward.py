@@ -342,19 +342,29 @@ def _aliased_coeffs(series, k):
     return c, np.array(list(merged)), g / float(k) ** np.arange(1, 6)
 
 
-def _series_on_chunks(series, k, arr, shift, finish):
-    """A series route at the points arr, SUM_CHUNK points at a time.
+def _series_on_chunks(series, k, arr, shift):
+    """A series route at the points arr, SUM_CHUNK points at a time: S_k for shift 0, F_k for 1.
 
-    For each chunk of points x, with beta = arccos(x), finish(c, x, beta)
-    gives the exact part from the aliased coefficients c. Each edge phase
-    adds (1/pi) [P(x+) + (-1)^shift P(x-)], x+- = (phase +- beta) mod 2 pi,
-    with P = sum_p g_p s_p for S_k (shift 0) and, integrated once more for
-    F_k (shift 1), P = sum_p (-1)^(p+1) g_p s_(p+1), s_p the rows of
-    _SUM_COEFS, in x - pi: one Horner pass over every phase and side at
-    once. Every step is pointwise, so a point's value does not depend on the
-    chunking.
+    With beta = arccos(x) and c the aliased coefficients, the exact part is
+    sum_n c_n T_n(x) for S_k, and for F_k c_0 (pi - beta) - sin(beta)
+    sum_n c_n U_{n-1}(x) / n. As U_{n-1} = 2 (T_{n-1} + T_{n-3} + ...), its
+    T_0 term halved, that sum is sum_j b_j T_j(x), b_j twice the sum of c_n / n
+    over n = j + 1, j + 3, ... (b_0 once). Both take one _clenshaw pass.
+    Each edge phase adds (1/pi) [P(x+) + (-1)^shift P(x-)],
+    x+- = (phase +- beta) mod 2 pi, with P = sum_p g_p s_p for S_k and,
+    integrated once more for F_k, P = sum_p (-1)^(p+1) g_p s_(p+1), s_p the
+    rows of _SUM_COEFS, in x - pi: one Horner pass over every phase and side
+    at once. Every step is pointwise, so a point's value does not depend on
+    the chunking.
     """
     c, phase, g = _aliased_coeffs(series, k)
+    b = c
+    if shift:
+        # c_n / n at n - 1, in pairs of one even and one odd index, with zeros on top
+        b = np.zeros(len(c) + len(c) % 2)
+        b[:len(c) - 1] = c[1:] / np.arange(1.0, len(c))
+        b = 2.0 * np.cumsum(b.reshape(-1, 2)[::-1], axis=0)[::-1].ravel()
+        b[0] /= 2.0
     # one row per edge phase and side; the S_k rows have degree 5
     phase, g = np.repeat(phase - np.pi, 2)[:, None], np.repeat(g, 2, axis=0)
     side = np.array([1.0, -1.0] * (len(phase) // 2)).reshape(-1, 1)
@@ -368,7 +378,9 @@ def _series_on_chunks(series, k, arr, shift, finish):
     for lo in range(0, flat.size, SUM_CHUNK):
         x = flat[lo:lo + SUM_CHUNK]
         beta = np.arccos(x)
-        values = finish(c, x, beta)
+        values = _clenshaw(x, b)
+        if shift:
+            values = c[0] * (np.pi - beta) - np.sqrt((1.0 - x) * (1.0 + x)) * values
         # y = phase - pi + side beta lies in [-2 pi, 2 pi); one shift of 2 pi
         # takes it to [-pi, pi]
         y = side * beta
@@ -408,23 +420,6 @@ def _clenshaw(x, c):
     return b1
 
 
-def _series_pdf_chunk(c, x, beta):
-    return _clenshaw(x, c)
-
-
-def _series_cdf_chunk(c, x, beta):
-    # Clenshaw for sum_n u_n U_{n-1}(x), u_n = 2 e_{nk} / n: b <- u_n + 2 x b' - b'',
-    # in three buffers
-    twice = 2.0 * x
-    b1, b2, b = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
-    for un in c[:0:-1] / np.arange(len(c) - 1, 0, -1):
-        np.multiply(twice, b1, out=b)
-        b -= b2
-        b += un
-        b1, b2, b = b, b1, b2
-    return c[0] * (np.pi - beta) - np.sqrt((1.0 - x) * (1.0 + x)) * b1
-
-
 @_pointwise
 def series_bounded_factor(series, k, z):
     """S_k(z) reassembled from the Chebyshev coefficients of the input density.
@@ -462,7 +457,7 @@ def series_bounded_factor(series, k, z):
     memory beyond the result does not grow with the number of points.
     """
     k = _index(k, 1, "Chebyshev index")
-    return _series_on_chunks(series, k, _open_interval(z), 0, _series_pdf_chunk)
+    return _series_on_chunks(series, k, _open_interval(z), 0)
 
 
 @_pointwise
@@ -476,16 +471,18 @@ def series_cdf(series, k, z):
         F_k(cos beta) = c_0 (pi - beta) - 2 sum_{n>=1} c_{nk} sin(n beta) / n.
 
     The edges' model integrates in closed form, each sum over n by the next
-    row of _SUM_COEFS, and the exact part is one Clenshaw pass through
-    sin(n beta) = sin(beta) U_{n-1}(cos beta) over about SERIES_SPAN (L + 1) / k
-    terms, on chunks of SUM_CHUNK points, as in series_bounded_factor. The
-    cost does not grow with k. F_k is
-    continuous at the images of pdf jumps. z may stray past [-1, 1] by
-    chebpoly.DOMAIN_SLACK; z and the result are clipped, as in
+    row of _SUM_COEFS. In the exact part, sin(n beta) = sin(beta)
+    U_{n-1}(cos beta), and 2 sum_n c_{nk} U_{n-1}(z) / n is the derivative of
+    2 sum_n c_{nk} T_n(z) / n^2, a T-series whose coefficients are suffix
+    sums over each parity. So it is sin(beta) times one Clenshaw pass over
+    about SERIES_SPAN (L + 1) / k terms, the same pass as S_k's, on chunks
+    of SUM_CHUNK points (_series_on_chunks). The cost does not grow with k.
+    F_k is continuous at the images of pdf jumps. z may stray past [-1, 1]
+    by chebpoly.DOMAIN_SLACK; z and the result are clipped, as in
     pushforward_cdf.
     """
     k = _index(k, 1, "Chebyshev index")
-    out = _series_on_chunks(series, k, _unit_interval(z), 1, _series_cdf_chunk)
+    out = _series_on_chunks(series, k, _unit_interval(z), 1)
     return np.clip(out, 0.0, 1.0, out=out)
 
 

@@ -13,9 +13,10 @@ A density with interior jumps is also expanded piece by piece, one series
 per piece between its breakpoints, each on its piece mapped to [-1, 1]. Its
 global series converges slowly, like 1/l, but its pieces' series decay as a
 smooth density's do, and they are what the series route of pushforward
-reads. A series whose tail has not decayed (a narrow bump, or too low an
-order) is still returned, with ChebSeries.decayed False. That flag is the
-only report of it: no warning is raised.
+reads. A series whose tail has not decayed (a narrow bump, a piece too
+narrow to resolve past its rounding noise, or too low an order) is still
+returned, with ChebSeries.decayed False. That flag is the only report of
+it: no warning is raised.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ import numpy as np
 from .chebpoly import _index, cheb_integral
 
 # A truncated series is considered decayed when its last four coefficients
-# are below this. Smooth catalog densities sit below 1e-16 at order 64; a jump
-# density sits near 1e-2, so anything between separates the two cleanly.
+# are below this (a piece's scaled by its width, see _fit). Smooth catalog
+# densities sit below 1e-16 at order 64; a jump density sits near 1e-2, so
+# anything between separates the two cleanly.
 DECAY_TOL = 1e-10
 
 # Order of an expansion when none is asked for.
@@ -44,8 +46,9 @@ class ChebSeries:
     f(x) ~ sum_l coeffs[l] T_l(u) on [lo, hi], x = (lo + hi) / 2 + (hi - lo) u / 2;
     it is empty for a density without jumps, whose one piece is coeffs.
     decayed is False when the tail of the pieces (of coeffs without jumps)
-    had not dropped below DECAY_TOL at the truncation order, i.e. the series
-    is usable but not spectrally accurate.
+    had not dropped below DECAY_TOL at the truncation order, a piece's tail
+    scaled by (2 / (hi - lo))^4, i.e. the series is usable but not
+    spectrally accurate. A piece's coefficients below that bound are zeroed.
     """
 
     coeffs: np.ndarray
@@ -54,11 +57,15 @@ class ChebSeries:
 
 
 def _fit(pdf, lo, hi, order):
-    """The coefficients of pdf on [lo, hi] mapped to [-1, 1], and whether they decayed.
+    """The coefficients of pdf on [lo, hi] mapped to [-1, 1], and which of them are noise.
 
     The quadrature uses n = max(256, 4 (order + 1)) roots-grid points. Its
     sums over the grid are a DCT-II, taken by one real FFT of length 2n, so
-    time is O(n log n) and memory O(n).
+    time is O(n log n) and memory O(n). A coefficient is noise when it is
+    below DECAY_TOL times (hi - lo)^4 / 16. The series route reads a piece's
+    derivatives up to the fourth at its ends, and on [lo, hi] they scale
+    the coefficients by (2 / (hi - lo))^4 more than on [-1, 1], so a narrow
+    piece's rounding noise would swamp them.
     """
     n = max(256, 4 * (order + 1))
     theta = np.pi * (np.arange(n) + 0.5) / n
@@ -69,31 +76,40 @@ def _fit(pdf, lo, hi, order):
     spectrum = np.fft.rfft(np.concatenate([fx, fx[::-1]]))[:order + 1]
     mu = (np.exp(-0.5j * np.pi * ls / n) * spectrum).real / (2 * n)
     mu[1:] *= 2.0
+    mu.flags.writeable = False
+    return mu, np.abs(mu) * (2.0 / (hi - lo)) ** 4 < DECAY_TOL
+
+
+def _decayed(noise):
     # judge decay on a short tail window, not the last coefficient alone:
     # symmetric or half-supported densities zero out every other coefficient
-    tail = float(np.max(np.abs(mu[max(1, order - 3):])))
-    mu.flags.writeable = False
-    return mu, tail < DECAY_TOL
+    return bool(noise[max(1, len(noise) - 4):].all())
 
 
 def expand_density(d, order=DEFAULT_ORDER):
     """Expand a bounded density to the given order, and each piece of one with jumps.
 
     Densities flagged non-expandable (unbounded pdf) raise ValueError: their
-    coefficients are not defined by this quadrature. A series whose tail
-    has not decayed below DECAY_TOL is returned with decayed=False, which is
-    the only report of it: no warning is raised.
+    coefficients are not defined by this quadrature. A series whose last
+    four coefficients are not all noise (see _fit; on [-1, 1], below
+    DECAY_TOL) is returned with decayed=False, which is the only report of
+    it: no warning is raised. A piece's noise is zeroed, so that the
+    derivatives read at its ends are those of the function it resolves; a
+    piece too narrow for its rounding noise to fall below that bound keeps
+    it and is not decayed.
     """
     if not d.expandable:
         raise ValueError(f"{d.name} has no convergent Chebyshev expansion (unbounded pdf)")
     order = _index(order, 1, "series order")
-    mu, decayed = _fit(d.pdf, -1.0, 1.0, order)
+    mu, noise = _fit(d.pdf, -1.0, 1.0, order)
     if not d.breakpoints:
-        return ChebSeries(coeffs=mu, decayed=decayed)
+        return ChebSeries(coeffs=mu, decayed=_decayed(noise))
     edges = (-1.0, *sorted(map(float, d.breakpoints)), 1.0)
     fits = [(lo, hi, *_fit(d.pdf, lo, hi, order)) for lo, hi in zip(edges, edges[1:])]
-    return ChebSeries(coeffs=mu, decayed=all(fit[3] for fit in fits),
-                      pieces=tuple(fit[:3] for fit in fits))
+    pieces = tuple((lo, hi, np.where(noise, 0.0, coeffs)) for lo, hi, coeffs, noise in fits)
+    for _, _, coeffs in pieces:
+        coeffs.flags.writeable = False
+    return ChebSeries(coeffs=mu, decayed=all(_decayed(fit[3]) for fit in fits), pieces=pieces)
 
 
 def normalization_residual(series):

@@ -217,6 +217,21 @@ def test_converge_arcsine_flagged_invariant(capsys):
     assert trailers[0][2] == "invariant"
 
 
+def test_converge_reads_no_undecayed_expansion(capsys):
+    # gauss:0,0.001's expansion has not decayed at the default order, so the
+    # one rule reads no expansion and the asymptotic column is nan, as for arcsine
+    argv = ("converge", "--dist", "gauss:0,0.001", "--ks", "8,16,32", "--grid", "33")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    _, rows, _ = parse_csv(out)
+    assert len(rows) == 3 and all(r[2] == "nan" for r in rows)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    records = json.loads(out)["rows"]
+    assert len(records) == 3 and all(r["asymptotic_prediction_error"] is None for r in records)
+    assert '"asymptotic_prediction_error": null' in out
+
+
 def test_converge_uniform01_labeled_empirical(capsys):
     # the undecayed series of a jump is said by the label, not by a warning
     with warnings.catch_warnings():
@@ -536,6 +551,9 @@ ROUTE_CASES = (
     # converge and invariance measure the angle sum itself
     (["converge", "--dist", "gauss:0,0.25", "--ks", "8,16,32"], ["bounded_factor"] * 3
      + ["expand_density"]),
+    # and read the expansion by the same rule: an undecayed one is not read
+    (["converge", "--dist", "gauss:0,0.001", "--ks", "8,16,32"], ["bounded_factor"] * 3
+     + ["expand_density"]),
     (["invariance", "--k", "9"], ["bounded_factor"] * 9),
 )
 
@@ -560,6 +578,11 @@ def test_pdf_dance_and_mc_follow_one_route_rule(capsys, monkeypatch):
         assert calls.count("expand_density") <= 1
 
 
+def _whole_grid(z):
+    # the cdf is defined on [-1, 1], ends included
+    return np.concatenate(([-1.0], z, [1.0]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(mu=st.floats(-0.6, 0.6), sigma=st.floats(0.15, 1.0), k=st.integers(8, 4096))
 def test_the_route_of_a_decayed_gaussian_matches_the_angle_sum(mu, sigma, k):
@@ -569,30 +592,47 @@ def test_the_route_of_a_decayed_gaussian_matches_the_angle_sum(mu, sigma, k):
     assert bounded.func is series_bounded_factor and cdf.func is series_cdf
     z = default_grid(33)
     assert np.max(np.abs(bounded(z) - bounded_factor(d, k, z))) <= 1e-11
-    assert abs(cdf(0.0) - pushforward_cdf(d, k, 0.0)) <= 1e-12
+    z = _whole_grid(z)
+    assert np.max(np.abs(cdf(z) - pushforward_cdf(d, k, z))) <= 1e-12
+
+
+def _two_jumps(place_and_log_gap):
+    # both jumps in [-0.8, 0.8], the gap between them 10^log_gap
+    place, log_gap = place_and_log_gap
+    gap = 10.0 ** log_gap
+    left = -0.8 + place * (1.6 - gap)
+    return [left, left + gap]
+
+
+# one jump, or two whose gap is log-uniform in [1e-6, 1]
+_JUMPS = st.one_of(st.floats(-0.8, 0.8).map(lambda x: [x]),
+                   st.tuples(st.floats(0.0, 1.0), st.floats(-6.0, 0.0)).map(_two_jumps))
 
 
 @settings(max_examples=40, deadline=None)
-@given(xstars=st.lists(st.floats(-0.8, 0.8), min_size=1, max_size=2).filter(
-           lambda xs: len(xs) == 1 or abs(xs[0] - xs[1]) >= 0.1),
-       ends=st.lists(st.floats(0.05, 2.0), min_size=6, max_size=6), k=st.integers(8, 4096))
+@given(xstars=_JUMPS, ends=st.lists(st.floats(0.05, 2.0), min_size=6, max_size=6),
+       k=st.integers(8, 4096))
 def test_the_route_of_a_two_piece_density_matches_the_angle_sum(xstars, ends, k):
     # one or two jumps between linear pieces, each end of each piece above
     # 0, so -1 and 1 are jumps to 0 as well; S_k jumps where k t* +- beta is
     # a multiple of 2 pi, t* = arccos(x*), and is compared away from there.
-    # The jumps are at least 0.1 apart: a piece's fourth derivative scales
-    # its series' rounding noise by (2 / width)^4, and at width 0.01 the
-    # route already misses by 1.5e-9
+    # A piece's fourth derivative scales its series' rounding noise by
+    # (2 / width)^4: a narrow piece either reads without its noise or is not
+    # decayed and leaves the angle sum in place, which at widths of 0.1 and
+    # up it never is
     d = two_piece_density(xstars, ends[:2 * len(xstars) + 2])
     [(bounded, cdf)] = cli._exact_routes(d, (k,))
-    assert bounded.func is series_bounded_factor and cdf.func is series_cdf
+    assert (bounded.func is series_bounded_factor) == (cdf.func is series_cdf)
+    if len(xstars) == 1 or xstars[1] - xstars[0] >= 0.1:
+        assert bounded.func is series_bounded_factor
     z = default_grid(33)
     beta, t = np.arccos(z), np.arccos(np.array(xstars))[:, None]
     image = np.min([np.abs(np.mod(k * t + side * beta + np.pi, 2.0 * np.pi) - np.pi)
                     for side in (1.0, -1.0)], axis=(0, 1))
     away = image > 1e-9
     assert np.max(np.abs(bounded(z) - bounded_factor(d, k, z))[away]) <= 1e-11
-    assert abs(cdf(0.0) - pushforward_cdf(d, k, 0.0)) <= 1e-12
+    z = _whole_grid(z)
+    assert np.max(np.abs(cdf(z) - pushforward_cdf(d, k, z))) <= 1e-12
 
 
 @pytest.mark.parametrize("workload", ("experiments", "large_k", "wide_grid"))
@@ -784,6 +824,20 @@ def test_emit_memory_is_flat_in_the_rows(tmp_path, fmt):
     finally:
         tracemalloc.stop()
     assert peak < 2**22
+
+
+@pytest.mark.parametrize("n", ("50", str(MAX_POINTS + 1)))
+def test_run_experiments_refuses_a_bad_n_before_writing(n, tmp_path, monkeypatch, capsys):
+    # every mc run needs KS_MIN_SAMPLES to MAX_POINTS samples; a value outside
+    # is a usage error before the first file, not a failure at the first mc
+    script = _load_run_experiments()
+    outdir = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["run_experiments.py", "--n", n, "--outdir", str(outdir)])
+    with pytest.raises(SystemExit) as exc:
+        script.main()
+    assert exc.value.code == 2
+    assert "argument --n" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_run_experiments_writes_every_file(tmp_path, monkeypatch, capsys):

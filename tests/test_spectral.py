@@ -7,7 +7,7 @@ import pytest
 from chebpush.densities import make_density
 from chebpush.spectral import DECAY_TOL, even_moment_sum, expand_density, normalization_residual
 
-from oracles import moment_oracle
+from oracles import moment_oracle, two_piece_density
 
 
 def test_uniform_series_is_the_constant_term():
@@ -113,6 +113,22 @@ def test_jump_density_warns_and_is_flagged():
     assert normalization_residual(s) < 1e-2
     # a density without jumps has no pieces: its one piece is coeffs
     assert expand_density(make_density("uniform")).pieces == ()
+
+
+@pytest.mark.parametrize("width, decayed", ((0.1, True), (0.01, False), (1e-6, False)))
+def test_a_narrow_piece_is_read_without_its_noise_or_not_decayed(width, decayed):
+    # the series route reads a piece's fourth derivative at its ends, which
+    # scales its coefficients by (2 / width)^4: the linear pieces' rounding
+    # noise is zeroed below DECAY_TOL (width / 2)^4, and a piece whose noise
+    # is above that bound is not decayed
+    d = two_piece_density((0.3, 0.3 + width), (1, 1.2, 0.5, 0.6, 1.5, 0.7))
+    s = expand_density(d)
+    assert s.decayed is decayed
+    for lo, hi, coeffs in s.pieces:
+        kept = np.flatnonzero(coeffs)
+        assert np.all(np.abs(coeffs[kept]) * (2.0 / (hi - lo)) ** 4 >= DECAY_TOL)
+        if hi - lo >= 0.1:
+            assert kept.tolist() == [0, 1]
 
 
 def test_arcsine_is_not_expandable():
