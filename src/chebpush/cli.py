@@ -52,16 +52,18 @@ MAX_WORK = 2**28
 # 4 ms at 4096, and expand writes one row per coefficient.
 MAX_ORDER = 4096
 # Largest --grid, --n and number of rows dance writes (k values x grid). A
-# 5-column pdf row costs about 340 B of peak memory (338 B above import on
-# `pdf --dist gauss:0,0.25 --k 128 --grid 1048576`, CSV or JSON) and a
-# dance row about 135 B, so 2^20 rows take at most about 0.36 GB; a sample
-# about 60 B.
+# 5-column pdf row costs about 310 B of peak memory (311 B above import on
+# `pdf --dist gauss:0,0.25 --k 128 --grid 262144`, CSV or JSON) and a
+# dance row about 130 B (`dance --ks 2..17 --grid 65536`), so 2^20 rows
+# take at most about 0.33 GB; a sample about 60 B.
 MAX_POINTS = 2**20
 
 # Rows _emit formats and writes at a time, so the output text held in
 # memory is one chunk's, whatever the row count. A chunk of 1024 5-column
 # JSON records is about 0.4 MB of strings; at 4096 rows, the peak RSS of
-# back-to-back wide-grid commands was 6 MB higher.
+# back-to-back wide-grid commands was 6 MB higher. pdf also turns its
+# column arrays into rows this many at a time: whole, the five float lists
+# held while the rows were built added about 24 B a row to its peak.
 EMIT_ROWS = 1024
 
 # The smallest k that pdf, dance and mc take the series route for, where the
@@ -144,6 +146,15 @@ def _json_tokens(values):
             for v, t in zip(values, map(repr, values))]
 
 
+def _texts(ns, values):
+    """The text _emit writes for each float of values under ns.format.
+
+    A caller that repeats a value in many rows formats it here once and
+    passes the text as the cell.
+    """
+    return _json_tokens(values) if ns.format == "json" else ["%.17g" % v for v in values]
+
+
 def _json_object(keys, values, depth):
     """A JSON object as json.dumps(indent=2) writes it, its closing brace
     `depth` spaces deep, with each value's text inserted as given."""
@@ -155,12 +166,15 @@ def _json_object(keys, values, depth):
 def _emit(ns, headers, rows, trailers=()):
     """Write rows (+ trailing summary records) in the selected format.
 
-    rows is a list of equal-length tuples of Python ints and floats, one
-    type per column. The first row fixes each column's format: %d for an
-    int, and for a float %.17g in CSV or %r in JSON, which is what
-    json.dumps writes for a finite float. JSON has no literal for nan or
-    +-inf, so in a chunk of rows where a float column holds one, that
-    column is written from its JSON tokens (nan as null).
+    rows is a list of equal-length tuples of Python ints, floats and strs,
+    one type per column. A str cell is a float's text, already formatted
+    by _texts, so that a value repeated in many rows is formatted once.
+    The first row fixes each column's format: %d for an int, %s for a str,
+    and for a float %.17g in CSV or %r in JSON, which is what json.dumps
+    writes for a finite float. JSON has no literal for nan or +-inf, so in
+    a chunk of rows where a float column holds one, that column is written
+    from its JSON tokens (nan as null); a str column holds its tokens
+    already.
     CSV: header, data rows, then one row per trailer ("name,value,...").
     JSON: a bare array of row records, or {"rows": [...], trailer: ...}
     when trailers exist. Field names match between formats. The bytes are
@@ -170,7 +184,8 @@ def _emit(ns, headers, rows, trailers=()):
     """
     json_out = ns.format == "json"
     first = rows[0] if rows else ()
-    specs = ["%d" if type(c) is int else "%r" if json_out else "%.17g" for c in first]
+    specs = ["%d" if type(c) is int else "%s" if type(c) is str else "%r" if json_out
+             else "%.17g" for c in first]
     tail = []
     if json_out:
         depth = 2 if trailers else 0
@@ -264,19 +279,25 @@ def cmd_pdf(ns):
     root = np.sqrt((1.0 - z) * (1.0 + z))
     columns = (z, s / root, s, LIMIT_BOUNDED_FACTOR / root, np.abs(s - LIMIT_BOUNDED_FACTOR))
     del root  # one grid-sized array fewer held while the rows are built
-    rows = list(zip(*(c.tolist() for c in columns)))
+    # EMIT_ROWS rows at a time, so the column lists held are one chunk's
+    rows = []
+    for start in range(0, len(z), EMIT_ROWS):
+        rows.extend(zip(*(c[start:start + EMIT_ROWS].tolist() for c in columns)))
     _emit(ns, ("z", "f_k", "s_k", "limit_pdf", "abs_error"), rows)
 
 
 def cmd_dance(ns):
     z = default_grid(ns.grid)
     root = np.sqrt((1.0 - z) * (1.0 + z))
-    zs = z.tolist()
+    # z repeats once per k and the mass once per grid point: each is
+    # formatted once here, and every row shares its text
+    zs = _texts(ns, z.tolist())
     rows = []
     for k, (bounded, cdf) in zip(ns.ks, _exact_routes(ns.dist, ns.ks)):
         pdf = bounded(z) / root
         # P(T_k(X) < 0), which oscillates about 1/2 before it settles
-        rows.extend(zip(repeat(k), zs, pdf.tolist(), repeat(cdf(0.0))))
+        [mass] = _texts(ns, [cdf(0.0)])
+        rows.extend(zip(repeat(k), zs, pdf.tolist(), repeat(mass)))
     _emit(ns, ("k", "z", "f_k", "mass_left_of_zero"), rows)
 
 

@@ -11,8 +11,11 @@ law is uniform), since pdf(cos theta) * sin theta loses relative accuracy
 near theta = 0 when the pdf is singular at x = 1.
 
 Each entry of _BUILDERS writes its forms as numpy expressions on float
-arrays; chebpoly._pointwise, applied once in _density, lets them take
-scalars and lists too.
+arrays, its pdf as it reads on [-1, 1]. _density masks the public pdf to 0
+outside [-1, 1], once for every density, and the default angle law reads
+the unmasked form, since cos theta never leaves [-1, 1].
+chebpoly._pointwise, applied once in _density, lets the forms take scalars
+and lists too.
 
 The truncated gaussian needs the standard normal cdf and its inverse, both
 in numpy here. normal_cdf evaluates Phi(-|t|) = exp(-t^2/2) erfcx(|t|/sqrt 2)/2
@@ -91,16 +94,24 @@ class Density:
 
 
 def _density(name, pdf, cdf, ppf, angle_pdf=None, angle_cdf=None, **meta):
+    # the angle law closes over the builder's pdf, not over the masked one
     angle_pdf = angle_pdf or (lambda theta: pdf(np.cos(theta)) * np.sin(theta))
     angle_cdf = angle_cdf or (lambda theta: 1.0 - cdf(np.cos(theta)))
-    return Density(name, *map(_pointwise, (pdf, cdf, ppf, angle_pdf, angle_cdf)), **meta)
+
+    def support_pdf(x):
+        # pdf is read only on [-1, 1], so that no point outside can overflow
+        inside = np.abs(x) <= 1.0
+        return np.where(inside, pdf(np.where(inside, x, 0.0)), 0.0)
+
+    return Density(name, *map(_pointwise, (support_pdf, cdf, ppf, angle_pdf, angle_cdf)),
+                   **meta)
 
 
 def _arcsine():
     def pdf(x):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = 1.0 / (np.pi * np.sqrt((1.0 - x) * (1.0 + x)))
-        return np.where(np.abs(x) < 1.0, val, np.where(np.abs(x) == 1.0, np.inf, 0.0))
+        # inf at x = +-1
+        with np.errstate(divide="ignore"):
+            return 1.0 / (np.pi * np.sqrt((1.0 - x) * (1.0 + x)))
 
     # arccos(X) is exactly uniform on [0, pi] here; supplying that form keeps
     # pushforward errors at rounding level instead of ~1e-9 near theta = 0.
@@ -113,7 +124,7 @@ def _arcsine():
 
 def _uniform():
     return _density("uniform",
-                    lambda x: np.where(np.abs(x) <= 1.0, 0.5, 0.0),
+                    lambda x: np.full(np.shape(x), 0.5),
                     lambda x: 0.5 * (np.clip(x, -1.0, 1.0) + 1.0),
                     lambda u: 2.0 * u - 1.0)
 
@@ -121,7 +132,7 @@ def _uniform():
 def _ramp():
     """Linear ramp pdf (x + 1) / 2 on [-1, 1]."""
     return _density("ramp",
-                    lambda x: np.where(np.abs(x) <= 1.0, 0.5 * (x + 1.0), 0.0),
+                    lambda x: 0.5 * (x + 1.0),
                     lambda x: 0.25 * (np.clip(x, -1.0, 1.0) + 1.0) ** 2,
                     lambda u: 2.0 * np.sqrt(u) - 1.0)
 
@@ -129,7 +140,7 @@ def _ramp():
 def _uniform01():
     """Uniform on [0, 1]: bounded but with a jump at x = 0."""
     return _density("uniform01",
-                    lambda x: np.where((x >= 0.0) & (x <= 1.0), 1.0, 0.0),
+                    lambda x: np.where(x >= 0.0, 1.0, 0.0),
                     lambda x: np.clip(x, 0.0, 1.0),
                     lambda u: u.copy(), breakpoints=(0.0,))
 
@@ -190,8 +201,7 @@ def _gauss(mu, sigma):
 
     def pdf(x):
         t = (x - mu) / sigma
-        val = np.exp(-0.5 * t * t) / (sigma * _SQRT_2PI * mass)
-        return np.where(np.abs(x) <= 1.0, val, 0.0)
+        return np.exp(-0.5 * t * t) / (sigma * _SQRT_2PI * mass)
 
     def cdf(x):
         out = (normal_cdf((np.clip(x, -1.0, 1.0) - mu) / side_sigma) - lo_cdf) / side_mass

@@ -48,7 +48,8 @@ class ChebSeries:
     decayed is False when the tail of the pieces (of coeffs without jumps)
     had not dropped below DECAY_TOL at the truncation order, a piece's tail
     scaled by (2 / (hi - lo))^4, i.e. the series is usable but not
-    spectrally accurate. A piece's coefficients below that bound are zeroed.
+    spectrally accurate. A piece's coefficients at its rounding level are
+    zeroed (see expand_density).
     """
 
     coeffs: np.ndarray
@@ -57,15 +58,16 @@ class ChebSeries:
 
 
 def _fit(pdf, lo, hi, order):
-    """The coefficients of pdf on [lo, hi] mapped to [-1, 1], and which of them are noise.
+    """The coefficients of pdf on [lo, hi] mapped to [-1, 1], and which of them are small.
 
     The quadrature uses n = max(256, 4 (order + 1)) roots-grid points. Its
     sums over the grid are a DCT-II, taken by one real FFT of length 2n, so
-    time is O(n log n) and memory O(n). A coefficient is noise when it is
-    below DECAY_TOL times (hi - lo)^4 / 16. The series route reads a piece's
-    derivatives up to the fourth at its ends, and on [lo, hi] they scale
-    the coefficients by (2 / (hi - lo))^4 more than on [-1, 1], so a narrow
-    piece's rounding noise would swamp them.
+    time is O(n log n) and memory O(n). A coefficient is small when it is
+    below DECAY_TOL times (hi - lo)^4 / 16, and a series has decayed when
+    its tail is. The series route reads a piece's derivatives up to the
+    fourth at its ends, and on [lo, hi] they scale the coefficients by
+    (2 / (hi - lo))^4 more than on [-1, 1], so a narrow piece's rounding
+    noise would swamp them.
     """
     n = max(256, 4 * (order + 1))
     theta = np.pi * (np.arange(n) + 0.5) / n
@@ -80,10 +82,10 @@ def _fit(pdf, lo, hi, order):
     return mu, np.abs(mu) * (2.0 / (hi - lo)) ** 4 < DECAY_TOL
 
 
-def _decayed(noise):
+def _decayed(small):
     # judge decay on a short tail window, not the last coefficient alone:
     # symmetric or half-supported densities zero out every other coefficient
-    return bool(noise[max(1, len(noise) - 4):].all())
+    return bool(small[max(1, len(small) - 4):].all())
 
 
 def expand_density(d, order=DEFAULT_ORDER):
@@ -91,25 +93,32 @@ def expand_density(d, order=DEFAULT_ORDER):
 
     Densities flagged non-expandable (unbounded pdf) raise ValueError: their
     coefficients are not defined by this quadrature. A series whose last
-    four coefficients are not all noise (see _fit; on [-1, 1], below
+    four coefficients are not all small (see _fit; on [-1, 1], below
     DECAY_TOL) is returned with decayed=False, which is the only report of
-    it: no warning is raised. A piece's noise is zeroed, so that the
-    derivatives read at its ends are those of the function it resolves; a
-    piece too narrow for its rounding noise to fall below that bound keeps
-    it and is not decayed.
+    it: no warning is raised. A piece's coefficients at most eps times the
+    sum of their sizes, which bounds |pdf| on the piece, are rounding and
+    are zeroed, so that the derivatives read at its ends are those of the
+    function it resolves; every coefficient above that is kept, however
+    small, since the pdf's own values are read from the same series. A
+    piece too narrow for its rounding noise to fall below DECAY_TOL scaled
+    as in _fit is not decayed.
     """
     if not d.expandable:
         raise ValueError(f"{d.name} has no convergent Chebyshev expansion (unbounded pdf)")
     order = _index(order, 1, "series order")
-    mu, noise = _fit(d.pdf, -1.0, 1.0, order)
+    mu, small = _fit(d.pdf, -1.0, 1.0, order)
     if not d.breakpoints:
-        return ChebSeries(coeffs=mu, decayed=_decayed(noise))
+        return ChebSeries(coeffs=mu, decayed=_decayed(small))
     edges = (-1.0, *sorted(map(float, d.breakpoints)), 1.0)
     fits = [(lo, hi, *_fit(d.pdf, lo, hi, order)) for lo, hi in zip(edges, edges[1:])]
-    pieces = tuple((lo, hi, np.where(noise, 0.0, coeffs)) for lo, hi, coeffs, noise in fits)
-    for _, _, coeffs in pieces:
+    pieces = []
+    for lo, hi, coeffs, _ in fits:
+        size = np.abs(coeffs)
+        coeffs = np.where(size <= np.finfo(float).eps * np.sum(size), 0.0, coeffs)
         coeffs.flags.writeable = False
-    return ChebSeries(coeffs=mu, decayed=all(_decayed(fit[3]) for fit in fits), pieces=pieces)
+        pieces.append((lo, hi, coeffs))
+    return ChebSeries(coeffs=mu, decayed=all(_decayed(fit[3]) for fit in fits),
+                      pieces=tuple(pieces))
 
 
 def normalization_residual(series):

@@ -7,7 +7,8 @@ distribution functions, adaptive quadrature for moments and cdfs, and the
 error function for the truncated gaussian. Tests compare the library
 against these, never against itself. CATALOG is the set of densities the
 tests sweep over; two_piece_density builds one outside it, with one or two
-jumps anywhere inside (-1, 1).
+jumps anywhere inside (-1, 1), linear between them or with a gaussian cut
+at the first.
 
 The exceptions are the scalar j loop of the angle sum
 (`angle_sum_reference`, `angle_cdf_reference`), the per-cell output
@@ -39,19 +40,34 @@ CATALOG = (*(make_density(name) for name in ("arcsine", "uniform", "ramp", "unif
            make_density("gauss", mu=0.0, sigma=0.25))
 
 
-def two_piece_density(xstars, ends):
-    """A density linear between its jumps, at the one or two points xstars inside (-1, 1).
+def two_piece_density(xstars, ends, bump=0.0):
+    """A density with jumps at the one or two points xstars inside (-1, 1).
 
-    ends holds the unnormalized pdf values at the two ends of each piece,
-    left to right: (at -1, at x*_1, at x*_1, ..., at 1). At a jump the pdf
-    takes the left piece's value. The cdf is the integral of the lines, the
-    ppf inverts it by bisection, and the angle law is built from both as in
-    the catalog, so the density is as exact as they are.
+    ends holds the unnormalized pdf values of the linear part at the two
+    ends of each piece, left to right: (at -1, at x*_1, at x*_1, ..., at 1).
+    To every piece it adds bump times a gaussian of width 0.25 centred on
+    the first jump, which cuts it there; the width is the catalog
+    gaussian's, so its derivatives grow as 4^r, as gauss:0,0.25's do. With
+    bump > 0 no piece is a polynomial, so its Chebyshev series has terms at
+    every size down to the rounding, on a narrow piece as on a wide one.
+    At a jump the pdf takes the left piece's value. The cdf is the
+    integral of the lines and of the gaussian (through erf) in closed form,
+    the ppf inverts it by bisection, and the angle law is built from both
+    as in the catalog, so the density is as exact as they are.
     """
     edges = np.array([-1.0, *sorted(xstars), 1.0])
     lo, width = edges[:-1], np.diff(edges)
     a, b = np.reshape(np.asarray(ends, dtype=float), (-1, 2)).T
-    below = np.concatenate([[0.0], np.cumsum(0.5 * (a + b) * width)])
+    centre, sigma = edges[1], 0.25
+    scale = sigma * np.sqrt(2.0)
+
+    def gauss_below(x):
+        # the integral of the gaussian from -1 to x
+        return 0.5 * np.sqrt(np.pi) * scale * (erf((x - centre) / scale)
+                                               - erf((-1.0 - centre) / scale))
+
+    lines = np.concatenate([[0.0], np.cumsum(0.5 * (a + b) * width)])
+    total = lines[-1] + bump * gauss_below(1.0)
 
     def piece(x):
         return np.clip(np.searchsorted(edges, x) - 1, 0, len(lo) - 1)
@@ -60,13 +76,18 @@ def two_piece_density(xstars, ends):
         x = np.asarray(x, dtype=float)
         i = piece(x)
         val = a[i] + (b[i] - a[i]) * (x - lo[i]) / width[i]
-        return np.where((x >= -1.0) & (x <= 1.0), val, 0.0) / below[-1]
+        if bump:
+            val = val + bump * np.exp(-0.5 * ((x - centre) / sigma) ** 2)
+        return np.where((x >= -1.0) & (x <= 1.0), val, 0.0) / total
 
     def cdf(x):
         x = np.clip(np.asarray(x, dtype=float), -1.0, 1.0)
         i = piece(x)
         u = x - lo[i]
-        return (below[i] + a[i] * u + (b[i] - a[i]) * u * u / (2.0 * width[i])) / below[-1]
+        val = lines[i] + a[i] * u + (b[i] - a[i]) * u * u / (2.0 * width[i])
+        if bump:
+            val = val + bump * gauss_below(x)
+        return val / total
 
     def ppf(q):
         lo_q, hi_q = np.full(np.shape(q), -1.0), np.full(np.shape(q), 1.0)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from chebpush import cli, pushforward
 from chebpush.cli import MAX_K, MAX_ORDER, MAX_POINTS, MAX_WORK, main, parse_ks
-from chebpush.densities import make_density
+from chebpush.densities import make_density, parse_density
 from chebpush.montecarlo import KS_MIN_SAMPLES
 from chebpush.pushforward import (
     bounded_factor,
@@ -611,16 +611,18 @@ _JUMPS = st.one_of(st.floats(-0.8, 0.8).map(lambda x: [x]),
 
 @settings(max_examples=40, deadline=None)
 @given(xstars=_JUMPS, ends=st.lists(st.floats(0.05, 2.0), min_size=6, max_size=6),
-       k=st.integers(8, 4096))
-def test_the_route_of_a_two_piece_density_matches_the_angle_sum(xstars, ends, k):
+       bump=st.one_of(st.just(0.0), st.floats(0.1, 2.0)), k=st.integers(8, 4096))
+def test_the_route_of_a_two_piece_density_matches_the_angle_sum(xstars, ends, bump, k):
     # one or two jumps between linear pieces, each end of each piece above
-    # 0, so -1 and 1 are jumps to 0 as well; S_k jumps where k t* +- beta is
-    # a multiple of 2 pi, t* = arccos(x*), and is compared away from there.
-    # A piece's fourth derivative scales its series' rounding noise by
-    # (2 / width)^4: a narrow piece either reads without its noise or is not
-    # decayed and leaves the angle sum in place, which at widths of 0.1 and
-    # up it never is
-    d = two_piece_density(xstars, ends[:2 * len(xstars) + 2])
+    # 0, so -1 and 1 are jumps to 0 as well, and with bump > 0 a gaussian
+    # cut at the first jump, so that no piece is a polynomial; S_k jumps
+    # where k t* +- beta is a multiple of 2 pi, t* = arccos(x*), and is
+    # compared away from there. A piece's fourth derivative scales its
+    # series' rounding noise by (2 / width)^4: a narrow piece either reads
+    # without its noise or is not decayed and leaves the angle sum in place,
+    # which at widths of 0.1 and up it never is. A curved piece has real
+    # terms at every size, and the route needs them all
+    d = two_piece_density(xstars, ends[:2 * len(xstars) + 2], bump=bump)
     [(bounded, cdf)] = cli._exact_routes(d, (k,))
     assert (bounded.func is series_bounded_factor) == (cdf.func is series_cdf)
     if len(xstars) == 1 or xstars[1] - xstars[0] >= 0.1:
@@ -688,6 +690,32 @@ EMIT_CASES = (
 )
 
 
+def _read_texts(fmt, rows):
+    """rows with each str cell read back as the float whose text it is.
+
+    A str cell is a float formatted ahead by cli._texts: it must be exactly
+    that float's text in fmt, and sit in a column of str cells only, which
+    reads back as floats. CSV reads it with float, JSON by parsing it, null
+    being nan.
+    """
+    ns = SimpleNamespace(format=fmt)
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        assert len(kinds) == 1 or str not in kinds, kinds
+    numeric = []
+    for row in rows:
+        cells = []
+        for cell in row:
+            if type(cell) is str:
+                value = float(cell) if fmt == "csv" else json.loads(cell)
+                value = NAN if value is None else value
+                assert type(value) is float and cli._texts(ns, [value]) == [cell]
+                cell = value
+            cells.append(cell)
+        numeric.append(tuple(cells))
+    return numeric
+
+
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 @pytest.mark.parametrize("argv", EMIT_CASES, ids=lambda argv: "-".join(argv[:3]))
 def test_emit_is_the_reference_byte_for_byte(capsys, monkeypatch, argv, fmt):
@@ -701,11 +729,13 @@ def test_emit_is_the_reference_byte_for_byte(capsys, monkeypatch, argv, fmt):
     monkeypatch.setattr(cli, "_emit", recorded)
     code, out, _ = run_cli(capsys, *argv, "--format", fmt)
     assert code == 0
-    [(headers, rows, trailers)] = calls
+    [(headers, texts, trailers)] = calls
+    # a str cell is a float's text, made once by the caller (dance)
+    rows = _read_texts(fmt, texts)
     assert out == emit_reference(fmt, headers, rows, trailers)
     # only Python scalars reach the templates: repr(np.float64(0.5)) is
     # "np.float64(0.5)" under numpy 2
-    assert isinstance(rows, list)
+    assert isinstance(texts, list)
     assert all(len(row) == len(headers) for row in rows)
     assert all(type(cell) in (int, float) for row in rows for cell in row)
     summary = [v for _, value in trailers
@@ -717,6 +747,50 @@ def test_emit_is_the_reference_byte_for_byte(capsys, monkeypatch, argv, fmt):
     else:
         data = parse_csv(out)[1]
     assert len(rows) == len(data)
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_dance_formats_the_grid_once_and_each_mass_once(capsys, monkeypatch, fmt):
+    # z repeats once per k and the mass once per grid point: _texts gets
+    # the 9 grid values once, then one mass per k, and nothing else
+    calls = []
+    texts = cli._texts
+
+    def spy(ns, values):
+        calls.append(list(values))
+        return texts(ns, values)
+
+    monkeypatch.setattr(cli, "_texts", spy)
+    code, out, _ = run_cli(capsys, "dance", "--ks", "2..4", "--grid", "9", "--format", fmt)
+    assert code == 0
+    d = make_density("gauss", mu=0.0, sigma=0.25)
+    masses = [[cdf(0.0)] for _, cdf in cli._exact_routes(d, (2, 3, 4))]
+    assert calls == [default_grid(9).tolist(), *masses]
+
+
+def _dance_rows(d, ks, grid):
+    # dance's rows, all numbers, from the same routes
+    z = default_grid(grid)
+    root = np.sqrt((1.0 - z) * (1.0 + z))
+    return [(k, x, f, cdf(0.0))
+            for k, (bounded, cdf) in zip(ks, cli._exact_routes(d, ks))
+            for x, f in zip(z.tolist(), (bounded(z) / root).tolist())]
+
+
+@settings(max_examples=30, deadline=None)
+@given(ks=st.lists(st.integers(1, 40), min_size=1, max_size=6), grid=st.integers(2, 40),
+       dist=st.sampled_from(("gauss:0,0.25", "uniform01", "ramp", "arcsine")),
+       fmt=st.sampled_from(("csv", "json")))
+def test_dance_is_the_reference_of_its_numeric_rows(ks, grid, dist, fmt, tmp_path_factory):
+    # k up to 40 runs both routes, the angle sum below SERIES_MIN_K and the
+    # series route from it where the density has one
+    target = tmp_path_factory.mktemp("dance") / "out"
+    argv = ["dance", "--dist", dist, "--ks", ",".join(map(str, ks)), "--grid", str(grid),
+            "--format", fmt, "--out", str(target)]
+    assert main(argv) == 0
+    rows = _dance_rows(parse_density(dist), tuple(ks), grid)
+    headers = ("k", "z", "f_k", "mass_left_of_zero")
+    assert target.read_text() == emit_reference(fmt, headers, rows)
 
 
 NAN, INF = float("nan"), float("inf")

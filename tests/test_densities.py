@@ -114,6 +114,21 @@ def test_angle_law_is_the_pdf_and_cdf_in_angle_space(name, params):
     assert np.array_equal(d.angle_cdf(theta), 1.0 - d.cdf(np.cos(theta)))
 
 
+@settings(max_examples=100, deadline=None)
+@given(d=st.sampled_from(CATALOG), theta=st.lists(st.floats(0.0, np.pi), min_size=1, max_size=16),
+       outside=st.floats(1.0, np.inf, exclude_min=True), sign=st.sampled_from((-1.0, 1.0)))
+def test_one_support_mask_leaves_the_angle_law_bit_for_bit(d, theta, outside, sign):
+    # _density masks the public pdf to 0 outside [-1, 1]; the default angle
+    # law reads the builder's unmasked pdf, which cos theta never takes
+    # outside, so it is pdf(cos theta) sin theta bit for bit. arcsine
+    # supplies its exact angle law
+    assert d.pdf(sign * outside) == 0.0
+    assert np.array_equal(d.pdf(np.array([-outside, outside])), [0.0, 0.0])
+    if d.name != "arcsine":
+        theta = np.array(theta)
+        assert np.array_equal(d.angle_pdf(theta), d.pdf(np.cos(theta)) * np.sin(theta))
+
+
 def test_gaussian_cdf_against_erf_oracle():
     d = make_density("gauss", mu=0.0, sigma=0.25)
     # frozen from the erf route

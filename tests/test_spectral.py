@@ -118,17 +118,24 @@ def test_jump_density_warns_and_is_flagged():
 @pytest.mark.parametrize("width, decayed", ((0.1, True), (0.01, False), (1e-6, False)))
 def test_a_narrow_piece_is_read_without_its_noise_or_not_decayed(width, decayed):
     # the series route reads a piece's fourth derivative at its ends, which
-    # scales its coefficients by (2 / width)^4: the linear pieces' rounding
-    # noise is zeroed below DECAY_TOL (width / 2)^4, and a piece whose noise
-    # is above that bound is not decayed
-    d = two_piece_density((0.3, 0.3 + width), (1, 1.2, 0.5, 0.6, 1.5, 0.7))
-    s = expand_density(d)
-    assert s.decayed is decayed
-    for lo, hi, coeffs in s.pieces:
-        kept = np.flatnonzero(coeffs)
-        assert np.all(np.abs(coeffs[kept]) * (2.0 / (hi - lo)) ** 4 >= DECAY_TOL)
-        if hi - lo >= 0.1:
-            assert kept.tolist() == [0, 1]
+    # scales its coefficients by (2 / width)^4: a piece whose tail is not
+    # below DECAY_TOL (width / 2)^4 is not decayed. A piece's coefficients
+    # at its rounding level, eps times the sum of their sizes, are zeroed
+    # and every other one is kept: a linear piece keeps its two, and a
+    # piece with a gaussian cut at the jump keeps terms below
+    # DECAY_TOL (width / 2)^4 too, which its pdf values need
+    for bump in (0.0, 1.0):
+        d = two_piece_density((0.3, 0.3 + width), (1, 1.2, 0.5, 0.6, 1.5, 0.7), bump=bump)
+        s = expand_density(d)
+        assert s.decayed is decayed
+        for lo, hi, coeffs in s.pieces:
+            size = np.abs(coeffs)
+            kept = np.flatnonzero(coeffs)
+            assert np.all(size[kept] > np.finfo(float).eps * np.sum(size))
+            if hi - lo >= 0.1 and not bump:
+                assert kept.tolist() == [0, 1]
+            if hi - lo >= 0.5 and bump:
+                assert np.min(size[kept]) < DECAY_TOL * ((hi - lo) / 2.0) ** 4
 
 
 def test_arcsine_is_not_expandable():
