@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from functools import partial
+from functools import cache, partial
 from itertools import repeat
 from operator import itemgetter
 
@@ -360,13 +360,16 @@ def _add_grid_flag(sp):
 
 
 def _add_dist_flag(sp, default=argparse.SUPPRESS):
-    # required without a default selector; SUPPRESS keeps "(default: None)" out of the help
-    sp.add_argument("--dist", type=_flag(parse_density), default=default,
+    # required without a default selector; SUPPRESS keeps "(default: None)" out of the help.
+    # parse_density is looked up at each parse, not bound with the parser that main
+    # builds once, so a wrapper put on cli.parse_density later (a spy, a tracer) sees it
+    sp.add_argument("--dist", type=_flag(lambda text: parse_density(text)), default=default,
                     required=default is argparse.SUPPRESS,
                     help="density selector: arcsine | uniform | ramp | uniform01 | gauss:MU,SIGMA")
 
 
 def build_parser():
+    """A new parser of the chebpush command line; main parses with one built once."""
     parser = argparse.ArgumentParser(
         prog="chebpush",
         description="Exact and asymptotic distributions of T_k(X) for random "
@@ -463,8 +466,20 @@ def _check_budget(ns):
                          f"summed over every k")
 
 
+@cache
+def _parser():
+    """The parser main uses, built on the first call of the process.
+
+    Parsing leaves a parser as it was, so one serves every call. The
+    command each subparser runs (ns.func) is bound as it is built, so a
+    cli.cmd_* patched after the first main does not reach main; no test
+    patches one.
+    """
+    return build_parser()
+
+
 def main(argv=None):
-    ns = build_parser().parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         _check_budget(ns)
         ns.func(ns)

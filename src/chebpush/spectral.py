@@ -14,7 +14,8 @@ per piece between its breakpoints, each on its piece mapped to [-1, 1]. Its
 global series converges slowly, like 1/l, but its pieces' series decay as a
 smooth density's do, and they are what the series route of pushforward
 reads. A series whose tail has not decayed (a narrow bump, a piece too
-narrow to resolve past its rounding noise, or too low an order) is still
+narrow to resolve past its rounding noise, or too low an order), or whose
+mass is not 1 (a bump so narrow that it falls between the nodes), is still
 returned, with ChebSeries.decayed False. That flag is the only report of
 it: no warning is raised.
 """
@@ -48,8 +49,9 @@ class ChebSeries:
     decayed is False when the tail of the pieces (of coeffs without jumps)
     had not dropped below DECAY_TOL at the truncation order, a piece's tail
     scaled by (2 / (hi - lo))^4, i.e. the series is usable but not
-    spectrally accurate. A piece's coefficients at its rounding level are
-    zeroed (see expand_density).
+    spectrally accurate, or when the pieces' mass is not 1 within
+    DECAY_TOL. A piece's coefficients at its rounding level are zeroed
+    (see expand_density).
     """
 
     coeffs: np.ndarray
@@ -88,6 +90,11 @@ def _decayed(small):
     return bool(small[max(1, len(small) - 4):].all())
 
 
+def _mass(coeffs):
+    """sum_l coeffs[l] * integral of T_l over [-1, 1]."""
+    return float(np.dot(coeffs, [cheb_integral(l) for l in range(len(coeffs))]))
+
+
 def expand_density(d, order=DEFAULT_ORDER):
     """Expand a bounded density to the given order, and each piece of one with jumps.
 
@@ -95,20 +102,24 @@ def expand_density(d, order=DEFAULT_ORDER):
     coefficients are not defined by this quadrature. A series whose last
     four coefficients are not all small (see _fit; on [-1, 1], below
     DECAY_TOL) is returned with decayed=False, which is the only report of
-    it: no warning is raised. A piece's coefficients at most eps times the
-    sum of their sizes, which bounds |pdf| on the piece, are rounding and
-    are zeroed, so that the derivatives read at its ends are those of the
-    function it resolves; every coefficient above that is kept, however
-    small, since the pdf's own values are read from the same series. A
-    piece too narrow for its rounding noise to fall below DECAY_TOL scaled
-    as in _fit is not decayed.
+    it: no warning is raised. So is one whose mass, summed over its pieces
+    (over coeffs without jumps), is not 1 within DECAY_TOL: a bump narrower
+    than the quadrature's node spacing falls between the nodes, and its
+    series is about 0 throughout, small but empty. A piece's coefficients
+    at most eps times the sum of their sizes, which bounds |pdf| on the
+    piece, are rounding and are zeroed, so that the derivatives read at its
+    ends are those of the function it resolves; every coefficient above
+    that is kept, however small, since the pdf's own values are read from
+    the same series. A piece too narrow for its rounding noise to fall
+    below DECAY_TOL scaled as in _fit is not decayed.
     """
     if not d.expandable:
         raise ValueError(f"{d.name} has no convergent Chebyshev expansion (unbounded pdf)")
     order = _index(order, 1, "series order")
     mu, small = _fit(d.pdf, -1.0, 1.0, order)
     if not d.breakpoints:
-        return ChebSeries(coeffs=mu, decayed=_decayed(small))
+        decayed = _decayed(small) and abs(1.0 - _mass(mu)) <= DECAY_TOL
+        return ChebSeries(coeffs=mu, decayed=decayed)
     edges = (-1.0, *sorted(map(float, d.breakpoints)), 1.0)
     fits = [(lo, hi, *_fit(d.pdf, lo, hi, order)) for lo, hi in zip(edges, edges[1:])]
     pieces = []
@@ -117,18 +128,21 @@ def expand_density(d, order=DEFAULT_ORDER):
         coeffs = np.where(size <= np.finfo(float).eps * np.sum(size), 0.0, coeffs)
         coeffs.flags.writeable = False
         pieces.append((lo, hi, coeffs))
-    return ChebSeries(coeffs=mu, decayed=all(_decayed(fit[3]) for fit in fits),
-                      pieces=tuple(pieces))
+    mass = sum(0.5 * (hi - lo) * _mass(coeffs) for lo, hi, coeffs in pieces)
+    decayed = all(_decayed(fit[3]) for fit in fits) and abs(1.0 - mass) <= DECAY_TOL
+    return ChebSeries(coeffs=mu, decayed=decayed, pieces=tuple(pieces))
 
 
 def normalization_residual(series):
-    """|1 - sum_l mu_l * integral(T_l)|.
+    """|1 - sum_l mu_l * integral(T_l)|, over coeffs.
 
     For a probability density the weighted coefficient sum must reproduce
     total mass 1; the residual measures quadrature plus truncation error.
+    For a density with jumps it is taken over the whole-interval coeffs,
+    whose slow 1/l tail keeps it well above DECAY_TOL; decayed weighs the
+    mass of the pieces instead.
     """
-    weights = np.array([cheb_integral(l) for l in range(len(series.coeffs))])
-    return float(abs(1.0 - np.dot(series.coeffs, weights)))
+    return abs(1.0 - _mass(series.coeffs))
 
 
 def even_moment_sum(series):

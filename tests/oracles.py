@@ -12,14 +12,16 @@ at the first.
 
 The exceptions are the scalar j loop of the angle sum
 (`angle_sum_reference`, `angle_cdf_reference`), the per-cell output
-emitter (`emit_reference`) and the closed-form endpoint model of the series
-route (`endpoint_model_reference`). They repeat an earlier form of the
-library's code on purpose: the angle sum gives the summation order the
-library's block evaluation must reproduce bit for bit, the emitter gives the
-bytes the CLI output must reproduce, and the endpoint model gives the 1/m^2
-and 1/m^4 law of c_m that the series route's edges at -1 and 1 must
-reproduce, so they check the evaluation, the formatting and the rewritten
-form, not the mathematics. The CLI fixes each column's format from the
+emitter (`emit_reference`), the closed-form endpoint model of the series
+route (`endpoint_model_reference`) and the Monte Carlo statistics over a
+batch sorted afresh (`ks_reference`, `histogram_reference`). They repeat an
+earlier form of the library's code on purpose: the angle sum gives the
+summation order the library's block evaluation must reproduce bit for bit,
+the emitter gives the bytes the CLI output must reproduce, the endpoint
+model gives the 1/m^2 and 1/m^4 law of c_m that the series route's edges at
+-1 and 1 must reproduce, and the KS and histogram forms give the values the
+one shared sorted copy must reproduce bit for bit, so they check the
+evaluation, the formatting and the rewritten form, not the mathematics. The CLI fixes each column's format from the
 first row, in CSV and JSON alike, and writes a JSON chunk with a non-finite
 value from JSON tokens.
 """
@@ -120,6 +122,23 @@ def endpoint_model_reference(coeffs, m):
     r = (m % 2).astype(int)
     size = (2.0 * np.sum(np.abs(p)) / m**2 + np.sum(np.abs(q)) / m**4) / np.pi
     return -(2.0 * p[r] / m**2 + q[r] / m**4) / np.pi, size
+
+
+def ks_reference(values, cdf):
+    """The one-sample KS statistic of values against cdf, as first written.
+
+    values are sorted here, and the ranks are int64 i / n and (i - 1) / n.
+    """
+    n = len(values)
+    ref = np.asarray(cdf(np.sort(values)), dtype=float)
+    i = np.arange(1, n + 1)
+    return max(float(np.max(i / n - ref)), float(np.max(ref - (i - 1) / n)))
+
+
+def histogram_reference(values):
+    """(edges, density) of values in 50 equal bins on [-1, 1], by np.histogram."""
+    density, edges = np.histogram(values, bins=50, range=(-1.0, 1.0), density=True)
+    return edges, density
 
 
 def cheb_eval_recurrence(k, x):

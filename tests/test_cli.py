@@ -46,6 +46,21 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def assert_same_text(out, expected):
+    """out == expected, reported at the first line that differs.
+
+    As strict as the == it stands for: the line counts must match, then
+    each line, its line end included. A failed == would make pytest diff
+    the two whole texts, which on a few thousand rows takes minutes.
+    """
+    lines, want = out.splitlines(keepends=True), expected.splitlines(keepends=True)
+    if len(lines) != len(want):
+        raise AssertionError(f"{len(lines)} lines, expected {len(want)}")
+    for number, (line, ref) in enumerate(zip(lines, want), 1):
+        if line != ref:
+            raise AssertionError(f"line {number}: {line!r}, expected {ref!r}")
+
+
 def parse_csv(text):
     lines = [ln for ln in text.strip().splitlines() if ln]
     headers = lines[0].split(",")
@@ -732,7 +747,7 @@ def test_emit_is_the_reference_byte_for_byte(capsys, monkeypatch, argv, fmt):
     [(headers, texts, trailers)] = calls
     # a str cell is a float's text, made once by the caller (dance)
     rows = _read_texts(fmt, texts)
-    assert out == emit_reference(fmt, headers, rows, trailers)
+    assert_same_text(out, emit_reference(fmt, headers, rows, trailers))
     # only Python scalars reach the templates: repr(np.float64(0.5)) is
     # "np.float64(0.5)" under numpy 2
     assert isinstance(texts, list)
@@ -747,6 +762,90 @@ def test_emit_is_the_reference_byte_for_byte(capsys, monkeypatch, argv, fmt):
     else:
         data = parse_csv(out)[1]
     assert len(rows) == len(data)
+
+
+# usage errors, which exit 2 from the parser with its message
+USAGE_ERRORS = (["pdf", "--dist", "gauss:0", "--k", "3"], ["mc", "--k", "4"],
+                ["dance", "--ks", "0"], ["expand", "--dist", "ramp", "--order", "-1"])
+
+
+def _run_to_exit(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_one_parser_serves_every_main_with_the_bytes_of_a_fresh_one(capsys, monkeypatch):
+    """main parses with one parser per process, cli._parser; build_parser
+    gives a new one on each call.
+
+    Every EMIT_CASES argv in both formats, and each usage error, runs twice,
+    interleaved, and writes what it writes with a parser built for that run
+    alone. ns.func is bound as the parser is built, so a cli.cmd_* patched
+    after the first main would not reach main; no test patches one.
+    """
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli._parser() is cli._parser()
+    runs = [[*argv, "--format", fmt] for argv in EMIT_CASES for fmt in ("csv", "json")]
+    runs += USAGE_ERRORS
+    once = [_run_to_exit(capsys, argv) for argv in runs + runs]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [_run_to_exit(capsys, argv) for argv in runs]
+    errors = len(USAGE_ERRORS)
+    assert [code for code, _, _ in fresh] == [0] * (len(runs) - errors) + [2] * errors
+    for argv, (code, out, err), (fresh_code, fresh_out, fresh_err) in zip(runs + runs, once,
+                                                                         fresh + fresh):
+        assert code == fresh_code and err == fresh_err, argv
+        assert_same_text(out, fresh_out)
+
+
+def _csv_run(directory, *argv):
+    """(exit code, data rows as floats, trailers) of a CSV run written to a file."""
+    path = directory / "out.csv"
+    path.unlink(missing_ok=True)
+    code = main([*argv, "--out", str(path)])
+    if code:
+        return code, [], []
+    _, rows, trailers = parse_csv(path.read_text())
+    return code, [[float(c) for c in row] for row in rows], {t[0]: t[1:] for t in trailers}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(mu=st.floats(-1.0, 1.0), log_sigma=st.floats(-6.0, 0.0),
+       k_high=st.integers(cli.SERIES_MIN_K + 1, 64), seed=st.integers(0, 2**31 - 1))
+def test_a_gaussian_of_any_width_gets_its_law_on_both_sides_of_the_series_route(
+        mu, log_sigma, k_high, seed, tmp_path_factory):
+    """pdf, dance and a seeded mc at k = SERIES_MIN_K - 1 (the angle sum),
+    SERIES_MIN_K and k_high above it, for gauss:MU,SIGMA over all of
+    mu in [-1, 1] and log10 sigma in [-6, 0].
+
+    Each exits 0 or 1, writes no negative density, and ks_exact passes from
+    SERIES_MIN_K on wherever it passes at SERIES_MIN_K - 1: the series
+    route is taken only where the expansion saw the mass. A bump narrower
+    than the quadrature's node spacing falls between its nodes, and the
+    empty series it gave was read as decayed. The KS gate fails a correct
+    law at a rate of about 1e-3, so the examples are derandomized, fixed
+    from run to run.
+    """
+    directory = tmp_path_factory.mktemp("gauss")
+    dist = f"gauss:{mu!r},{10.0 ** log_sigma!r}"
+    ks = (cli.SERIES_MIN_K - 1, cli.SERIES_MIN_K, k_high)
+    for k in ks:
+        code, rows, _ = _csv_run(directory, "pdf", "--dist", dist, "--k", str(k), "--grid", "33")
+        assert code in (0, 1) and all(f >= 0.0 and s >= 0.0 for _, f, s, _, _ in rows), k
+    code, rows, _ = _csv_run(directory, "dance", "--dist", dist, "--ks", ",".join(map(str, ks)),
+                             "--grid", "33")
+    assert code in (0, 1) and all(f >= 0.0 and 0.0 <= m <= 1.0 for _, _, f, m in rows)
+    passed = []
+    for k in ks:
+        code, rows, trailers = _csv_run(directory, "mc", "--dist", dist, "--k", str(k),
+                                        "--n", "1000", "--seed", str(seed))
+        assert code in (0, 1) and all(density >= 0.0 for _, _, density in rows), k
+        passed.append(code == 0 and trailers["ks_exact"][2] == "true")
+    assert not passed[0] or passed[1:] == [True, True], passed
 
 
 @pytest.mark.parametrize("fmt", ("csv", "json"))
@@ -790,7 +889,7 @@ def test_dance_is_the_reference_of_its_numeric_rows(ks, grid, dist, fmt, tmp_pat
     assert main(argv) == 0
     rows = _dance_rows(parse_density(dist), tuple(ks), grid)
     headers = ("k", "z", "f_k", "mass_left_of_zero")
-    assert target.read_text() == emit_reference(fmt, headers, rows)
+    assert_same_text(target.read_text(), emit_reference(fmt, headers, rows))
 
 
 NAN, INF = float("nan"), float("inf")
@@ -821,7 +920,8 @@ def test_emit_is_the_reference_on_edge_values(capsys, monkeypatch, fmt):
         for rows in (EDGE_ROWS, EDGE_ROWS[:1], EDGE_ROWS[1:2], [], LATE_EDGE_ROWS):
             for trailers in EDGE_TRAILERS:
                 cli._emit(ns, headers, rows, trailers)
-                assert capsys.readouterr().out == emit_reference(fmt, headers, rows, trailers)
+                assert_same_text(capsys.readouterr().out,
+                                 emit_reference(fmt, headers, rows, trailers))
 
 
 @pytest.mark.parametrize("fmt, expected", (
@@ -878,7 +978,8 @@ def test_emit_is_the_reference_on_any_floats(rows, fmt, tmp_path_factory):
             for tail in ((), trailers):
                 cli._emit(SimpleNamespace(format=fmt, out=str(target)), ("i", "x", "y"), rows,
                           tail)
-                assert target.read_text() == emit_reference(fmt, ("i", "x", "y"), rows, tail)
+                assert_same_text(target.read_text(),
+                                 emit_reference(fmt, ("i", "x", "y"), rows, tail))
     finally:
         cli.EMIT_ROWS = default
 

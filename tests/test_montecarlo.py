@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebpush import montecarlo
+from chebpush.cli import main
 from chebpush.densities import make_density, sample
 from chebpush.montecarlo import (
     SampleBatch,
@@ -13,6 +14,8 @@ from chebpush.montecarlo import (
     uniform_stream,
 )
 from chebpush.pushforward import pushforward_cdf
+
+from oracles import CATALOG, histogram_reference, ks_reference
 
 
 def test_stream_determinism():
@@ -149,3 +152,62 @@ def test_histogram_sees_arcsine_u_shape():
     _, density = histogram(b)
     assert density[0] > density[25]
     assert density[-1] > density[25]
+
+
+# every edge of histogram's bins, -1 and 1 among them, and both zeros
+SPECIAL_VALUES = np.concatenate([np.linspace(-1.0, 1.0, 51), [-0.0, 0.0]])
+# values histogram drops: outside [-1, 1] by one ulp or more, and nan
+STRAY_VALUES = (np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 1.5, -np.inf, np.inf, np.nan)
+
+
+@st.composite
+def _batch_values(draw):
+    """100 to 3000 values on [-1, 1], in random order: every special value,
+    then uniform draws mixed with repeats of a few values (ties) and more
+    special values."""
+    n = draw(st.integers(100, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ties, special = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    rest = rng.uniform(-1.0, 1.0, n - len(SPECIAL_VALUES))
+    pool = rng.uniform(-1.0, 1.0, draw(st.integers(1, 5)))
+    kind = rng.random(len(rest))
+    rest = np.where(kind < ties, rng.choice(pool, len(rest)), rest)
+    rest = np.where(kind > 1.0 - special, rng.choice(SPECIAL_VALUES, len(rest)), rest)
+    return rng.permutation(np.concatenate([SPECIAL_VALUES, rest]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=_batch_values(), d=st.sampled_from(CATALOG),
+       strays=st.lists(st.sampled_from(STRAY_VALUES), max_size=6))
+def test_ks_and_histogram_of_one_sorted_copy_are_the_old_forms_bit_for_bit(values, d, strays):
+    # the old forms sorted the values afresh each, took integer ranks and
+    # binned with np.histogram; the batch sorts once, and both read that
+    batch = SampleBatch(values)
+    result = ks_statistic(batch, d.cdf)
+    assert repr(result.statistic) == repr(ks_reference(values, d.cdf))
+    for binned in (batch, SampleBatch(np.concatenate([values, strays]))):
+        edges, density = histogram(binned)
+        ref_edges, ref_density = histogram_reference(binned.values)
+        assert edges.tobytes() == ref_edges.tobytes()
+        assert density.tobytes() == ref_density.tobytes()
+    # the sorted copy sits beside the draw order, which pushes compose on
+    assert batch.ordered.tobytes() == np.sort(values).tobytes()
+    assert batch.values is values
+
+
+@pytest.mark.parametrize("dist, k", (("uniform", 7), ("gauss:0,0.25", 8), ("uniform01", 32),
+                                     ("arcsine", 8)))
+def test_one_mc_run_sorts_its_pushed_samples_once(capsys, monkeypatch, dist, k):
+    # ks_exact, ks_limit and the histogram all read the batch's one sorted
+    # copy, on the angle sum (k = 7, arcsine) and on the series route alike
+    sizes = []
+    sort = np.sort
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", spy)
+    assert main(["mc", "--dist", dist, "--k", str(k), "--n", "1000", "--seed", "5"]) == 0
+    assert "ks_exact" in capsys.readouterr().out
+    assert sizes == [1000]

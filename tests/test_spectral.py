@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -136,6 +137,20 @@ def test_a_narrow_piece_is_read_without_its_noise_or_not_decayed(width, decayed)
                 assert kept.tolist() == [0, 1]
             if hi - lo >= 0.5 and bump:
                 assert np.min(size[kept]) < DECAY_TOL * ((hi - lo) / 2.0) ** 4
+
+
+@pytest.mark.parametrize("mu, sigma", ((-0.7, 1e-4), (0.0, 6e-4), (0.999, 1e-5)))
+def test_an_expansion_that_saw_none_of_the_mass_has_not_decayed(mu, sigma):
+    # the bump falls between the quadrature's nodes: every coefficient is
+    # about 0, so the tail is small, but the series holds none of the mass,
+    # which is also the residual expand writes. With a jump declared beside
+    # the bump, the pieces' mass is judged, and it is not 1 either
+    d = make_density("gauss", mu=mu, sigma=sigma)
+    s = expand_density(d)
+    assert np.max(np.abs(s.coeffs)) < DECAY_TOL
+    assert normalization_residual(s) == pytest.approx(1.0, abs=1e-9)
+    assert not s.decayed
+    assert not expand_density(dataclasses.replace(d, breakpoints=(0.3,))).decayed
 
 
 def test_arcsine_is_not_expandable():
