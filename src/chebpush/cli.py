@@ -24,6 +24,7 @@ from .densities import make_density, parse_density, sample
 from .montecarlo import KS_MIN_SAMPLES, histogram, ks_statistic, push_samples
 from .pushforward import (
     LIMIT_BOUNDED_FACTOR,
+    _aliased_coeffs,
     asymptotic_bounded_factor,
     bounded_factor,
     convergence_report,
@@ -84,6 +85,9 @@ EMIT_ROWS = 1024
 SERIES_MIN_K = 8
 
 # The angle terms of each command that sums any, as counted for MAX_WORK.
+# mc's KS reads its cdf at a few percent of the samples, but at all of them
+# when the cdf is seen to fall (montecarlo.ks_statistic), so mc is still
+# budgeted k per sample, the full scan's worst case, under the same cap.
 _WORK = {
     "pdf": lambda ns: ns.k * ns.grid,
     "dance": lambda ns: sum(ns.ks) * ns.grid,
@@ -262,12 +266,15 @@ def _exact_routes(d, ks):
     over 378 cases of a sweep of gaussians (mu in [-0.6, 0.6], sigma in
     [0.15, 1], nine k from 8 to 4097), and to within 1.0e-14 on uniform01 at
     131 k from 8 to 8000 away from the jump's image T_k(0), where S_k jumps
-    and the series route gives the midpoint.
+    and the series route gives the midpoint. On the series route each k
+    takes its aliased coefficients once, and S_k and every call of F_k
+    share them: dance reads both, and mc's KS calls F_k more than once.
     """
     series = _decayed_series(d) if max(ks) >= SERIES_MIN_K else None
     for k in ks:
         if series is not None and k >= SERIES_MIN_K:
-            yield partial(series_bounded_factor, series, k), partial(series_cdf, series, k)
+            aliased = _aliased_coeffs(series, k)
+            yield partial(series_bounded_factor, aliased, k), partial(series_cdf, aliased, k)
         else:
             yield partial(bounded_factor, d, k), partial(pushforward_cdf, d, k)
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -308,6 +309,20 @@ def _edge_model(t, jumps, m):
     return model.sum(axis=0) / np.pi
 
 
+class AliasedCoeffs(NamedTuple):
+    """What the series route reads of one series at one k (see _aliased_coeffs).
+
+    series_bounded_factor and series_cdf take it in place of the series, at
+    that k, and skip the coefficient step, so that a caller that reads S_k
+    or F_k of one k more than once takes that step once.
+    """
+
+    c: np.ndarray
+    phase: np.ndarray
+    g: np.ndarray
+    k: int
+
+
 def _aliased_coeffs(series, k):
     """The Chebyshev coefficients of S_k, exact part and edge model apart.
 
@@ -317,7 +332,8 @@ def _aliased_coeffs(series, k):
     G_p / k^p summed over the edges at that phase. An edge where G is 0,
     such as uniform01's -1, is left out. The model's part of S_k(cos beta)
     is (1/pi) sum_p g_p [s_p(phase + beta) + s_p(phase - beta)], s_p the row
-    p of _SUM_COEFS. series_bounded_factor documents the formulas.
+    p of _SUM_COEFS. series_bounded_factor documents the formulas. They
+    come as an AliasedCoeffs, which holds k too.
     """
     mu = series.coeffs
     order = len(mu) - 1
@@ -339,13 +355,23 @@ def _aliased_coeffs(series, k):
             # in turns first, so that the phases of -1 and 1 are exact
             merged.setdefault(_TWO_PI * math.fmod(k * (tx / _TWO_PI), 1.0), []).append(gx)
     g = np.reshape([[sum(p) for p in zip(*gs)] for gs in merged.values()], (-1, 5))
-    return c, np.array(list(merged)), g / float(k) ** np.arange(1, 6)
+    return AliasedCoeffs(c, np.array(list(merged)), g / float(k) ** np.arange(1, 6), k)
 
 
-def _series_on_chunks(series, k, arr, shift):
+def _aliased(series, k):
+    """The AliasedCoeffs of series at k: taken now, or series itself if it is one for k."""
+    if not isinstance(series, AliasedCoeffs):
+        return _aliased_coeffs(series, k)
+    if series.k != k:
+        raise ValueError(f"coefficients aliased for k = {series.k} read at k = {k}")
+    return series
+
+
+def _series_on_chunks(aliased, arr, shift):
     """A series route at the points arr, SUM_CHUNK points at a time: S_k for shift 0, F_k for 1.
 
-    With beta = arccos(x) and c the aliased coefficients, the exact part is
+    aliased is an AliasedCoeffs: c, the edge phases and g, and k. With
+    beta = arccos(x) and c the aliased coefficients, the exact part is
     sum_n c_n T_n(x) for S_k, and for F_k c_0 (pi - beta) - sin(beta)
     sum_n c_n U_{n-1}(x) / n. As U_{n-1} = 2 (T_{n-1} + T_{n-3} + ...), its
     T_0 term halved, that sum is sum_j b_j T_j(x), b_j twice the sum of c_n / n
@@ -357,7 +383,7 @@ def _series_on_chunks(series, k, arr, shift):
     at once. Every step is pointwise, so a point's value does not depend on
     the chunking.
     """
-    c, phase, g = _aliased_coeffs(series, k)
+    c, phase, g, k = aliased
     b = c
     if shift:
         # c_n / n at n - 1, in pairs of one even and one odd index, with zeros on top
@@ -455,9 +481,12 @@ def series_bounded_factor(series, k, z):
     The route sees only the coefficients, never the density. It runs on
     chunks of SUM_CHUNK points, so its cost does not grow with k and its
     memory beyond the result does not grow with the number of points.
+    series is a ChebSeries, or its AliasedCoeffs at this k from
+    _aliased_coeffs, which gives the same values bit for bit without the
+    coefficient step.
     """
     k = _index(k, 1, "Chebyshev index")
-    return _series_on_chunks(series, k, _open_interval(z), 0)
+    return _series_on_chunks(_aliased(series, k), _open_interval(z), 0)
 
 
 @_pointwise
@@ -479,10 +508,11 @@ def series_cdf(series, k, z):
     of SUM_CHUNK points (_series_on_chunks). The cost does not grow with k.
     F_k is continuous at the images of pdf jumps. z may stray past [-1, 1]
     by chebpoly.DOMAIN_SLACK; z and the result are clipped, as in
-    pushforward_cdf.
+    pushforward_cdf. series is a ChebSeries or, as for
+    series_bounded_factor, its AliasedCoeffs at this k.
     """
     k = _index(k, 1, "Chebyshev index")
-    out = _series_on_chunks(series, k, _unit_interval(z), 1)
+    out = _series_on_chunks(_aliased(series, k), _unit_interval(z), 1)
     return np.clip(out, 0.0, 1.0, out=out)
 
 

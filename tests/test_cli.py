@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from chebpush import cli, pushforward
 from chebpush.cli import MAX_K, MAX_ORDER, MAX_POINTS, MAX_WORK, main, parse_ks
 from chebpush.densities import make_density, parse_density
-from chebpush.montecarlo import KS_MIN_SAMPLES
+from chebpush.montecarlo import KS_MIN_SAMPLES, ks_statistic
 from chebpush.pushforward import (
     bounded_factor,
     default_grid,
@@ -387,6 +387,21 @@ def test_a_gaussian_run_loads_no_scipy(tmp_path):
     assert out.read_text().startswith("bin_left,")
 
 
+def test_an_mc_run_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs about 38 ms and 2 MB to import, and np.unique pulls it
+    # in; a fresh interpreter runs mc on both routes and in both formats
+    runs = [["mc", "--dist", dist, "--k", str(k), "--n", "5000", "--format", fmt]
+            for dist, k in (("gauss:0,0.25", 8), ("uniform01", 32), ("arcsine", 7))
+            for fmt in ("csv", "json")]
+    code = ("import sys\n"
+            "from chebpush.cli import main\n"
+            f"codes = [main(argv + ['--out', {str(tmp_path / 'mc.out')!r}]) for argv in {runs!r}]\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"{[0] * len(runs)} False"
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc, Linux fault counts")
 def test_the_angle_sum_reuses_its_block_memory():
     # a fresh interpreter, as above: the 256 KiB block temporaries of a k = 8192
@@ -514,10 +529,41 @@ def test_the_experiment_mc_runs_pass_with_nothing_on_stderr(tmp_path):
             assert {c[0]: c for c in trailers}["ks_exact"][3] == "true", argv
 
 
+def test_the_experiment_ks_tests_read_under_a_tenth_of_the_samples(monkeypatch, capsys):
+    # the 8 mc runs of the experiments script at its n = 2e5: ks_exact and
+    # ks_limit each hand their cdf three arrays, coarse to fine, whose
+    # points add up to under 10% of n, all of them sorted samples
+    n = 200_000
+    tests = []
+
+    def counted(batch, cdf):
+        seen = []
+
+        def spy(x):
+            seen.append(np.array(x))
+            return cdf(x)
+
+        tests.append((batch, seen))
+        return ks_statistic(batch, spy)
+
+    monkeypatch.setattr(cli, "ks_statistic", counted)
+    runs = _experiment_mc_runs(n)
+    assert len(runs) == 8
+    for argv in runs:
+        assert main(argv + ["--out", "-"]) == 0
+    capsys.readouterr()
+    assert len(tests) == 16
+    for batch, seen in tests:
+        assert batch.n == n and len(seen) == 3
+        assert sum(map(len, seen)) < n // 10
+        assert all(np.isin(points, batch.ordered).all() for points in seen)
+
+
 def test_mc_takes_the_series_cdf_where_it_has_at_most_k_terms(capsys, monkeypatch):
     # from k = SERIES_MIN_K = 8, where the series route is the cheaper one,
     # and only for a decayed expansion: uniform01 is expanded piece by piece
-    # around its jump, and arcsine is unbounded, so it is never expanded
+    # around its jump, and arcsine is unbounded, so it is never expanded.
+    # ks_exact reads its cdf in three passes, coarse to fine, all on one route
     calls = []
     for name in ("series_cdf", "pushforward_cdf", "expand_density"):
         def spy(*args, _fn=getattr(cli, name), _name=name):
@@ -533,8 +579,9 @@ def test_mc_takes_the_series_cdf_where_it_has_at_most_k_terms(capsys, monkeypatc
     series = {key for key, used in routes.items() if "series_cdf" in used}
     assert series == {(dist, k) for dist in ("uniform", "gauss:0,0.25", "uniform01")
                       for k in (8, 32)}
-    assert all(routes[key] == ["expand_density", "series_cdf"] for key in series)
-    assert all(used == ["pushforward_cdf"] for key, used in routes.items() if key not in series)
+    assert all(routes[key] == ["expand_density"] + ["series_cdf"] * 3 for key in series)
+    assert all(used == ["pushforward_cdf"] * 3 for key, used in routes.items()
+               if key not in series)
 
 
 ROUTE_FUNCTIONS = ("bounded_factor", "pushforward_cdf", "series_bounded_factor", "series_cdf")
@@ -558,11 +605,12 @@ ROUTE_CASES = (
     (["dance", "--dist", "uniform01", "--ks", "7..9"], ["expand_density", "bounded_factor",
      "pushforward_cdf"] + ["series_bounded_factor", "series_cdf"] * 2),
     (["dance", "--dist", "arcsine", "--ks", "8,16"], ["bounded_factor", "pushforward_cdf"] * 2),
-    (["mc", "--dist", "uniform", "--k", "7"], ["pushforward_cdf"]),
-    (["mc", "--dist", "uniform", "--k", "8"], ["expand_density", "series_cdf"]),
-    (["mc", "--dist", "uniform01", "--k", "7"], ["pushforward_cdf"]),
-    (["mc", "--dist", "uniform01", "--k", "8"], ["expand_density", "series_cdf"]),
-    (["mc", "--dist", "arcsine", "--k", "8"], ["pushforward_cdf"]),
+    # mc's ks_exact reads its cdf in three passes, coarse to fine
+    (["mc", "--dist", "uniform", "--k", "7"], ["pushforward_cdf"] * 3),
+    (["mc", "--dist", "uniform", "--k", "8"], ["expand_density"] + ["series_cdf"] * 3),
+    (["mc", "--dist", "uniform01", "--k", "7"], ["pushforward_cdf"] * 3),
+    (["mc", "--dist", "uniform01", "--k", "8"], ["expand_density"] + ["series_cdf"] * 3),
+    (["mc", "--dist", "arcsine", "--k", "8"], ["pushforward_cdf"] * 3),
     # converge and invariance measure the angle sum itself
     (["converge", "--dist", "gauss:0,0.25", "--ks", "8,16,32"], ["bounded_factor"] * 3
      + ["expand_density"]),
@@ -591,6 +639,26 @@ def test_pdf_dance_and_mc_follow_one_route_rule(capsys, monkeypatch):
         assert run_cli(capsys, *argv, *small[argv[0]])[0] == 0, argv
         assert calls == expected, argv
         assert calls.count("expand_density") <= 1
+
+
+@pytest.mark.parametrize("argv, steps", (
+    (["pdf", "--dist", "uniform01", "--k", "8", "--grid", "9"], [8]),
+    # dance reads S_k and F_k(0) of each k, and mc's ks_exact F_k three times
+    (["dance", "--ks", "6..9", "--grid", "9"], [8, 9]),
+    (["dance", "--dist", "uniform01", "--ks", "8,64", "--grid", "9"], [8, 64]),
+    (["mc", "--dist", "gauss:0,0.25", "--k", "32", "--n", "1000"], [32]),
+    (["mc", "--dist", "uniform01", "--k", "8", "--n", "1000"], [8]),
+    (["mc", "--dist", "uniform", "--k", "7", "--n", "1000"], []),
+))
+def test_each_k_of_the_series_route_takes_one_coefficient_step(capsys, monkeypatch, argv, steps):
+    taken = []
+    for module in (cli, pushforward):
+        def spy(series, k, _fn=module._aliased_coeffs):
+            taken.append(k)
+            return _fn(series, k)
+        monkeypatch.setattr(module, "_aliased_coeffs", spy)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert taken == steps
 
 
 def _whole_grid(z):

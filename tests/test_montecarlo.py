@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebpush import montecarlo
+from chebpush import cli, montecarlo
 from chebpush.cli import main
-from chebpush.densities import make_density, sample
+from chebpush.densities import make_density, parse_density, sample
 from chebpush.montecarlo import (
     SampleBatch,
     histogram,
@@ -211,3 +211,95 @@ def test_one_mc_run_sorts_its_pushed_samples_once(capsys, monkeypatch, dist, k):
     assert main(["mc", "--dist", dist, "--k", str(k), "--n", "1000", "--seed", "5"]) == 0
     assert "ks_exact" in capsys.readouterr().out
     assert sizes == [1000]
+
+
+# gaussians from narrow (whose expansion has not decayed, so the angle sum
+# runs at every k) to wide, and the other catalog densities
+_DISTS = st.one_of(
+    st.sampled_from(("uniform", "ramp", "uniform01", "arcsine")),
+    st.builds(lambda mu, log_sigma: f"gauss:{mu!r},{10.0 ** log_sigma!r}",
+              st.floats(-0.9, 0.9), st.floats(-3.0, 0.3)))
+
+
+@st.composite
+def _mc_batches(draw):
+    """(pushed batch, exact cdf) as mc builds them: a density, k = 1, small,
+    odd and even, or large, 100 to 5000 samples or a few 1e5 to 2e5, and
+    ties made by repeating a few pushed values."""
+    d = parse_density(draw(_DISTS))
+    n = draw(st.one_of(st.integers(100, 5000), st.integers(100_000, 200_000)))
+    k = draw(st.one_of(st.just(1), st.integers(2, 40), st.integers(41, 20_000)))
+    [(_, cdf)] = cli._exact_routes(d, (k,))
+    if cdf.func is pushforward_cdf:
+        # the oracle reads every sample on the angle sum, k terms each
+        k = min(k, max(1, 2**23 // n))
+        [(_, cdf)] = cli._exact_routes(d, (k,))
+    values = push_samples(sample(d, n, draw(st.integers(0, 2**31))), k).values.copy()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tied = rng.random(n) < draw(st.sampled_from((0.0, 0.01, 0.5)))
+    values[tied] = rng.choice(values[:draw(st.integers(1, 5))], tied.sum())
+    return SampleBatch(values), cdf
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_mc_batches())
+def test_the_bracketed_ks_is_the_full_scan_bit_for_bit_on_the_mc_routes(case):
+    # ks_exact on the angle sum (k below SERIES_MIN_K, arcsine, a narrow
+    # gaussian) or on the series route, and ks_limit against arcsine
+    batch, cdf = case
+    for law in (cdf, make_density("arcsine").cdf):
+        assert repr(ks_statistic(batch, law).statistic) == repr(ks_reference(batch.values, law))
+
+
+def _recorded(cdf):
+    """cdf, and the list of the arrays it is handed, in call order."""
+    seen = []
+
+    def spy(x):
+        seen.append(np.array(x))
+        return cdf(x)
+
+    return spy, seen
+
+
+@pytest.mark.parametrize("how, calls", (("falling", 2), ("wiggling", 2), ("nan", 2),
+                                        ("one step down", 2), ("wiggling finer", 3)))
+def test_a_cdf_seen_not_monotone_gets_the_full_scan(how, calls):
+    d = make_density("ramp")
+    batch = push_samples(sample(d, 20000, seed=3), 9)
+    x = batch.ordered
+
+    def exact(z):
+        return pushforward_cdf(d, 9, z)
+
+    cdf = {"falling": lambda z: 1.0 - exact(z),
+           "wiggling": lambda z: exact(z) + 1e-3 * np.sin(1e4 * z),
+           "nan": lambda z: np.where(z > x[-2], np.nan, exact(z)),
+           "one step down": lambda z: exact(z) - 1e-2 * (z >= x[10000]),
+           # a wiggle the coarse pass misses and the second one sees
+           "wiggling finer": lambda z: exact(z) + 1e-4 * np.sin(1e4 * z)}[how]
+    spy, seen = _recorded(cdf)
+    result = ks_statistic(batch, spy)
+    assert repr(result.statistic) == repr(ks_reference(batch.values, cdf))
+    # the pass that sees it is followed by one call on the whole sorted sample
+    assert len(seen) == calls
+    assert seen[-1].tobytes() == x.tobytes()
+
+
+def test_a_fall_within_the_slack_keeps_the_bracket():
+    # pairs of samples one ulp apart, where the cdf falls by 1e-12, far
+    # below KS_MONOTONE_SLACK: the bracket keeps its three passes, and its
+    # value is the full scan's
+    d = make_density("ramp")
+    lower = push_samples(sample(d, 10000, seed=3), 9).values
+    batch = SampleBatch(np.concatenate([lower, np.nextafter(lower, 2.0)]))
+
+    def cdf(z):
+        return pushforward_cdf(d, 9, z) + 1e-12 * np.isin(z, lower)
+
+    falls = np.diff(cdf(batch.ordered))
+    assert -1e-11 < np.min(falls) < 0.0
+    spy, seen = _recorded(cdf)
+    result = ks_statistic(batch, spy)
+    assert repr(result.statistic) == repr(ks_reference(batch.values, cdf))
+    assert len(seen) == 3 and sum(map(len, seen)) < batch.n // 10

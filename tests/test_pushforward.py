@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from chebpush.chebpoly import cheb_eval, cheb_integral
 from chebpush.cli import main
-from chebpush.densities import make_density, normal_cdf, normal_ppf, sample
+from chebpush.densities import make_density, normal_cdf, normal_ppf, parse_density, sample
 from chebpush.montecarlo import push_samples, uniform_stream
 from chebpush.pushforward import (
     LIMIT_BOUNDED_FACTOR,
@@ -325,6 +325,24 @@ def test_series_cdf_is_the_angle_sum_cdf_on_any_decayed_gaussian(mu, sigma, k):
     assert vals[-1] == pytest.approx(1.0, abs=1e-12)
     # the mass is pi c_0, whatever k
     assert np.pi * _aliased_coeffs(s, k)[0][0] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ("gauss:0,0.25", "uniform01", "ramp"))
+@pytest.mark.parametrize("k", (8, 9, 64, 4097))
+def test_coefficients_aliased_once_give_the_series_values_bit_for_bit(name, k):
+    # S_k and F_k read from an AliasedCoeffs taken once are those read from
+    # the series, which takes the coefficient step at every call
+    s = expand_density(parse_density(name))
+    aliased = _aliased_coeffs(s, k)
+    assert aliased.k == k
+    z = default_grid(257)
+    assert series_bounded_factor(aliased, k, z).tobytes() == series_bounded_factor(s, k, z).tobytes()
+    z = np.concatenate(([-1.0], z, [1.0]))
+    assert series_cdf(aliased, k, z).tobytes() == series_cdf(s, k, z).tobytes()
+    assert series_cdf(aliased, k, 0.25) == series_cdf(s, k, 0.25)
+    for fn in (series_bounded_factor, series_cdf):
+        with pytest.raises(ValueError, match="aliased for k"):
+            fn(aliased, k + 1, z[1:-1])
 
 
 @pytest.mark.parametrize("length", (1, 2, 3, 4, 65, 600))
