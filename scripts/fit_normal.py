@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fit the rational coefficients of chebpush's normal cdf and its inverse.
+"""Fit the rational coefficients of chebpush's normal cdf, and check it and its inverse.
 
 chebpush.densities evaluates the standard normal cdf as
 
@@ -9,23 +9,22 @@ where P/Q, of degree 10 over 11, approximates erfcx(s / sqrt(2)) =
 exp(s^2 / 2) * erfc(s / sqrt(2)) on all of [0, inf). erfcx is completely
 monotone, so a rational with positive coefficients fits it (Cody, Math.
 Comp. 23, 1969, uses the same form on pieces); positive coefficients make
-the Horner sums free of cancellation for every s >= 0. The inverse starts
-from -t ~ A(r) / B(r), r = sqrt(-2 log q), of degree 4 over 3, and
-polishes it by Halley steps on Phi.
+the Horner sums free of cancellation for every s >= 0. The fit is
+linearised least squares (Sanathanan-Koerner iteration) in mpmath at 40
+digits, weighing relative error, on Chebyshev nodes in y = (s - 4) / (s + 4),
+so that [0, inf) maps to [-1, 1).
 
-Both fits are linearised least squares (Sanathanan-Koerner iteration) in
-mpmath at 40 digits, on Chebyshev nodes: in y = (s - 4) / (s + 4) for
-erfcx, so [0, inf) maps to [-1, 1), and in r on [sqrt(2 log 2), 37.67] for
-the start, which covers q from 1/2 down to below 1e-308. The erfcx fit
-weighs relative error; the start weighs absolute error below |t| = 1 and
-relative error above.
+The inverse is not fitted here: it is Wichura's AS241 (Appl. Statist. 37,
+1988) with its published coefficients, as in CPython's statistics module
+(NormalDist.inv_cdf). --check measures it against mpmath's quantile.
 
     python3 scripts/fit_normal.py            # print the coefficient tuples
     python3 scripts/fit_normal.py --check    # also compare with the package
 
 Needs mpmath (1.3.0 was used). The output is deterministic; the tuples in
 densities.py are its output verbatim. --check imports chebpush from the
-checkout's src and prints the largest gaps of its Phi against mpmath.
+checkout's src and prints the largest gaps of its Phi and of its inverse to
+mpmath: absolute where |t| <= 1 and relative beyond.
 """
 
 import argparse
@@ -37,7 +36,6 @@ import mpmath as mp
 mp.mp.dps = 40
 
 ERFCX_DEGREES = (10, 11)
-START_DEGREES = (4, 3)
 NODES = 300
 SWEEPS = 10
 
@@ -79,23 +77,9 @@ def fit_erfcx():
     return rational_fit(ss, fs, [1 / f for f in fs], *ERFCX_DEGREES)
 
 
-def upper_quantile(r):
-    """t >= 0 with Phi(-t) = exp(-r^2 / 2), by bisection in mpmath."""
-    lo, hi = mp.mpf(0), mp.mpf(40)
-    target = -r * r / 2
-    for _ in range(120):
-        mid = (lo + hi) / 2
-        if mp.log(mp.erfc(mid / mp.sqrt(2)) / 2) > target:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
-def fit_start():
-    rs = chebyshev_nodes(mp.sqrt(2 * mp.log(2)), mp.mpf("37.67"), NODES)
-    ts = [upper_quantile(r) for r in rs]
-    return rational_fit(rs, ts, [1 / max(t, mp.mpf(1)) for t in ts], *START_DEGREES)
+def lower_quantile(q, start):
+    """t with Phi(t) = q, q <= 1/2, by mpmath's findroot (secant steps) from a float start."""
+    return mp.findroot(lambda t: mp.ncdf(t) - q, mp.mpf(start))
 
 
 def tuple_source(name, coeffs):
@@ -119,12 +103,20 @@ def check():
     got = normal_cdf(ts)
     abs_gap = max(abs(mp.mpf(float(g)) - e) for g, e in zip(got, exact))
     rel_gap = max(abs(mp.mpf(float(g)) / e - 1) for g, e, t in zip(got, exact, ts) if -37 <= t <= 0)
-    ps = np.logspace(-300, np.log10(0.5), 601)
-    inv_gap = max(abs(mp.ncdf(mp.mpf(float(x))) / mp.mpf(float(p)) - 1)
-                  for p, x in zip(ps, normal_ppf(ps)))
     print(f"# Phi on [-40, 40]: max abs gap {float(abs_gap):.2e}, "
           f"max rel gap on [-37, 0] {float(rel_gap):.2e}")
-    print(f"# Phi(Phi^-1(p)) / p - 1 on [1e-300, 0.5]: max {float(inv_gap):.2e}")
+    ps = np.concatenate([np.logspace(-300, np.log10(0.5), 601), np.linspace(0.001, 0.999, 999)])
+    inner = outer = mp.mpf(0)
+    for p, x in zip(ps.tolist(), normal_ppf(ps).tolist()):
+        q = mp.mpf(p)
+        # the mirror image keeps the quantile of p > 1/2 in a lower tail
+        t = lower_quantile(q, x) if q <= 0.5 else -lower_quantile(1 - q, -x)
+        if abs(t) <= 1:
+            inner = max(inner, abs(x - t))
+        else:
+            outer = max(outer, abs(x / t - 1))
+    print(f"# Phi^-1 on [1e-300, 0.999]: max abs gap for |t| <= 1 {float(inner):.2e}, "
+          f"max rel gap above {float(outer):.2e}")
 
 
 def main():
@@ -137,10 +129,6 @@ def main():
     print(f"# erfcx fit: max relative gap at the nodes {float(gap):.1e}")
     print(tuple_source("_ERFCX_NUM", p))
     print(tuple_source("_ERFCX_DEN", q))
-    a, b, gap = fit_start()
-    print(f"# start fit: max weighted gap at the nodes {float(gap):.1e}")
-    print(tuple_source("_START_NUM", a))
-    print(tuple_source("_START_DEN", b))
     if args.check:
         check()
 

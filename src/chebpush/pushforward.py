@@ -301,6 +301,19 @@ def _edges(pieces):
     return np.arccos(x), np.array([_jump_model(*edge) for edge in zip(x.tolist(), df.T.tolist())])
 
 
+@lru_cache(maxsize=4)
+def _series_edges(series):
+    """_edges of a ChebSeries, its pieces or its one whole-interval series.
+
+    They do not depend on k, so a ladder of k takes them once per series
+    (ChebSeries is hashed by identity). Every caller shares them, read-only.
+    """
+    edges = _edges(series.pieces or ((-1.0, 1.0, series.coeffs),))
+    for array in edges:
+        array.flags.writeable = False
+    return edges
+
+
 def _edge_model(t, jumps, m):
     """The Eckhoff terms of c_m, (1/pi) sum_p G_p trig_p(m t*) / m^p, summed over the edges."""
     inv = m ** -np.arange(1.0, 6.0)[:, None]
@@ -338,16 +351,15 @@ def _aliased_coeffs(series, k):
     mu = series.coeffs
     order = len(mu) - 1
     span = SERIES_SPAN * (order + 1)
-    pieces = series.pieces or ((-1.0, 1.0, mu),)
     if series.pieces:
-        c = _piece_moments(pieces, k, span)
+        c = _piece_moments(series.pieces, k, span)
     else:
         # a_{|j|} for j = -L..span + L: the two correlations sum mu_l a_{|m-l|}
         # and mu_l a_{m+l} over l, for m = 0..span
         a = _sin_coeffs(np.abs(np.arange(-order, span + order + 1)))
         c = (np.correlate(a[:span + order + 1], mu[::-1], "valid")
              + np.correlate(a[order:], mu, "valid"))[::k] / 4.0
-    t, jumps = _edges(pieces)
+    t, jumps = _series_edges(series)
     c[1:] = 2.0 * (c[1:] - _edge_model(t, jumps, k * np.arange(1.0, len(c))))
     merged = {}
     for tx, gx in zip(t.tolist(), jumps.tolist()):

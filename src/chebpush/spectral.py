@@ -38,7 +38,7 @@ DECAY_TOL = 1e-10
 DEFAULT_ORDER = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChebSeries:
     """Truncated Chebyshev expansion f ~ sum_l coeffs[l] T_l.
 
@@ -51,7 +51,9 @@ class ChebSeries:
     scaled by (2 / (hi - lo))^4, i.e. the series is usable but not
     spectrally accurate, or when the pieces' mass is not 1 within
     DECAY_TOL. A piece's coefficients at its rounding level are zeroed
-    (see expand_density).
+    (see expand_density). A series compares and hashes by identity, and
+    pushforward reads its edges once per series: its arrays are not
+    changed once it is made (expand_density's are read-only).
     """
 
     coeffs: np.ndarray

@@ -261,7 +261,7 @@ def truncated_gaussian_cdf_oracle(mu, sigma, x):
 
 
 def truncated_gaussian_ppf_oracle(mu, sigma, u):
-    """Truncated-normal quantile through scipy's ndtri, not the library's Halley steps."""
+    """Truncated-normal quantile through scipy's ndtri, not the library's AS241."""
     lo = ndtr((-1.0 - mu) / sigma)
     hi = ndtr((1.0 - mu) / sigma)
     return mu + sigma * ndtri(lo + np.asarray(u, dtype=float) * (hi - lo))

@@ -661,6 +661,24 @@ def test_each_k_of_the_series_route_takes_one_coefficient_step(capsys, monkeypat
     assert taken == steps
 
 
+@pytest.mark.parametrize("argv", (
+    ["dance", "--ks", "2..12", "--grid", "9"],
+    ["dance", "--dist", "uniform01", "--ks", "2..12", "--grid", "9"],
+    ["mc", "--dist", "gauss:0,0.25", "--k", "32", "--n", "1000"],
+    ["mc", "--dist", "uniform01", "--k", "8", "--n", "1000"],
+))
+def test_each_expansion_takes_its_edges_once(capsys, monkeypatch, argv):
+    # the edges do not depend on k: one _edges per expansion, not per k
+    calls = []
+    for module, name in ((cli, "expand_density"), (pushforward, "_edges")):
+        def spy(*args, _fn=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(module, name, spy)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert calls == ["expand_density", "_edges"]
+
+
 def _whole_grid(z):
     # the cdf is defined on [-1, 1], ends included
     return np.concatenate(([-1.0], z, [1.0]))

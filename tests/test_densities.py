@@ -1,5 +1,6 @@
 import inspect
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from chebpush import densities
 from chebpush.densities import make_density, normal_cdf, normal_ppf, parse_density, sample
+from chebpush.montecarlo import uniform_stream
 from chebpush.pushforward import pushforward_mass
 
 from oracles import (
@@ -187,7 +190,49 @@ def test_normal_ppf_holds_in_the_deep_tails():
     assert np.max(np.abs(normal_cdf(x) / p - 1.0)) <= 1e-12
     upper = 1.0 - p[:15]
     assert np.array_equal(normal_ppf(upper), -normal_ppf(1.0 - upper))
-    assert normal_ppf(0.5) == pytest.approx(0.0, abs=1e-16)
+    assert normal_ppf(0.5) == 0.0
+
+
+def _ulps(x, ref):
+    return np.abs(x - ref) / np.spacing(np.abs(ref))
+
+
+def test_normal_ppf_is_the_stdlib_quantile_to_a_few_ulps():
+    # the same AS241 rationals, in the same order; only the logarithm differs:
+    # numpy's and the C library's round a few near-ties apart, and one ulp of
+    # r = sqrt(-log p) becomes up to 3 ulps of x in the tail rational (the
+    # seed-7 stream holds such a draw)
+    inv_cdf = statistics.NormalDist().inv_cdf
+    for p, bound in ((uniform_stream(7, 200000), 3.0), (10.0 ** -np.arange(1.0, 301.0), 2.0)):
+        ref = np.array([inv_cdf(v) for v in p.tolist()])
+        assert np.max(_ulps(normal_ppf(p), ref)) <= bound
+
+
+def test_normal_ppf_at_the_ends_and_at_nan():
+    deepest = statistics.NormalDist().inv_cdf(1e-300)
+    lo, hi = normal_ppf(0.0), normal_ppf(1.0)
+    assert lo == normal_ppf(1e-300) and hi == -lo
+    assert math.isfinite(lo) and _ulps(lo, deepest) <= 2.0
+    assert math.isnan(normal_ppf(np.nan))
+    assert np.isnan(normal_ppf(np.array([0.2, np.nan, 0.99]))).tolist() == [False, True, False]
+
+
+@pytest.mark.parametrize("seam", [0.075, 0.925, math.exp(-25.0)])
+def test_normal_ppf_keeps_its_order_across_each_branch_seam(seam):
+    # the central rational meets the tails at |p - 1/2| = 0.425, and the two
+    # tail rationals meet at r = 5, p = e^-25
+    p = seam + np.arange(-2000, 2001) * np.spacing(seam)
+    x = normal_ppf(p)
+    assert np.all(np.diff(x) >= -np.spacing(np.abs(x[1:])))
+
+
+def test_a_gaussian_draw_reads_no_normal_cdf(monkeypatch):
+    d = make_density("gauss", mu=0, sigma=0.25)
+    calls = []
+    monkeypatch.setattr(densities, "normal_cdf", lambda t: calls.append(t))
+    values = sample(d, 200000, 3).values
+    assert not calls
+    assert np.all(np.abs(values) <= 1.0)
 
 
 @pytest.mark.parametrize("mu,sigma", [(0.5, 0.5), (2.0, 0.5), (5.0, 0.5), (8.0, 0.5),
@@ -214,7 +259,7 @@ def test_gaussian_ppf_over_the_parameter_space(mu, sigma, us):
     u = np.sort(us)
     x = d.ppf(u)
     assert np.all((x >= -1.0) & (x <= 1.0))
-    # monotone to rounding: the last Halley step carries normal_cdf's few-ulp noise
+    # monotone to rounding: each AS241 rational rounds on its own
     assert np.all(np.diff(x) >= -1e-15 * (1.0 + sigma))
     assert np.max(np.abs(d.cdf(x) - u)) <= 1e-12
     twin = make_density("gauss", mu=-mu, sigma=sigma)
