@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from contextlib import nullcontext
 from functools import cache, partial
-from itertools import repeat
-from operator import itemgetter
 
 import numpy as np
 
 from .densities import make_density, parse_density, sample
+from .floattext import float_cells, json_tokens, text_cells
 from .montecarlo import KS_MIN_SAMPLES, histogram, ks_statistic, push_samples
 from .pushforward import (
     LIMIT_BOUNDED_FACTOR,
@@ -53,18 +51,19 @@ MAX_WORK = 2**28
 # 4 ms at 4096, and expand writes one row per coefficient.
 MAX_ORDER = 4096
 # Largest --grid, --n and number of rows dance writes (k values x grid). A
-# 5-column pdf row costs about 310 B of peak memory (311 B above import on
-# `pdf --dist gauss:0,0.25 --k 128 --grid 262144`, CSV or JSON) and a
-# dance row about 130 B (`dance --ks 2..17 --grid 65536`), so 2^20 rows
-# take at most about 0.33 GB; a sample about 60 B.
+# 5-column pdf row costs about 65 B of peak memory (65 B above import on
+# `pdf --dist gauss:0,0.25 --k 128 --grid 262144`, CSV or JSON: its five
+# float64 columns and their temporaries) and a dance row about 46 B
+# (`dance --ks 2..17 --grid 65536`: f_k and two row indexes), so 2^20 rows
+# take at most about 70 MB; a sample about 60 B.
 MAX_POINTS = 2**20
 
-# Rows _emit formats and writes at a time, so the output text held in
-# memory is one chunk's, whatever the row count. A chunk of 1024 5-column
-# JSON records is about 0.4 MB of strings; at 4096 rows, the peak RSS of
-# back-to-back wide-grid commands was 6 MB higher. pdf also turns its
-# column arrays into rows this many at a time: whole, the five float lists
-# held while the rows were built added about 24 B a row to its peak.
+# Rows _emit formats and writes at a time, so the text held in memory is
+# one chunk's, whatever the row count. A chunk of 1024 pdf rows holds its
+# 5120 float cells of 48 bytes, 0.25 MB, and its text; _emit on 2e5 rows of
+# 4 float columns peaked at 1.7 MB under tracemalloc. At 512, 2048 and 4096
+# rows, `pdf --grid 100000 --format json` and `dance --ks 2..12 --grid
+# 20000` were no faster (in-process, best of 5).
 EMIT_ROWS = 1024
 
 # The smallest k that pdf, dance and mc take the series route for, where the
@@ -139,24 +138,23 @@ def _flag(parse):
     return convert
 
 
-# Tokens of the floats JSON has no literal for: json.dumps's spellings of
-# +-inf, and null for nan
-_JSON_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+class Table:
+    """Rows held as columns, as _emit takes them; len() is the row count.
 
-
-def _json_tokens(values):
-    """The JSON literal of each Python scalar, as json.dumps writes it (nan as null)."""
-    return [_JSON_NONFINITE.get(t, t) if type(v) is float else json.dumps(v)
-            for v, t in zip(values, map(repr, values))]
-
-
-def _texts(ns, values):
-    """The text _emit writes for each float of values under ns.format.
-
-    A caller that repeats a value in many rows formats it here once and
-    passes the text as the cell.
+    A column is a 1-D array with one value per row: float64, whose text
+    floattext.float_cells writes, or integers, written with %d. Or it is a
+    pair (values, index) whose row i holds values[index[i]]: values is
+    formatted once and its text gathered for each row, so that a value
+    repeated in many rows, such as dance's grid once per k, is formatted
+    once.
     """
-    return _json_tokens(values) if ns.format == "json" else ["%.17g" % v for v in values]
+
+    def __init__(self, *columns):
+        self.columns = columns
+
+    def __len__(self):
+        first = self.columns[0]
+        return len(first[1] if isinstance(first, tuple) else first)
 
 
 def _json_object(keys, values, depth):
@@ -168,68 +166,83 @@ def _json_object(keys, values, depth):
 
 
 def _emit(ns, headers, rows, trailers=()):
-    """Write rows (+ trailing summary records) in the selected format.
+    """Write rows, a Table, (+ trailing summary records) in the selected format.
 
-    rows is a list of equal-length tuples of Python ints, floats and strs,
-    one type per column. A str cell is a float's text, already formatted
-    by _texts, so that a value repeated in many rows is formatted once.
-    The first row fixes each column's format: %d for an int, %s for a str,
-    and for a float %.17g in CSV or %r in JSON, which is what json.dumps
-    writes for a finite float. JSON has no literal for nan or +-inf, so in
-    a chunk of rows where a float column holds one, that column is written
-    from its JSON tokens (nan as null); a str column holds its tokens
-    already.
+    Each column's dtype fixes its format: %d for integers, and for float64
+    "%.17g" in CSV or repr in JSON, which is what json.dumps writes for a
+    finite float, with nan written as null and +-inf as json.dumps spells
+    them. floattext.float_cells formats the floats a chunk at a time, all
+    of a chunk's float columns in one call; it decides the digits in numpy
+    and hands each value it cannot decide, and a column too short to pay
+    its fixed cost, to the per-value Python formatters. A (values, index)
+    column is formatted once, before the first chunk, and gathered.
     CSV: header, data rows, then one row per trailer ("name,value,...").
     JSON: a bare array of row records, or {"rows": [...], trailer: ...}
     when trailers exist. Field names match between formats. The bytes are
     those of the per-cell json.dumps(indent=2) and "%.17g" emitter kept in
-    tests/oracles.py. The rows are formatted and written EMIT_ROWS at a
-    time, so the text held in memory does not grow with the output.
+    tests/oracles.py. A chunk of EMIT_ROWS rows is one uint8 matrix: the
+    constant text between cells, and each cell's NUL-padded bytes; its
+    NULs are dropped at once and the text written, so the text held in
+    memory does not grow with the output.
     """
     json_out = ns.format == "json"
-    first = rows[0] if rows else ()
-    specs = ["%d" if type(c) is int else "%s" if type(c) is str else "%r" if json_out
-             else "%.17g" for c in first]
+    n = len(rows)
     tail = []
     if json_out:
         depth = 2 if trailers else 0
-        keys = [h.replace("%", "%%") for h in headers]
-
-        def line(fields):
-            return " " * (depth + 2) + _json_object(keys, fields, depth + 2)
-
-        head = ('{\n  "rows": ' if trailers else "") + ("[\n" if rows else "[]")
-        joint, floats = ",\n", [i for i, c in enumerate(first) if type(c) is float]
-        tail.append(f"\n{' ' * depth}]" if rows else "")
+        pad = " " * (depth + 2)
+        head = ('{\n  "rows": ' if trailers else "") + ("[\n" if n else "[]")
+        # the text before each cell of a record, and after its last one
+        between = [f"{pad}{{\n"] + [",\n"] * (len(headers) - 1)
+        between = [b + f"{pad}  {json.dumps(h)}: " for b, h in zip(between, headers)]
+        joint, end = ",\n", f"\n{pad}}}"
+        tail.append(f"\n{' ' * depth}]" if n else "")
         for name, value in trailers:
-            token = (_json_object(value, _json_tokens(list(value.values())), 2)
-                     if isinstance(value, dict) else _json_tokens([value])[0])
+            token = (_json_object(value, json_tokens(list(value.values())), 2)
+                     if isinstance(value, dict) else json_tokens([value])[0])
             tail.append(f",\n  {json.dumps(name)}: {token}")
         tail.append("\n}\n" if trailers else "\n")
     else:
-        def line(fields):
-            return ",".join(fields) + "\n"
-
-        head, joint, floats = ",".join(headers) + "\n", "", ()
+        head, joint, end = ",".join(headers) + "\n", "", "\n"
+        between = [""] + [","] * (len(headers) - 1)
         for name, value in trailers:
             cells = (name, *(value.values() if isinstance(value, dict) else (value,)))
             # bools are written true/false, as in JSON
-            tail.append(line([json.dumps(c) if isinstance(c, bool) else
-                              "%.17g" % c if type(c) is float else str(c) for c in cells]))
-    template = line(specs)
+            tail.append(",".join(json.dumps(c) if isinstance(c, bool) else "%.17g" % c
+                                 if type(c) is float else str(c) for c in cells) + "\n")
+    fragments = [np.frombuffer(t.encode(), np.uint8) for t in [*between, end + joint]]
+    # each column's cells and the index of each row's cell in them (None:
+    # the row's own), made once; or None for a float column, whose cells
+    # are made chunk by chunk
+    made = []
+    for column in rows.columns:
+        values, index = column if isinstance(column, tuple) else (np.asarray(column), None)
+        if values.dtype != np.float64:
+            made.append((text_cells(["%d" % v for v in values.tolist()]), index))
+        else:
+            made.append(None if index is None else (float_cells(values, json_out), index))
+    floats = [c for c, m in zip(rows.columns, made) if m is None]
     with open(ns.out, "w", encoding="utf-8") if ns.out != "-" else nullcontext(sys.stdout) as fh:
         fh.write(head)
-        for start in range(0, len(rows), EMIT_ROWS):
-            chunk, text = rows[start:start + EMIT_ROWS], template
-            # only JSON has float columns to check: it has no nan or +-inf literal
-            bad = [i for i in floats if not all(map(math.isfinite, map(itemgetter(i), chunk)))]
-            if bad:
-                columns = enumerate(zip(*chunk))
-                chunk = zip(*[_json_tokens(c) if i in bad else c for i, c in columns])
-                text = line(["%s" if i in bad else s for i, s in enumerate(specs)])
-            if start:
-                fh.write(joint)
-            fh.write(joint.join([text % row for row in chunk]))
+        for start in range(0, n, EMIT_ROWS):
+            stop = min(start + EMIT_ROWS, n)
+            size = stop - start
+            if floats:
+                block = np.stack([c[start:stop] for c in floats], axis=1)
+                texts = iter(float_cells(block, json_out).reshape(size, len(floats), -1)
+                             .transpose(1, 0, 2))
+            cells = [next(texts) if m is None else m[0][start:stop] if m[1] is None
+                     else m[0][m[1][start:stop]] for m in made]
+            pieces = [p for f, c in zip(fragments, cells) for p in (f, c)] + fragments[-1:]
+            chunk = np.empty((size, sum(p.shape[-1] for p in pieces)), np.uint8)
+            at = 0
+            for p in pieces:
+                chunk[:, at:at + p.shape[-1]] = p
+                at += p.shape[-1]
+            text = chunk.tobytes().translate(None, b"\0")
+            if stop == n and joint:
+                text = text[:-len(joint)]
+            fh.write(text.decode())
         fh.writelines(tail)
 
 
@@ -284,27 +297,24 @@ def cmd_pdf(ns):
     [(bounded, _)] = _exact_routes(ns.dist, (ns.k,))
     s = bounded(z)
     root = np.sqrt((1.0 - z) * (1.0 + z))
-    columns = (z, s / root, s, LIMIT_BOUNDED_FACTOR / root, np.abs(s - LIMIT_BOUNDED_FACTOR))
-    del root  # one grid-sized array fewer held while the rows are built
-    # EMIT_ROWS rows at a time, so the column lists held are one chunk's
-    rows = []
-    for start in range(0, len(z), EMIT_ROWS):
-        rows.extend(zip(*(c[start:start + EMIT_ROWS].tolist() for c in columns)))
+    rows = Table(z, s / root, s, LIMIT_BOUNDED_FACTOR / root, np.abs(s - LIMIT_BOUNDED_FACTOR))
+    del root  # one grid-sized array fewer held while the rows are written
     _emit(ns, ("z", "f_k", "s_k", "limit_pdf", "abs_error"), rows)
 
 
 def cmd_dance(ns):
     z = default_grid(ns.grid)
     root = np.sqrt((1.0 - z) * (1.0 + z))
-    # z repeats once per k and the mass once per grid point: each is
-    # formatted once here, and every row shares its text
-    zs = _texts(ns, z.tolist())
-    rows = []
-    for k, (bounded, cdf) in zip(ns.ks, _exact_routes(ns.dist, ns.ks)):
-        pdf = bounded(z) / root
+    pdfs, masses = np.empty((len(ns.ks), len(z))), np.empty(len(ns.ks))
+    for i, (bounded, cdf) in enumerate(_exact_routes(ns.dist, ns.ks)):
+        pdfs[i] = bounded(z) / root
         # P(T_k(X) < 0), which oscillates about 1/2 before it settles
-        [mass] = _texts(ns, [cdf(0.0)])
-        rows.extend(zip(repeat(k), zs, pdf.tolist(), repeat(mass)))
+        masses[i] = cdf(0.0)
+    # z repeats once per k and the mass once per grid point: each is
+    # formatted once, and every row gathers its text
+    per_k = np.repeat(np.arange(len(ns.ks)), len(z))
+    per_z = np.tile(np.arange(len(z)), len(ns.ks))
+    rows = Table((np.array(ns.ks), per_k), (z, per_z), pdfs.ravel(), (masses, per_k))
     _emit(ns, ("k", "z", "f_k", "mass_left_of_zero"), rows)
 
 
@@ -313,20 +323,18 @@ def cmd_converge(ns):
     report = convergence_report(d, ns.ks, ns.grid)
     series = _decayed_series(d)
     z = default_grid(ns.grid)
-    rows = []
-    for k, err, bounded in zip(report.ks, report.sup_errors, report.bounded):
-        if series is not None and k >= 2:
-            asym = float(np.max(np.abs(bounded - asymptotic_bounded_factor(series, k, z))))
-        else:
-            asym = float("nan")
-        rows.append((k, err, asym))
+    asym = [np.max(np.abs(bounded - asymptotic_bounded_factor(series, k, z)))
+            if series is not None and k >= 2 else np.nan
+            for k, bounded in zip(report.ks, report.bounded)]
+    rows = Table(np.array(report.ks), np.array(report.sup_errors, dtype=np.float64),
+                 np.array(asym, dtype=np.float64))
     trailer = ("fitted_order", {"value": report.fitted_order, "label": report.label})
     _emit(ns, ("k", "sup_error", "asymptotic_prediction_error"), rows, (trailer,))
 
 
 def cmd_expand(ns):
     series = expand_density(ns.dist, order=ns.order)
-    rows = list(enumerate(series.coeffs.tolist()))
+    rows = Table(np.arange(len(series.coeffs)), series.coeffs)
     trailers = (
         ("normalization_residual", normalization_residual(series)),
         ("even_moment_sum", even_moment_sum(series)),
@@ -338,8 +346,7 @@ def cmd_mc(ns):
     d = ns.dist
     pushed = push_samples(sample(d, ns.n, ns.seed), ns.k)
     edges, density = histogram(pushed)
-    edges = edges.tolist()
-    rows = list(zip(edges[:-1], edges[1:], density.tolist()))
+    rows = Table(edges[:-1], edges[1:], density)
     [(_, cdf)] = _exact_routes(d, (ns.k,))
     tests = {"ks_exact": ks_statistic(pushed, cdf),
              "ks_limit": ks_statistic(pushed, make_density("arcsine").cdf)}
@@ -350,7 +357,9 @@ def cmd_mc(ns):
 
 def cmd_invariance(ns):
     arc = make_density("arcsine")
-    rows = [(k, sup_error(arc, k, ns.grid)) for k in range(1, ns.k + 1)]
+    ks = np.arange(1, ns.k + 1)
+    rows = Table(ks, np.array([sup_error(arc, k, ns.grid) for k in ks.tolist()],
+                              dtype=np.float64))
     _emit(ns, ("k", "max_abs_deviation"), rows)
 
 

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebpush import cli, pushforward
+from chebpush import cli, floattext, pushforward
 from chebpush.cli import MAX_K, MAX_ORDER, MAX_POINTS, MAX_WORK, main, parse_ks
 from chebpush.densities import make_density, parse_density
 from chebpush.montecarlo import KS_MIN_SAMPLES, ks_statistic
@@ -791,30 +792,23 @@ EMIT_CASES = (
 )
 
 
-def _read_texts(fmt, rows):
-    """rows with each str cell read back as the float whose text it is.
+def _rows_of(table):
+    """The rows of a cli.Table as tuples of Python scalars, a (values,
+    index) column read as values[index]."""
+    columns = []
+    for column in table.columns:
+        values, index = column if isinstance(column, tuple) else (column, None)
+        columns.append((values if index is None else values[index]).tolist())
+    return list(zip(*columns))
 
-    A str cell is a float formatted ahead by cli._texts: it must be exactly
-    that float's text in fmt, and sit in a column of str cells only, which
-    reads back as floats. CSV reads it with float, JSON by parsing it, null
-    being nan.
-    """
-    ns = SimpleNamespace(format=fmt)
-    for column in zip(*rows):
-        kinds = set(map(type, column))
-        assert len(kinds) == 1 or str not in kinds, kinds
-    numeric = []
-    for row in rows:
-        cells = []
-        for cell in row:
-            if type(cell) is str:
-                value = float(cell) if fmt == "csv" else json.loads(cell)
-                value = NAN if value is None else value
-                assert type(value) is float and cli._texts(ns, [value]) == [cell]
-                cell = value
-            cells.append(cell)
-        numeric.append(tuple(cells))
-    return numeric
+
+def _table(rows, width):
+    """A cli.Table of rows, equal-length tuples of Python ints and floats
+    with one type per column: a float column as float64, an int column as
+    an object array of Python ints, whose %d keeps every digit past 2**63."""
+    columns = list(zip(*rows)) or [()] * width
+    return cli.Table(*(np.array(c, dtype=np.float64 if not c or type(c[0]) is float else object)
+                       for c in columns))
 
 
 @pytest.mark.parametrize("fmt", ("csv", "json"))
@@ -830,15 +824,19 @@ def test_emit_is_the_reference_byte_for_byte(capsys, monkeypatch, argv, fmt):
     monkeypatch.setattr(cli, "_emit", recorded)
     code, out, _ = run_cli(capsys, *argv, "--format", fmt)
     assert code == 0
-    [(headers, texts, trailers)] = calls
-    # a str cell is a float's text, made once by the caller (dance)
-    rows = _read_texts(fmt, texts)
+    [(headers, table, trailers)] = calls
+    rows = _rows_of(table)
     assert_same_text(out, emit_reference(fmt, headers, rows, trailers))
-    # only Python scalars reach the templates: repr(np.float64(0.5)) is
-    # "np.float64(0.5)" under numpy 2
-    assert isinstance(texts, list)
-    assert all(len(row) == len(headers) for row in rows)
-    assert all(type(cell) in (int, float) for row in rows for cell in row)
+    # each column is a numpy array of float64 or of integers, or such an
+    # array with an integer index (dance's repeated values), one value or
+    # index per row
+    assert len(table.columns) == len(headers)
+    for column in table.columns:
+        values, index = column if isinstance(column, tuple) else (column, None)
+        assert isinstance(values, np.ndarray) and values.ndim == 1
+        assert values.dtype == np.float64 or values.dtype.kind == "i"
+        assert len(values if index is None else index) == len(table)
+        assert index is None or index.dtype.kind == "i"
     summary = [v for _, value in trailers
                for v in (value.values() if isinstance(value, dict) else (value,))]
     assert all(type(v) in (int, float, bool, str) for v in summary)
@@ -847,7 +845,7 @@ def test_emit_is_the_reference_byte_for_byte(capsys, monkeypatch, argv, fmt):
         data = doc["rows"] if trailers else doc
     else:
         data = parse_csv(out)[1]
-    assert len(rows) == len(data)
+    assert len(rows) == len(data) == len(table)
 
 
 # usage errors, which exit 2 from the parser with its message
@@ -936,21 +934,24 @@ def test_a_gaussian_of_any_width_gets_its_law_on_both_sides_of_the_series_route(
 
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 def test_dance_formats_the_grid_once_and_each_mass_once(capsys, monkeypatch, fmt):
-    # z repeats once per k and the mass once per grid point: _texts gets
-    # the 9 grid values once, then one mass per k, and nothing else
+    # z repeats once per k and the mass once per grid point: float_cells
+    # gets the 9 grid values once and the 3 masses once, and otherwise only
+    # the f_k column, chunk by chunk, each of its values once
     calls = []
-    texts = cli._texts
+    cells = cli.float_cells
 
-    def spy(ns, values):
-        calls.append(list(values))
-        return texts(ns, values)
+    def spy(values, json_out):
+        calls.append(np.array(values).ravel().tolist())
+        return cells(values, json_out)
 
-    monkeypatch.setattr(cli, "_texts", spy)
+    monkeypatch.setattr(cli, "float_cells", spy)
+    monkeypatch.setattr(cli, "EMIT_ROWS", 10)
     code, out, _ = run_cli(capsys, "dance", "--ks", "2..4", "--grid", "9", "--format", fmt)
     assert code == 0
-    d = make_density("gauss", mu=0.0, sigma=0.25)
-    masses = [[cdf(0.0)] for _, cdf in cli._exact_routes(d, (2, 3, 4))]
-    assert calls == [default_grid(9).tolist(), *masses]
+    rows = _dance_rows(make_density("gauss", mu=0.0, sigma=0.25), (2, 3, 4), 9)
+    assert calls[:2] == [default_grid(9).tolist(), [m for _, _, _, m in rows[::9]]]
+    assert [len(c) for c in calls[2:]] == [10, 10, 7]
+    assert sum(calls[2:], []) == [f for _, _, f, _ in rows]
 
 
 def _dance_rows(d, ks, grid):
@@ -996,58 +997,93 @@ EDGE_TRAILERS = (
 )
 
 
+# the cut-over below which float_cells formats a chunk's floats whole in
+# Python, and 1, which sends even one float through the kernel
+KERNEL_MINS = (floattext.KERNEL_MIN, 1)
+
+
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 def test_emit_is_the_reference_on_edge_values(capsys, monkeypatch, fmt):
     # an int column, a finite float column, then columns holding nan and +-inf
     headers = ("n", "finite", "b%", 'c"')
     ns = SimpleNamespace(format=fmt, out="-")
-    for emit_rows in (cli.EMIT_ROWS, *EMIT_ROWS_SMALL):
+    for emit_rows, kernel_min in itertools.product((cli.EMIT_ROWS, *EMIT_ROWS_SMALL),
+                                                   KERNEL_MINS):
         monkeypatch.setattr(cli, "EMIT_ROWS", emit_rows)
+        monkeypatch.setattr(floattext, "KERNEL_MIN", kernel_min)
         for rows in (EDGE_ROWS, EDGE_ROWS[:1], EDGE_ROWS[1:2], [], LATE_EDGE_ROWS):
             for trailers in EDGE_TRAILERS:
-                cli._emit(ns, headers, rows, trailers)
+                cli._emit(ns, headers, _table(rows, len(headers)), trailers)
                 assert_same_text(capsys.readouterr().out,
                                  emit_reference(fmt, headers, rows, trailers))
 
 
 @pytest.mark.parametrize("fmt, expected", (
-    ("csv", "a,b\n1,0.5\n2,3\n"),
-    ("json", '[\n  {\n    "a": 1,\n    "b": 0.5\n  },\n  {\n    "a": 2,\n    "b": 3\n  }\n]\n'),
+    ("csv", "a,b,c\n1,0.5,7\n2,3,8\n"),
+    ("json", '[\n  {\n    "a": 1,\n    "b": 0.5,\n    "c": 7\n  },\n'
+             '  {\n    "a": 2,\n    "b": 3.0,\n    "c": 8\n  }\n]\n'),
 ), ids=("csv", "json"))
-def test_the_first_row_fixes_each_columns_format(capsys, monkeypatch, fmt, expected):
-    # rows hold one type per column, and the format is read off the first
-    # row alone: a cell of another type further down, in the same chunk or
-    # a later one, is written in its column's format
-    for emit_rows in (cli.EMIT_ROWS, 1):
+def test_each_columns_dtype_fixes_its_format(capsys, monkeypatch, fmt, expected):
+    # an integer column of any width is written with %d, and a float64
+    # column as floats, an integral one too: 3.0 is "3" in CSV ("%.17g")
+    # and 3.0 in JSON (repr), in the first chunk or a later one
+    columns = (np.array([1, 2]), np.array([0.5, 3.0]), np.array([7, 8], dtype=np.uint8))
+    for emit_rows, kernel_min in itertools.product((cli.EMIT_ROWS, 1), KERNEL_MINS):
         monkeypatch.setattr(cli, "EMIT_ROWS", emit_rows)
-        cli._emit(SimpleNamespace(format=fmt, out="-"), ("a", "b"), [(1, 0.5), (2.5, 3)])
+        monkeypatch.setattr(floattext, "KERNEL_MIN", kernel_min)
+        cli._emit(SimpleNamespace(format=fmt, out="-"), ("a", "b", "c"), cli.Table(*columns))
         assert capsys.readouterr().out == expected
 
 
-def test_json_takes_the_token_path_only_for_a_chunk_with_a_non_finite_float(capsys,
-                                                                             monkeypatch):
-    # the bytes of the two paths are the same, so count the calls: %r alone
-    # writes a finite float, and _json_tokens is for nan and +-inf
+def _python_texts_spy(monkeypatch):
+    """The floats float_cells hands to floattext.python_texts, one list per call."""
     calls = []
-    tokens = cli._json_tokens
+    texts = floattext.python_texts
 
-    def spy(values):
+    def spy(values, json_out):
         calls.append(list(values))
-        return tokens(calls[-1])
+        return texts(calls[-1], json_out)
 
-    monkeypatch.setattr(cli, "_json_tokens", spy)
-    assert 3000 > cli.EMIT_ROWS
-    code, out, _ = run_cli(capsys, "pdf", "--dist", "gauss:0,0.25", "--k", "5", "--grid",
-                           "3000", "--format", "json")
-    assert code == 0 and len(json.loads(out)) == 3000
-    assert calls == []
+    monkeypatch.setattr(floattext, "python_texts", spy)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_only_what_the_kernel_leaves_reaches_the_python_formatters(capsys, monkeypatch,
+                                                                     fmt):
+    # the bytes are the same either way, so count the floats: on a float
+    # column of nan and +-inf among finite values, python_texts gets exactly
+    # the non-finite ones; a chunk of fewer floats than KERNEL_MIN, here
+    # converge's 3 rows of 2, goes to it whole, nan column and all
+    calls = _python_texts_spy(monkeypatch)
+    # no power of two, which repr's asymmetric rounding interval sends to the fallback
+    x = np.linspace(-0.9, 1.1, 3000)
+    assert not np.any(np.frexp(x)[0] == 0.5)
+    y = np.where(np.arange(3000) % 7 == 0, np.array([NAN, INF, -INF])[np.arange(3000) % 3], x)
+    cli._emit(SimpleNamespace(format=fmt, out="-"), ("x", "y"), cli.Table(x, y))
+    out = capsys.readouterr().out
+    assert_same_text(out, emit_reference(fmt, ("x", "y"), list(zip(x.tolist(), y.tolist()))))
+    sent = sum(calls, [])
+    assert len(sent) == np.count_nonzero(~np.isfinite(y)) and not any(map(math.isfinite, sent))
+    calls.clear()
     code, _, _ = run_cli(capsys, "converge", "--dist", "arcsine", "--ks", "4,8,16", "--grid",
-                         "33", "--format", "json")
+                         "33", "--format", fmt)
     assert code == 0
-    # arcsine has no series, so its asymptotic_prediction_error column is
-    # nan; the other call is the fitted_order trailer's record
-    [column] = [values for values in calls if len(values) == 3]
-    assert len(calls) == 2 and all(map(math.isnan, column))
+    # arcsine has no series, so its asymptotic_prediction_error column is nan
+    [block] = calls
+    assert len(block) == 6 and all(map(math.isnan, block[1::2]))
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_the_kernel_formats_nearly_every_float_of_a_wide_pdf(tmp_path, monkeypatch, fmt):
+    # at most 1% of the 5e5 float cells of a 1e5-point pdf reach the
+    # per-value Python formatters, so the output path cannot slide back to
+    # formatting one cell at a time without this failing
+    calls = _python_texts_spy(monkeypatch)
+    target = tmp_path / "out"
+    assert main(["pdf", "--dist", "gauss:0,0.25", "--k", "128", "--grid", "100000",
+                 "--format", fmt, "--out", str(target)]) == 0
+    assert sum(map(len, calls)) <= 0.01 * 5 * 100_000
 
 
 @settings(max_examples=150, deadline=None)
@@ -1058,29 +1094,32 @@ def test_json_takes_the_token_path_only_for_a_chunk_with_a_non_finite_float(caps
 def test_emit_is_the_reference_on_any_floats(rows, fmt, tmp_path_factory):
     target = tmp_path_factory.mktemp("emit") / "out"
     trailers = (("tail", {"v": rows[0][1] if rows else NAN, "pass": bool(rows)}),)
-    default = cli.EMIT_ROWS
+    table = _table(rows, 3)
+    default, kernel_min = cli.EMIT_ROWS, floattext.KERNEL_MIN
     try:
-        for cli.EMIT_ROWS in (default, *EMIT_ROWS_SMALL):
+        for cli.EMIT_ROWS, floattext.KERNEL_MIN in itertools.product(
+                (default, *EMIT_ROWS_SMALL), (kernel_min, 1)):
             for tail in ((), trailers):
-                cli._emit(SimpleNamespace(format=fmt, out=str(target)), ("i", "x", "y"), rows,
+                cli._emit(SimpleNamespace(format=fmt, out=str(target)), ("i", "x", "y"), table,
                           tail)
                 assert_same_text(target.read_text(),
                                  emit_reference(fmt, ("i", "x", "y"), rows, tail))
     finally:
-        cli.EMIT_ROWS = default
+        cli.EMIT_ROWS, floattext.KERNEL_MIN = default, kernel_min
 
 
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 def test_emit_memory_is_flat_in_the_rows(tmp_path, fmt):
     # one chunk of EMIT_ROWS formatted rows at a time; built whole before
     # writing, the text of these 2e5 rows peaked at about 50 MB in CSV and
-    # 62 MB in JSON. The nan column sends JSON through its token path.
-    values = np.linspace(-1.0, 1.0, 200_000).tolist()
-    rows = [(x, 0.5 * x, NAN if i % 7 else x, -x) for i, x in enumerate(values)]
+    # 62 MB in JSON. The nan column sends most of its floats to the Python
+    # formatters.
+    x = np.linspace(-1.0, 1.0, 200_000)
+    table = cli.Table(x, 0.5 * x, np.where(np.arange(x.size) % 7, NAN, x), -x)
     ns = SimpleNamespace(format=fmt, out=str(tmp_path / "out"))
     tracemalloc.start()
     try:
-        cli._emit(ns, ("a", "b", "c", "d"), rows)
+        cli._emit(ns, ("a", "b", "c", "d"), table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
