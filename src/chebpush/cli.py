@@ -18,7 +18,7 @@ from functools import cache, partial
 import numpy as np
 
 from .densities import make_density, parse_density, sample
-from .floattext import float_cells, json_tokens, text_cells
+from .floattext import float_cells, text_cells
 from .montecarlo import KS_MIN_SAMPLES, histogram, ks_statistic, push_samples
 from .pushforward import (
     LIMIT_BOUNDED_FACTOR,
@@ -53,9 +53,9 @@ MAX_ORDER = 4096
 # Largest --grid, --n and number of rows dance writes (k values x grid). A
 # 5-column pdf row costs about 65 B of peak memory (65 B above import on
 # `pdf --dist gauss:0,0.25 --k 128 --grid 262144`, CSV or JSON: its five
-# float64 columns and their temporaries) and a dance row about 46 B
-# (`dance --ks 2..17 --grid 65536`: f_k and two row indexes), so 2^20 rows
-# take at most about 70 MB; a sample about 60 B.
+# float64 columns and their temporaries) and a dance row about 30 B
+# (`dance --ks 2..17 --grid 65536`: f_k, and the grid's text formatted
+# once), so 2^20 rows take at most about 70 MB; a sample about 60 B.
 MAX_POINTS = 2**20
 
 # Rows _emit formats and writes at a time, so the text held in memory is
@@ -143,26 +143,26 @@ class Table:
 
     A column is a 1-D array with one value per row: float64, whose text
     floattext.float_cells writes, or integers, written with %d. Or it is a
-    pair (values, index) whose row i holds values[index[i]]: values is
-    formatted once and its text gathered for each row, so that a value
-    repeated in many rows, such as dance's grid once per k, is formatted
-    once.
+    pair (values, repeat) whose row i holds values[i // repeat % len(values)]:
+    each value stands in repeat rows in a row, and the values start over
+    after the last. values is formatted once and its text gathered for each
+    row, so that a value repeated in many rows, such as dance's grid once
+    per k, is formatted once. The first plain column gives the row count.
     """
 
     def __init__(self, *columns):
         self.columns = columns
 
     def __len__(self):
-        first = self.columns[0]
-        return len(first[1] if isinstance(first, tuple) else first)
+        return len(next(c for c in self.columns if not isinstance(c, tuple)))
 
 
-def _json_object(keys, values, depth):
-    """A JSON object as json.dumps(indent=2) writes it, its closing brace
-    `depth` spaces deep, with each value's text inserted as given."""
-    pad = " " * depth
-    fields = ",\n".join(f"{pad}  {json.dumps(k)}: {v}" for k, v in zip(keys, values))
-    return f"{{\n{fields}\n{pad}}}"
+def _json_null(value):
+    """A trailer's value as json.dumps should see it: nan, or a nan value
+    of a dict, as None, which json.dumps writes null."""
+    if isinstance(value, dict):
+        return {k: _json_null(v) for k, v in value.items()}
+    return None if value != value else value
 
 
 def _emit(ns, headers, rows, trailers=()):
@@ -174,16 +174,18 @@ def _emit(ns, headers, rows, trailers=()):
     them. floattext.float_cells formats the floats a chunk at a time, all
     of a chunk's float columns in one call; it decides the digits in numpy
     and hands each value it cannot decide, and a column too short to pay
-    its fixed cost, to the per-value Python formatters. A (values, index)
-    column is formatted once, before the first chunk, and gathered.
+    its fixed cost, to the per-value Python formatters. An integer column
+    and a (values, repeat) column are formatted once, before the first
+    chunk, and each chunk gathers its rows' cells with np.take.
     CSV: header, data rows, then one row per trailer ("name,value,...").
     JSON: a bare array of row records, or {"rows": [...], trailer: ...}
-    when trailers exist. Field names match between formats. The bytes are
-    those of the per-cell json.dumps(indent=2) and "%.17g" emitter kept in
-    tests/oracles.py. A chunk of EMIT_ROWS rows is one uint8 matrix: the
-    constant text between cells, and each cell's NUL-padded bytes; its
-    NULs are dropped at once and the text written, so the text held in
-    memory does not grow with the output.
+    when trailers exist, the text after the rows array being json.dumps
+    of the trailers (nan as null). Field names match between formats. The
+    bytes are those of the per-cell json.dumps(indent=2) and "%.17g"
+    emitter kept in tests/oracles.py. A chunk of EMIT_ROWS rows is one
+    uint8 matrix: the constant text between cells, and each cell's
+    NUL-padded bytes; its NULs are dropped at once and the text written,
+    so the text held in memory does not grow with the output.
     """
     json_out = ns.format == "json"
     n = len(rows)
@@ -197,11 +199,11 @@ def _emit(ns, headers, rows, trailers=()):
         between = [b + f"{pad}  {json.dumps(h)}: " for b, h in zip(between, headers)]
         joint, end = ",\n", f"\n{pad}}}"
         tail.append(f"\n{' ' * depth}]" if n else "")
-        for name, value in trailers:
-            token = (_json_object(value, json_tokens(list(value.values())), 2)
-                     if isinstance(value, dict) else json_tokens([value])[0])
-            tail.append(f",\n  {json.dumps(name)}: {token}")
-        tail.append("\n}\n" if trailers else "\n")
+        if trailers:
+            # the trailers' own document, its opening brace the comma after the rows
+            doc = {name: _json_null(value) for name, value in trailers}
+            tail.append("," + json.dumps(doc, indent=2)[1:])
+        tail.append("\n")
     else:
         head, joint, end = ",".join(headers) + "\n", "", "\n"
         between = [""] + [","] * (len(headers) - 1)
@@ -211,16 +213,15 @@ def _emit(ns, headers, rows, trailers=()):
             tail.append(",".join(json.dumps(c) if isinstance(c, bool) else "%.17g" % c
                                  if type(c) is float else str(c) for c in cells) + "\n")
     fragments = [np.frombuffer(t.encode(), np.uint8) for t in [*between, end + joint]]
-    # each column's cells and the index of each row's cell in them (None:
-    # the row's own), made once; or None for a float column, whose cells
-    # are made chunk by chunk
+    # each column's cells, made once, and the rows each cell stands in; or
+    # None for a plain float column, whose cells are made chunk by chunk
     made = []
     for column in rows.columns:
-        values, index = column if isinstance(column, tuple) else (np.asarray(column), None)
+        values, repeat = column if isinstance(column, tuple) else (np.asarray(column), None)
         if values.dtype != np.float64:
-            made.append((text_cells(["%d" % v for v in values.tolist()]), index))
+            made.append((text_cells(["%d" % v for v in values.tolist()]), repeat or 1))
         else:
-            made.append(None if index is None else (float_cells(values, json_out), index))
+            made.append(None if repeat is None else (float_cells(values, json_out), repeat))
     floats = [c for c, m in zip(rows.columns, made) if m is None]
     with open(ns.out, "w", encoding="utf-8") if ns.out != "-" else nullcontext(sys.stdout) as fh:
         fh.write(head)
@@ -231,8 +232,9 @@ def _emit(ns, headers, rows, trailers=()):
                 block = np.stack([c[start:stop] for c in floats], axis=1)
                 texts = iter(float_cells(block, json_out).reshape(size, len(floats), -1)
                              .transpose(1, 0, 2))
-            cells = [next(texts) if m is None else m[0][start:stop] if m[1] is None
-                     else m[0][m[1][start:stop]] for m in made]
+            index = np.arange(start, stop)
+            cells = [next(texts) if m is None
+                     else np.take(m[0], index // m[1], axis=0, mode="wrap") for m in made]
             pieces = [p for f, c in zip(fragments, cells) for p in (f, c)] + fragments[-1:]
             chunk = np.empty((size, sum(p.shape[-1] for p in pieces)), np.uint8)
             at = 0
@@ -310,11 +312,9 @@ def cmd_dance(ns):
         pdfs[i] = bounded(z) / root
         # P(T_k(X) < 0), which oscillates about 1/2 before it settles
         masses[i] = cdf(0.0)
-    # z repeats once per k and the mass once per grid point: each is
+    # k and its mass repeat once per grid point and z once per k: each is
     # formatted once, and every row gathers its text
-    per_k = np.repeat(np.arange(len(ns.ks)), len(z))
-    per_z = np.tile(np.arange(len(z)), len(ns.ks))
-    rows = Table((np.array(ns.ks), per_k), (z, per_z), pdfs.ravel(), (masses, per_k))
+    rows = Table((np.array(ns.ks), len(z)), (z, 1), pdfs.ravel(), (masses, len(z)))
     _emit(ns, ("k", "z", "f_k", "mass_left_of_zero"), rows)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -503,6 +504,24 @@ def _load_run_experiments():
     return module
 
 
+def test_hash_outputs_lists_each_output_of_a_workload_once(tmp_path):
+    # large_k at one seed: its 3 commands in CSV and in JSON, each line the
+    # exit code, the sha256 of what main writes for that argv, and the argv
+    path = ROOT / "scripts" / "hash_outputs.py"
+    spec = importlib.util.spec_from_file_location("hash_outputs", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    lines = script.listing([1], ["large_k"])
+    assert len(lines) == 6
+    for line in lines:
+        code, digest, *argv = line.split(" ")
+        assert argv[-2:] in (["--format", "csv"], ["--format", "json"])
+        target = tmp_path / "out"
+        assert code == str(main([*argv, "--out", str(target)])) == "0"
+        assert digest == hashlib.sha256(target.read_bytes()).hexdigest()
+    assert len({line.split(" ", 2)[2] for line in lines}) == 6
+
+
 def _experiment_runs(n):
     return [argv for _, argv in _load_run_experiments().runs(n)]
 
@@ -794,11 +813,12 @@ EMIT_CASES = (
 
 def _rows_of(table):
     """The rows of a cli.Table as tuples of Python scalars, a (values,
-    index) column read as values[index]."""
-    columns = []
+    repeat) column read as values[i // repeat % len(values)] at row i."""
+    columns, rows = [], np.arange(len(table))
     for column in table.columns:
-        values, index = column if isinstance(column, tuple) else (column, None)
-        columns.append((values if index is None else values[index]).tolist())
+        values, repeat = column if isinstance(column, tuple) else (column, None)
+        columns.append((values if repeat is None else values[rows // repeat % len(values)])
+                       .tolist())
     return list(zip(*columns))
 
 
@@ -827,16 +847,19 @@ def test_emit_is_the_reference_byte_for_byte(capsys, monkeypatch, argv, fmt):
     [(headers, table, trailers)] = calls
     rows = _rows_of(table)
     assert_same_text(out, emit_reference(fmt, headers, rows, trailers))
-    # each column is a numpy array of float64 or of integers, or such an
-    # array with an integer index (dance's repeated values), one value or
-    # index per row
+    # each column is a numpy array of float64 or of integers, one value per
+    # row, or such an array with a positive int repeat (dance's repeated
+    # values) whose values, each repeated, fill the rows a whole number of times
     assert len(table.columns) == len(headers)
     for column in table.columns:
-        values, index = column if isinstance(column, tuple) else (column, None)
+        values, repeat = column if isinstance(column, tuple) else (column, None)
         assert isinstance(values, np.ndarray) and values.ndim == 1
         assert values.dtype == np.float64 or values.dtype.kind == "i"
-        assert len(values if index is None else index) == len(table)
-        assert index is None or index.dtype.kind == "i"
+        if repeat is None:
+            assert len(values) == len(table)
+        else:
+            assert type(repeat) is int and repeat >= 1
+            assert len(table) % (len(values) * repeat) == 0
     summary = [v for _, value in trailers
                for v in (value.values() if isinstance(value, dict) else (value,))]
     assert all(type(v) in (int, float, bool, str) for v in summary)
@@ -994,6 +1017,8 @@ EDGE_TRAILERS = (
     (),
     (("scalar", NAN),),
     (("record", {"x": INF, "ok": True, "label": "fit", "n": 3, "y": -0.0}), ("bad", False)),
+    # converge's trailer on arcsine: nan beside a str
+    (("record", {"value": NAN, "label": "invariant"}),),
 )
 
 
@@ -1124,6 +1149,22 @@ def test_emit_memory_is_flat_in_the_rows(tmp_path, fmt):
     finally:
         tracemalloc.stop()
     assert peak < 2**22
+
+
+def test_dance_holds_no_row_index(tmp_path):
+    # 8 k on a 16384-point grid, 131072 rows: f_k is 8 B a row, and
+    # formatting the grid once peaks at about 280 B a grid point, 35 B a
+    # row here; the whole command peaked at 45-50 B a row. Two int64 row
+    # indexes, 16 B a row more, peaked at 61-66 B.
+    rows = 8 * 16384
+    tracemalloc.start()
+    try:
+        assert main(["dance", "--ks", "2..9", "--grid", "16384",
+                     "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 56 * rows
 
 
 @pytest.mark.parametrize("n", ("50", str(MAX_POINTS + 1)))
