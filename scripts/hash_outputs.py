@@ -10,6 +10,9 @@ are the same exactly where every output has the same bytes and exit code:
     PYTHONPATH=src python3 scripts/hash_outputs.py 1 2 3 > a.txt
     (in the other checkout, the same into b.txt)
     diff a.txt b.txt
+
+--workload NAME, repeatable, lists only those workloads' outputs, such as
+--workload wide_grid, whose commands are not seeded and take seconds.
 """
 
 import argparse
@@ -58,7 +61,10 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("seeds", type=int, nargs="+", help="workload seeds")
-    for line in listing(parser.parse_args().seeds):
+    parser.add_argument("--workload", action="append", choices=_workloads().WORKLOADS,
+                        metavar="NAME", help="list only this workload's outputs; repeatable")
+    args = parser.parse_args()
+    for line in listing(args.seeds, args.workload):
         print(line)
     return 0
 

@@ -14,15 +14,18 @@ import json
 import sys
 from contextlib import nullcontext
 from functools import cache, partial
+from itertools import chain
 
 import numpy as np
 
+from . import floattext
 from .densities import make_density, parse_density, sample
 from .floattext import float_cells, text_cells
 from .montecarlo import KS_MIN_SAMPLES, histogram, ks_statistic, push_samples
 from .pushforward import (
     LIMIT_BOUNDED_FACTOR,
     _aliased_coeffs,
+    _bounded_from_beta,
     asymptotic_bounded_factor,
     bounded_factor,
     convergence_report,
@@ -30,7 +33,6 @@ from .pushforward import (
     pushforward_cdf,
     series_bounded_factor,
     series_cdf,
-    sup_error,
 )
 from .spectral import DEFAULT_ORDER, even_moment_sum, expand_density, normalization_residual
 
@@ -53,18 +55,20 @@ MAX_ORDER = 4096
 # Largest --grid, --n and number of rows dance writes (k values x grid). A
 # 5-column pdf row costs about 65 B of peak memory (65 B above import on
 # `pdf --dist gauss:0,0.25 --k 128 --grid 262144`, CSV or JSON: its five
-# float64 columns and their temporaries) and a dance row about 30 B
-# (`dance --ks 2..17 --grid 65536`: f_k, and the grid's text formatted
-# once), so 2^20 rows take at most about 70 MB; a sample about 60 B.
+# float64 columns and their temporaries) and a dance row about 14 B
+# (`dance --ks 2..17 --grid 65536`: f_k's 8 B, the grid's text and one
+# chunk), so 2^20 rows take at most about 70 MB; a sample about 60 B.
 MAX_POINTS = 2**20
 
-# Rows _emit formats and writes at a time, so the text held in memory is
-# one chunk's, whatever the row count. A chunk of 1024 pdf rows holds its
-# 5120 float cells of 48 bytes, 0.25 MB, and its text; _emit on 2e5 rows of
-# 4 float columns peaked at 1.7 MB under tracemalloc. At 512, 2048 and 4096
-# rows, `pdf --grid 100000 --format json` and `dance --ks 2..12 --grid
-# 20000` were no faster (in-process, best of 5).
-EMIT_ROWS = 1024
+# Float cells _emit formats at a time. A chunk holds EMIT_CELLS // (plain
+# float columns) rows, 1024 of pdf's five columns and 5120 of dance's one,
+# and a (values, repeat) column is formatted EMIT_CELLS values at a time,
+# so the memory _emit holds is one chunk's whatever the row count.
+# float_cells has a fixed cost per call: on dance's values it took 232 ns
+# a float at 1024 a call and 133 at 4096 (CSV). At 2048, 5120 and 8192,
+# _emit of `dance --ks 2..12 --grid 20000` took 87, 77 and 80 ms in CSV
+# (in-process, best of 9) and peaked at 1.7, 2.9 and 4.0 MB.
+EMIT_CELLS = 5120
 
 # The smallest k that pdf, dance and mc take the series route for, where the
 # density allows it (see _exact_routes). At DEFAULT_ORDER, the angle sum's
@@ -165,27 +169,44 @@ def _json_null(value):
     return None if value != value else value
 
 
+def _column_cells(values, json_out):
+    """The cells of a column made once: %d for integers, and for floats
+    float_cells EMIT_CELLS values at a time, into one matrix of
+    floattext.CELL bytes a value, so that no temporary grows with the
+    column."""
+    if values.dtype != np.float64:
+        return text_cells(["%d" % v for v in values.tolist()])
+    cells = np.zeros((len(values), floattext.CELL), np.uint8)
+    width = 0
+    for start in range(0, len(values), EMIT_CELLS):
+        block = float_cells(values[start:start + EMIT_CELLS], json_out)
+        cells[start:start + len(block), :block.shape[1]] = block
+        width = max(width, block.shape[1])
+    return cells[:, :width]
+
+
 def _emit(ns, headers, rows, trailers=()):
     """Write rows, a Table, (+ trailing summary records) in the selected format.
 
     Each column's dtype fixes its format: %d for integers, and for float64
     "%.17g" in CSV or repr in JSON, which is what json.dumps writes for a
     finite float, with nan written as null and +-inf as json.dumps spells
-    them. floattext.float_cells formats the floats a chunk at a time, all
-    of a chunk's float columns in one call; it decides the digits in numpy
-    and hands each value it cannot decide, and a column too short to pay
-    its fixed cost, to the per-value Python formatters. An integer column
-    and a (values, repeat) column are formatted once, before the first
-    chunk, and each chunk gathers its rows' cells with np.take.
-    CSV: header, data rows, then one row per trailer ("name,value,...").
-    JSON: a bare array of row records, or {"rows": [...], trailer: ...}
-    when trailers exist, the text after the rows array being json.dumps
-    of the trailers (nan as null). Field names match between formats. The
-    bytes are those of the per-cell json.dumps(indent=2) and "%.17g"
-    emitter kept in tests/oracles.py. A chunk of EMIT_ROWS rows is one
-    uint8 matrix: the constant text between cells, and each cell's
-    NUL-padded bytes; its NULs are dropped at once and the text written,
-    so the text held in memory does not grow with the output.
+    them. CSV: header, data rows, then one row per trailer
+    ("name,value,..."). JSON: a bare array of row records, or
+    {"rows": [...], trailer: ...} when trailers exist, the text after the
+    rows array being json.dumps of the trailers (nan as null). Field names
+    match between formats. The bytes are those of the per-cell
+    json.dumps(indent=2) and "%.17g" emitter kept in tests/oracles.py.
+
+    The rows are written as bytes a chunk at a time, EMIT_CELLS plain
+    float cells to a chunk, so the memory held does not grow with the
+    output. An output of fewer float cells than floattext.KERNEL_MIN
+    writes a chunk with one %-template. Otherwise float_cells formats all
+    of a chunk's plain float columns in one call; a (values, repeat)
+    column is formatted once, before the first chunk, and each chunk
+    gathers its rows' cells with np.take. The chunk is one uint8 matrix:
+    the constant text between cells, and each cell's NUL-padded bytes,
+    whose NULs are dropped at once.
     """
     json_out = ns.format == "json"
     n = len(rows)
@@ -212,40 +233,60 @@ def _emit(ns, headers, rows, trailers=()):
             # bools are written true/false, as in JSON
             tail.append(",".join(json.dumps(c) if isinstance(c, bool) else "%.17g" % c
                                  if type(c) is float else str(c) for c in cells) + "\n")
-    fragments = [np.frombuffer(t.encode(), np.uint8) for t in [*between, end + joint]]
-    # each column's cells, made once, and the rows each cell stands in; or
-    # None for a plain float column, whose cells are made chunk by chunk
-    made = []
-    for column in rows.columns:
-        values, repeat = column if isinstance(column, tuple) else (np.asarray(column), None)
-        if values.dtype != np.float64:
-            made.append((text_cells(["%d" % v for v in values.tolist()]), repeat or 1))
+    columns = [c if isinstance(c, tuple) else (np.asarray(c), None) for c in rows.columns]
+    is_float = [values.dtype == np.float64 for values, _ in columns]
+    floats = [values for (values, repeat), f in zip(columns, is_float) if f and repeat is None]
+    step = max(1, EMIT_CELLS // len(floats)) if floats else EMIT_CELLS
+    short = n * sum(is_float) < floattext.KERNEL_MIN
+    if short:
+        # one row's text, its constant text escaped; JSON writes a float with
+        # %s, which is repr, or as its token for nan and +-inf
+        template = "".join(b.replace("%", "%%") + ("%d" if not f else "%s" if json_out else "%.17g")
+                           for b, f in zip(between, is_float)) + end + joint
+    else:
+        fragments = [np.frombuffer(t.encode(), np.uint8) for t in [*between, end + joint]]
+        # each column's cells, made once, and the rows each cell stands in; or
+        # None for a plain float column, whose cells are made chunk by chunk
+        made = [None if f and repeat is None else (_column_cells(values, json_out), repeat or 1)
+                for (values, repeat), f in zip(columns, is_float)]
+
+    def text_of(start, stop):
+        """The bytes of rows start to stop, the joint after the last row
+        dropped; what it makes is freed before the next chunk's."""
+        size, index = stop - start, np.arange(start, stop)
+        if short:
+            parts = [(values[start:stop] if repeat is None
+                      else np.take(values, index // repeat, mode="wrap")).tolist()
+                     for values, repeat in columns]
+            if json_out:
+                parts = [[v if v - v == 0 else json.dumps(_json_null(v)) for v in part]
+                         if f else part for part, f in zip(parts, is_float)]
+            text = (template * size % tuple(chain.from_iterable(zip(*parts)))).encode()
         else:
-            made.append(None if repeat is None else (float_cells(values, json_out), repeat))
-    floats = [c for c, m in zip(rows.columns, made) if m is None]
-    with open(ns.out, "w", encoding="utf-8") if ns.out != "-" else nullcontext(sys.stdout) as fh:
-        fh.write(head)
-        for start in range(0, n, EMIT_ROWS):
-            stop = min(start + EMIT_ROWS, n)
-            size = stop - start
             if floats:
-                block = np.stack([c[start:stop] for c in floats], axis=1)
+                block = np.stack([values[start:stop] for values in floats], axis=1)
                 texts = iter(float_cells(block, json_out).reshape(size, len(floats), -1)
                              .transpose(1, 0, 2))
-            index = np.arange(start, stop)
-            cells = [next(texts) if m is None
-                     else np.take(m[0], index // m[1], axis=0, mode="wrap") for m in made]
+            cells = [next(texts) if m is None else np.take(m[0], index // m[1], axis=0, mode="wrap")
+                     for m in made]
             pieces = [p for f, c in zip(fragments, cells) for p in (f, c)] + fragments[-1:]
-            chunk = np.empty((size, sum(p.shape[-1] for p in pieces)), np.uint8)
+            # the matrix fills a bytearray, whose NULs are dropped without a copy
+            text = bytearray(size * sum(p.shape[-1] for p in pieces))
+            chunk = np.frombuffer(text, np.uint8).reshape(size, -1)
             at = 0
             for p in pieces:
                 chunk[:, at:at + p.shape[-1]] = p
                 at += p.shape[-1]
-            text = chunk.tobytes().translate(None, b"\0")
-            if stop == n and joint:
-                text = text[:-len(joint)]
-            fh.write(text.decode())
-        fh.writelines(tail)
+            text = text.translate(None, b"\0")
+        return memoryview(text)[:len(text) - len(joint)] if stop == n else text
+
+    if ns.out == "-":
+        sys.stdout.flush()  # text already written to stdout goes first
+    with open(ns.out, "wb") if ns.out != "-" else nullcontext(sys.stdout.buffer) as fh:
+        fh.write(head.encode())
+        for start in range(0, n, step):
+            fh.write(text_of(start, min(start + step, n)))
+        fh.write("".join(tail).encode())
 
 
 def _decayed_series(d):
@@ -356,10 +397,12 @@ def cmd_mc(ns):
 
 
 def cmd_invariance(ns):
+    # pushforward.sup_error for each k, with the grid and its angles taken once
     arc = make_density("arcsine")
+    beta = np.arccos(default_grid(ns.grid))
     ks = np.arange(1, ns.k + 1)
-    rows = Table(ks, np.array([sup_error(arc, k, ns.grid) for k in ks.tolist()],
-                              dtype=np.float64))
+    rows = Table(ks, np.array([np.max(np.abs(_bounded_from_beta(arc, k, beta)
+                                             - LIMIT_BOUNDED_FACTOR)) for k in ks.tolist()]))
     _emit(ns, ("k", "max_abs_deviation"), rows)
 
 

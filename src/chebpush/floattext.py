@@ -187,14 +187,17 @@ def float_cells(values, json_out):
     exact = (E >= -6) & (E <= 16)
     near = (np.abs(f - 0.5) < DELTA) & ~exact
     # the 17 digits, and below them each value's shortest, as a 17-digit integer
-    digits = N + ((f > 0.5) | ((f == 0.5) & (N % 2 == 1)))
+    digits = N + ((f > 0.5) | ((f == 0.5) & ((N & 1) == 1)))
     shown = np.full(n, 17)
     if json_out:
         hw = 0.5 * np.spacing(v) * np.take(_pow10()[0], 16 - E - _S_MIN)
         live, Nl, fl, hl = np.arange(n), N, f, hw
         for p in range(16, 0, -1):
             m = 10 ** (17 - p)
-            r = Nl % m
+            # r from the quotient, which gives the digits too: an int64 % by a
+            # scalar costs about ten times a //
+            q = Nl // m
+            r = Nl - q * m
             tie = (r - m // 2) + fl
             up = tie > 0
             gap = hl - np.where(up, (m - r) - fl, r + fl)
@@ -204,7 +207,7 @@ def float_cells(values, json_out):
             if not trips.size:
                 break
             live, Nl, fl, hl = live[trips], Nl[trips], fl[trips], hl[trips]
-            digits[live] = (Nl // m + up[trips]) * m
+            digits[live] = (q[trips] + up[trips]) * m
             shown[live] = p
     carry = digits == 10**17
     digits[carry] = 10**16
@@ -221,7 +224,8 @@ def float_cells(values, json_out):
     head, spread, masks, zeros, exps = _glyphs()
     if not json_out:
         # "%.17g" drops trailing zeros: count them where the last digit is one
-        z = np.flatnonzero(groups[:, 3] % 10 == 0)
+        last = groups[:, 3]
+        z = np.flatnonzero(last - last // 10 * 10 == 0)
         g = groups[z].T
         z4 = g[3] == 0
         z3 = z4 & (g[2] == 0)

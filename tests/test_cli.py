@@ -34,11 +34,11 @@ from oracles import emit_reference, two_piece_density
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def run_python(*args):
+def run_python(*args, text=True):
     """A fresh interpreter on args that imports chebpush from this checkout's src."""
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=text, timeout=120,
                           env=env)
 
 
@@ -112,7 +112,7 @@ def _refuse_computing(monkeypatch):
 
     # every compute function the commands call
     for name in ("bounded_factor", "pushforward_cdf", "series_bounded_factor", "series_cdf",
-                 "expand_density", "convergence_report", "sample", "sup_error"):
+                 "expand_density", "convergence_report", "sample", "_bounded_from_beta"):
         monkeypatch.setattr(cli, name, refuse)
 
 
@@ -504,9 +504,10 @@ def _load_run_experiments():
     return module
 
 
-def test_hash_outputs_lists_each_output_of_a_workload_once(tmp_path):
+def test_hash_outputs_lists_each_output_of_a_workload_once(tmp_path, monkeypatch, capsys):
     # large_k at one seed: its 3 commands in CSV and in JSON, each line the
-    # exit code, the sha256 of what main writes for that argv, and the argv
+    # exit code, the sha256 of what main writes for that argv, and the argv;
+    # the script's --workload, given twice, lists the same lines once
     path = ROOT / "scripts" / "hash_outputs.py"
     spec = importlib.util.spec_from_file_location("hash_outputs", path)
     script = importlib.util.module_from_spec(spec)
@@ -520,6 +521,14 @@ def test_hash_outputs_lists_each_output_of_a_workload_once(tmp_path):
         assert code == str(main([*argv, "--out", str(target)])) == "0"
         assert digest == hashlib.sha256(target.read_bytes()).hexdigest()
     assert len({line.split(" ", 2)[2] for line in lines}) == 6
+    monkeypatch.setattr(sys, "argv", ["hash_outputs.py", "1", "--workload", "large_k",
+                                      "--workload", "large_k"])
+    assert script.main() == 0
+    assert capsys.readouterr().out.splitlines() == lines
+    monkeypatch.setattr(sys, "argv", ["hash_outputs.py", "1", "--workload", "no_such"])
+    with pytest.raises(SystemExit) as exc:
+        script.main()
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
 def _experiment_runs(n):
@@ -637,15 +646,17 @@ ROUTE_CASES = (
     # and read the expansion by the same rule: an undecayed one is not read
     (["converge", "--dist", "gauss:0,0.001", "--ks", "8,16,32"], ["bounded_factor"] * 3
      + ["expand_density"]),
-    (["invariance", "--k", "9"], ["bounded_factor"] * 9),
+    # invariance takes the grid's angles once and sums them for each k
+    (["invariance", "--k", "9"], ["_bounded_from_beta"] * 9),
 )
 
 
 def test_pdf_dance_and_mc_follow_one_route_rule(capsys, monkeypatch):
     # spies in cli and in pushforward, whose convergence_report, sup_error
-    # and mass_left_of_zero call its own functions
+    # and mass_left_of_zero call its own functions; the angle sum on angles
+    # is spied in cli alone, where only invariance calls it
     calls = []
-    for module, names in ((cli, ("expand_density", *ROUTE_FUNCTIONS)),
+    for module, names in ((cli, ("expand_density", "_bounded_from_beta", *ROUTE_FUNCTIONS)),
                           (pushforward, ROUTE_FUNCTIONS)):
         for name in names:
             def spy(*args, _fn=getattr(module, name), _name=name):
@@ -798,7 +809,7 @@ def test_budget_accepts_the_documented_runs():
 
 # small runs of all six subcommands; converge arcsine has a nan column and
 # mc has bool trailers; the second dance writes 6000 rows, more than one
-# chunk of EMIT_ROWS
+# chunk of EMIT_CELLS cells of its one plain float column
 EMIT_CASES = (
     ["pdf", "--dist", "gauss:0,0.25", "--k", "5", "--grid", "17"],
     ["dance", "--ks", "2..4", "--grid", "9"],
@@ -958,8 +969,10 @@ def test_a_gaussian_of_any_width_gets_its_law_on_both_sides_of_the_series_route(
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 def test_dance_formats_the_grid_once_and_each_mass_once(capsys, monkeypatch, fmt):
     # z repeats once per k and the mass once per grid point: float_cells
-    # gets the 9 grid values once and the 3 masses once, and otherwise only
-    # the f_k column, chunk by chunk, each of its values once
+    # gets the 9 grid values once, EMIT_CELLS = 4 at a time, and the 3
+    # masses once, and otherwise only the f_k column, its one plain float
+    # column, 4 rows to a chunk, each of its values once. KERNEL_MIN = 1
+    # keeps so short an output off the one-template path.
     calls = []
     cells = cli.float_cells
 
@@ -968,13 +981,17 @@ def test_dance_formats_the_grid_once_and_each_mass_once(capsys, monkeypatch, fmt
         return cells(values, json_out)
 
     monkeypatch.setattr(cli, "float_cells", spy)
-    monkeypatch.setattr(cli, "EMIT_ROWS", 10)
+    monkeypatch.setattr(cli, "EMIT_CELLS", 4)
+    monkeypatch.setattr(floattext, "KERNEL_MIN", 1)
     code, out, _ = run_cli(capsys, "dance", "--ks", "2..4", "--grid", "9", "--format", fmt)
     assert code == 0
     rows = _dance_rows(make_density("gauss", mu=0.0, sigma=0.25), (2, 3, 4), 9)
-    assert calls[:2] == [default_grid(9).tolist(), [m for _, _, _, m in rows[::9]]]
-    assert [len(c) for c in calls[2:]] == [10, 10, 7]
-    assert sum(calls[2:], []) == [f for _, _, f, _ in rows]
+    assert [len(c) for c in calls[:4]] == [4, 4, 1, 3]
+    grid = default_grid(9).tolist()
+    assert calls[:4] == [grid[:4], grid[4:8], grid[8:], [m for _, _, _, m in rows[::9]]]
+    assert [len(c) for c in calls[4:]] == [4] * 6 + [3]
+    assert sum(calls[4:], []) == [f for _, _, f, _ in rows]
+    assert_same_text(out, emit_reference(fmt, ("k", "z", "f_k", "mass_left_of_zero"), rows))
 
 
 def _dance_rows(d, ks, grid):
@@ -1011,7 +1028,7 @@ EDGE_ROWS = [
 # three finite rows first, so that with 1, 2 or 3 rows to a chunk the nan
 # and the infinities appear only in a later chunk
 LATE_EDGE_ROWS = [(i, i / 3, 2.0**-i, -float(i)) for i in range(3)] + EDGE_ROWS
-# chunk sizes that put chunk boundaries inside the rows above
+# chunk sizes, in rows, that put chunk boundaries inside the rows above
 EMIT_ROWS_SMALL = (1, 2, 3)
 EDGE_TRAILERS = (
     (),
@@ -1032,9 +1049,10 @@ def test_emit_is_the_reference_on_edge_values(capsys, monkeypatch, fmt):
     # an int column, a finite float column, then columns holding nan and +-inf
     headers = ("n", "finite", "b%", 'c"')
     ns = SimpleNamespace(format=fmt, out="-")
-    for emit_rows, kernel_min in itertools.product((cli.EMIT_ROWS, *EMIT_ROWS_SMALL),
-                                                   KERNEL_MINS):
-        monkeypatch.setattr(cli, "EMIT_ROWS", emit_rows)
+    # three plain float columns, so EMIT_CELLS = 3 * size puts size rows to a chunk
+    for emit_cells, kernel_min in itertools.product(
+            (cli.EMIT_CELLS, *(3 * size for size in EMIT_ROWS_SMALL)), KERNEL_MINS):
+        monkeypatch.setattr(cli, "EMIT_CELLS", emit_cells)
         monkeypatch.setattr(floattext, "KERNEL_MIN", kernel_min)
         for rows in (EDGE_ROWS, EDGE_ROWS[:1], EDGE_ROWS[1:2], [], LATE_EDGE_ROWS):
             for trailers in EDGE_TRAILERS:
@@ -1053,8 +1071,9 @@ def test_each_columns_dtype_fixes_its_format(capsys, monkeypatch, fmt, expected)
     # column as floats, an integral one too: 3.0 is "3" in CSV ("%.17g")
     # and 3.0 in JSON (repr), in the first chunk or a later one
     columns = (np.array([1, 2]), np.array([0.5, 3.0]), np.array([7, 8], dtype=np.uint8))
-    for emit_rows, kernel_min in itertools.product((cli.EMIT_ROWS, 1), KERNEL_MINS):
-        monkeypatch.setattr(cli, "EMIT_ROWS", emit_rows)
+    # one plain float column: EMIT_CELLS = 1 is one row to a chunk
+    for emit_cells, kernel_min in itertools.product((cli.EMIT_CELLS, 1), KERNEL_MINS):
+        monkeypatch.setattr(cli, "EMIT_CELLS", emit_cells)
         monkeypatch.setattr(floattext, "KERNEL_MIN", kernel_min)
         cli._emit(SimpleNamespace(format=fmt, out="-"), ("a", "b", "c"), cli.Table(*columns))
         assert capsys.readouterr().out == expected
@@ -1078,8 +1097,9 @@ def test_only_what_the_kernel_leaves_reaches_the_python_formatters(capsys, monke
                                                                      fmt):
     # the bytes are the same either way, so count the floats: on a float
     # column of nan and +-inf among finite values, python_texts gets exactly
-    # the non-finite ones; a chunk of fewer floats than KERNEL_MIN, here
-    # converge's 3 rows of 2, goes to it whole, nan column and all
+    # the non-finite ones; an output of fewer float cells than KERNEL_MIN,
+    # here converge's 3 rows of 2, nan column and all, is written by
+    # _emit's one %-template, and no formatter of cells sees it
     calls = _python_texts_spy(monkeypatch)
     # no power of two, which repr's asymmetric rounding interval sends to the fallback
     x = np.linspace(-0.9, 1.1, 3000)
@@ -1091,12 +1111,14 @@ def test_only_what_the_kernel_leaves_reaches_the_python_formatters(capsys, monke
     sent = sum(calls, [])
     assert len(sent) == np.count_nonzero(~np.isfinite(y)) and not any(map(math.isfinite, sent))
     calls.clear()
-    code, _, _ = run_cli(capsys, "converge", "--dist", "arcsine", "--ks", "4,8,16", "--grid",
-                         "33", "--format", fmt)
-    assert code == 0
-    # arcsine has no series, so its asymptotic_prediction_error column is nan
-    [block] = calls
-    assert len(block) == 6 and all(map(math.isnan, block[1::2]))
+    for name in ("float_cells", "text_cells"):
+        monkeypatch.setattr(cli, name, lambda *args, _name=name: calls.append(_name))
+    code, out, _ = run_cli(capsys, "converge", "--dist", "arcsine", "--ks", "4,8,16", "--grid",
+                           "33", "--format", fmt)
+    assert code == 0 and calls == []
+    # arcsine has no series, so its asymptotic_prediction_error column is
+    # nan, and it is invariant, so its fitted_order is nan too
+    assert out.count("nan" if fmt == "csv" else "null") == 4
 
 
 @pytest.mark.parametrize("fmt", ("csv", "json"))
@@ -1120,22 +1142,23 @@ def test_emit_is_the_reference_on_any_floats(rows, fmt, tmp_path_factory):
     target = tmp_path_factory.mktemp("emit") / "out"
     trailers = (("tail", {"v": rows[0][1] if rows else NAN, "pass": bool(rows)}),)
     table = _table(rows, 3)
-    default, kernel_min = cli.EMIT_ROWS, floattext.KERNEL_MIN
+    default, kernel_min = cli.EMIT_CELLS, floattext.KERNEL_MIN
     try:
-        for cli.EMIT_ROWS, floattext.KERNEL_MIN in itertools.product(
-                (default, *EMIT_ROWS_SMALL), (kernel_min, 1)):
+        # two plain float columns, so EMIT_CELLS = 2 * size puts size rows to a chunk
+        for cli.EMIT_CELLS, floattext.KERNEL_MIN in itertools.product(
+                (default, *(2 * size for size in EMIT_ROWS_SMALL)), (kernel_min, 1)):
             for tail in ((), trailers):
                 cli._emit(SimpleNamespace(format=fmt, out=str(target)), ("i", "x", "y"), table,
                           tail)
                 assert_same_text(target.read_text(),
                                  emit_reference(fmt, ("i", "x", "y"), rows, tail))
     finally:
-        cli.EMIT_ROWS, floattext.KERNEL_MIN = default, kernel_min
+        cli.EMIT_CELLS, floattext.KERNEL_MIN = default, kernel_min
 
 
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 def test_emit_memory_is_flat_in_the_rows(tmp_path, fmt):
-    # one chunk of EMIT_ROWS formatted rows at a time; built whole before
+    # one chunk of EMIT_CELLS formatted float cells at a time; built whole before
     # writing, the text of these 2e5 rows peaked at about 50 MB in CSV and
     # 62 MB in JSON. The nan column sends most of its floats to the Python
     # formatters.
@@ -1152,10 +1175,11 @@ def test_emit_memory_is_flat_in_the_rows(tmp_path, fmt):
 
 
 def test_dance_holds_no_row_index(tmp_path):
-    # 8 k on a 16384-point grid, 131072 rows: f_k is 8 B a row, and
-    # formatting the grid once peaks at about 280 B a grid point, 35 B a
-    # row here; the whole command peaked at 45-50 B a row. Two int64 row
-    # indexes, 16 B a row more, peaked at 61-66 B.
+    # 8 k on a 16384-point grid, 131072 rows: f_k is 8 B a row, and _emit
+    # holds the grid's cells and one chunk; the whole command peaked at 31 B
+    # a row in CSV. Formatting the grid whole, at about 280 B a grid point,
+    # it peaked at 45-50 B, and with two int64 row indexes, 16 B a row
+    # more, at 61-66 B.
     rows = 8 * 16384
     tracemalloc.start()
     try:
@@ -1165,6 +1189,53 @@ def test_dance_holds_no_row_index(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 56 * rows
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_emit_of_dance_holds_one_chunk_and_the_grids_cells(tmp_path, monkeypatch, fmt):
+    # dance --grid 16384 writes 23 k x 16384 = 376832 rows. _emit holds the
+    # grid's cells, 48 B a grid value, formatted EMIT_CELLS at a time, and
+    # one chunk: it peaked at 7.7 B a row in CSV and 9.0 B in JSON.
+    # Formatting the grid whole took about 282 B a grid value, and _emit
+    # then peaked at 12.5-12.8 B a row.
+    peaks = []
+    emit = cli._emit
+
+    def measured(ns, headers, rows, trailers=()):
+        tracemalloc.start()
+        try:
+            emit(ns, headers, rows, trailers)
+            peaks.append(tracemalloc.get_traced_memory()[1] / len(rows))
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_emit", measured)
+    assert main(["dance", "--grid", "16384", "--format", fmt,
+                 "--out", str(tmp_path / "out")]) == 0
+    [per_row] = peaks
+    assert per_row < 10.5
+
+
+@pytest.mark.parametrize("argv", (
+    # 12000 rows, three chunks of byte matrix
+    ["dance", "--ks", "2..5", "--grid", "3000"],
+    # a 50-row histogram and its trailers, one %-template
+    ["mc", "--dist", "uniform", "--k", "4", "--n", "2000", "--seed", "1", "--format", "json"],
+), ids=("dance-csv", "mc-json"))
+def test_stdout_gets_the_bytes_of_a_file(tmp_path, argv):
+    # in fresh interpreters, as a shell runs them: the bytes written to
+    # stdout, a pipe here, are the file's, after the text printed before
+    # them and before the text printed after. The text layer holds what is
+    # printed until flushed, as it does unless PYTHONUNBUFFERED is set.
+    target = tmp_path / "out"
+    proc = run_python("-m", "chebpush", *argv, "--out", str(target))
+    assert proc.returncode == 0 and proc.stdout == proc.stderr == ""
+    script = ("import sys\nfrom chebpush.cli import main\n"
+              "sys.stdout.reconfigure(write_through=False)\nprint('before')\n"
+              f"code = main({[*argv, '--out', '-']!r})\nprint('after')\nsys.exit(code)\n")
+    proc = run_python("-c", script, text=False)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == b"before\n" + target.read_bytes() + b"after\n"
 
 
 @pytest.mark.parametrize("n", ("50", str(MAX_POINTS + 1)))
