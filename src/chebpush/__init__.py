@@ -39,6 +39,7 @@ from .pushforward import (
 )
 from .spectral import (
     ChebSeries,
+    decayed_expansion,
     even_moment_sum,
     expand_density,
     normalization_residual,
@@ -58,6 +59,7 @@ __all__ = [
     "cheb_eval",
     "cheb_integral",
     "convergence_report",
+    "decayed_expansion",
     "default_grid",
     "even_moment_sum",
     "expand_density",

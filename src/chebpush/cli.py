@@ -24,9 +24,6 @@ from .floattext import float_cells, text_cells
 from .montecarlo import KS_MIN_SAMPLES, histogram, ks_statistic, push_samples
 from .pushforward import (
     LIMIT_BOUNDED_FACTOR,
-    _aliased_coeffs,
-    _bounded_from_beta,
-    asymptotic_bounded_factor,
     bounded_factor,
     convergence_report,
     default_grid,
@@ -34,7 +31,13 @@ from .pushforward import (
     series_bounded_factor,
     series_cdf,
 )
-from .spectral import DEFAULT_ORDER, even_moment_sum, expand_density, normalization_residual
+from .spectral import (
+    DEFAULT_ORDER,
+    decayed_expansion,
+    even_moment_sum,
+    expand_density,
+    normalization_residual,
+)
 
 # Caps on what one command may ask for. A command above any of them exits 1
 # with the reason before any computation starts. Times and sizes are from a
@@ -289,21 +292,6 @@ def _emit(ns, headers, rows, trailers=()):
         fh.write("".join(tail).encode())
 
 
-def _decayed_series(d):
-    """The Chebyshev expansion of d where it may be read, else None.
-
-    It may be read where d is expandable (arcsine, an unbounded pdf, is not)
-    and its expansion has decayed, which ChebSeries.decayed reports. This
-    is the one rule for the series route and the asymptotic expansion
-    alike; d is expanded at most once.
-    """
-    if d.expandable:
-        series = expand_density(d)
-        if series.decayed:
-            return series
-    return None
-
-
 def _exact_routes(d, ks):
     """S_k and F_k of T_k(X), the bounded factor and the cdf, for each k of ks.
 
@@ -312,7 +300,7 @@ def _exact_routes(d, ks):
     route (series_bounded_factor, series_cdf) aliases the density's
     Chebyshev expansion at a cost independent of k, and is the cheaper on
     wide inputs from k = SERIES_MIN_K. A k takes the series route when it
-    is at least SERIES_MIN_K and _decayed_series gives an expansion. A
+    is at least SERIES_MIN_K and decayed_expansion gives one. A
     density with jumps, such as uniform01, is expanded piece by piece
     between them, and its jumps are edges of the route's one model, as -1
     and 1 are. A ladder of small k expands nothing; otherwise the density
@@ -322,15 +310,15 @@ def _exact_routes(d, ks):
     over 378 cases of a sweep of gaussians (mu in [-0.6, 0.6], sigma in
     [0.15, 1], nine k from 8 to 4097), and to within 1.0e-14 on uniform01 at
     131 k from 8 to 8000 away from the jump's image T_k(0), where S_k jumps
-    and the series route gives the midpoint. On the series route each k
-    takes its aliased coefficients once, and S_k and every call of F_k
-    share them: dance reads both, and mc's KS calls F_k more than once.
+    and the series route gives the midpoint. On the series route S_k and
+    every call of F_k at one k share one coefficient step, which
+    pushforward keeps for the last few k read: dance reads both, and mc's
+    KS calls F_k more than once.
     """
-    series = _decayed_series(d) if max(ks) >= SERIES_MIN_K else None
+    series = decayed_expansion(d) if max(ks) >= SERIES_MIN_K else None
     for k in ks:
         if series is not None and k >= SERIES_MIN_K:
-            aliased = _aliased_coeffs(series, k)
-            yield partial(series_bounded_factor, aliased, k), partial(series_cdf, aliased, k)
+            yield partial(series_bounded_factor, series, k), partial(series_cdf, series, k)
         else:
             yield partial(bounded_factor, d, k), partial(pushforward_cdf, d, k)
 
@@ -360,15 +348,9 @@ def cmd_dance(ns):
 
 
 def cmd_converge(ns):
-    d = ns.dist
-    report = convergence_report(d, ns.ks, ns.grid)
-    series = _decayed_series(d)
-    z = default_grid(ns.grid)
-    asym = [np.max(np.abs(bounded - asymptotic_bounded_factor(series, k, z)))
-            if series is not None and k >= 2 else np.nan
-            for k, bounded in zip(report.ks, report.bounded)]
-    rows = Table(np.array(report.ks), np.array(report.sup_errors, dtype=np.float64),
-                 np.array(asym, dtype=np.float64))
+    report = convergence_report(ns.dist, ns.ks, ns.grid)
+    rows = Table(np.array(report.ks), np.array(report.sup_errors),
+                 np.array(report.asymptotic_errors))
     trailer = ("fitted_order", {"value": report.fitted_order, "label": report.label})
     _emit(ns, ("k", "sup_error", "asymptotic_prediction_error"), rows, (trailer,))
 
@@ -397,13 +379,8 @@ def cmd_mc(ns):
 
 
 def cmd_invariance(ns):
-    # pushforward.sup_error for each k, with the grid and its angles taken once
-    arc = make_density("arcsine")
-    beta = np.arccos(default_grid(ns.grid))
-    ks = np.arange(1, ns.k + 1)
-    rows = Table(ks, np.array([np.max(np.abs(_bounded_from_beta(arc, k, beta)
-                                             - LIMIT_BOUNDED_FACTOR)) for k in ks.tolist()]))
-    _emit(ns, ("k", "max_abs_deviation"), rows)
+    report = convergence_report(make_density("arcsine"), range(1, ns.k + 1), ns.grid)
+    _emit(ns, ("k", "max_abs_deviation"), Table(np.array(report.ks), np.array(report.sup_errors)))
 
 
 def _add_io_flags(sp):

@@ -49,12 +49,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .chebpoly import _index, _open_interval, _pointwise, _unit_interval, cheb_eval
-from .spectral import even_moment_sum
+from .spectral import decayed_expansion, even_moment_sum
 
 _TWO_PI = 2.0 * np.pi
 
@@ -322,20 +321,7 @@ def _edge_model(t, jumps, m):
     return model.sum(axis=0) / np.pi
 
 
-class AliasedCoeffs(NamedTuple):
-    """What the series route reads of one series at one k (see _aliased_coeffs).
-
-    series_bounded_factor and series_cdf take it in place of the series, at
-    that k, and skip the coefficient step, so that a caller that reads S_k
-    or F_k of one k more than once takes that step once.
-    """
-
-    c: np.ndarray
-    phase: np.ndarray
-    g: np.ndarray
-    k: int
-
-
+@lru_cache(maxsize=4)
 def _aliased_coeffs(series, k):
     """The Chebyshev coefficients of S_k, exact part and edge model apart.
 
@@ -345,8 +331,11 @@ def _aliased_coeffs(series, k):
     G_p / k^p summed over the edges at that phase. An edge where G is 0,
     such as uniform01's -1, is left out. The model's part of S_k(cos beta)
     is (1/pi) sum_p g_p [s_p(phase + beta) + s_p(phase - beta)], s_p the row
-    p of _SUM_COEFS. series_bounded_factor documents the formulas. They
-    come as an AliasedCoeffs, which holds k too.
+    p of _SUM_COEFS. series_bounded_factor documents the formulas.
+
+    They are kept for the last few (series, k), read-only and shared by
+    every caller (ChebSeries is hashed by identity), so that S_k and F_k of
+    one k read more than once, as dance and mc's KS do, take this step once.
     """
     mu = series.coeffs
     order = len(mu) - 1
@@ -367,22 +356,16 @@ def _aliased_coeffs(series, k):
             # in turns first, so that the phases of -1 and 1 are exact
             merged.setdefault(_TWO_PI * math.fmod(k * (tx / _TWO_PI), 1.0), []).append(gx)
     g = np.reshape([[sum(p) for p in zip(*gs)] for gs in merged.values()], (-1, 5))
-    return AliasedCoeffs(c, np.array(list(merged)), g / float(k) ** np.arange(1, 6), k)
+    aliased = c, np.array(list(merged)), g / float(k) ** np.arange(1, 6)
+    for array in aliased:
+        array.flags.writeable = False
+    return aliased
 
 
-def _aliased(series, k):
-    """The AliasedCoeffs of series at k: taken now, or series itself if it is one for k."""
-    if not isinstance(series, AliasedCoeffs):
-        return _aliased_coeffs(series, k)
-    if series.k != k:
-        raise ValueError(f"coefficients aliased for k = {series.k} read at k = {k}")
-    return series
-
-
-def _series_on_chunks(aliased, arr, shift):
+def _series_on_chunks(series, k, arr, shift):
     """A series route at the points arr, SUM_CHUNK points at a time: S_k for shift 0, F_k for 1.
 
-    aliased is an AliasedCoeffs: c, the edge phases and g, and k. With
+    It reads c, the edge phases and g of _aliased_coeffs(series, k). With
     beta = arccos(x) and c the aliased coefficients, the exact part is
     sum_n c_n T_n(x) for S_k, and for F_k c_0 (pi - beta) - sin(beta)
     sum_n c_n U_{n-1}(x) / n. As U_{n-1} = 2 (T_{n-1} + T_{n-3} + ...), its
@@ -395,7 +378,7 @@ def _series_on_chunks(aliased, arr, shift):
     at once. Every step is pointwise, so a point's value does not depend on
     the chunking.
     """
-    c, phase, g, k = aliased
+    c, phase, g = _aliased_coeffs(series, k)
     b = c
     if shift:
         # c_n / n at n - 1, in pairs of one even and one odd index, with zeros on top
@@ -492,13 +475,12 @@ def series_bounded_factor(series, k, z):
 
     The route sees only the coefficients, never the density. It runs on
     chunks of SUM_CHUNK points, so its cost does not grow with k and its
-    memory beyond the result does not grow with the number of points.
-    series is a ChebSeries, or its AliasedCoeffs at this k from
-    _aliased_coeffs, which gives the same values bit for bit without the
-    coefficient step.
+    memory beyond the result does not grow with the number of points. The
+    coefficients of the last few (series, k) are kept (_aliased_coeffs), so
+    a k read again skips the coefficient step and gives the same values.
     """
     k = _index(k, 1, "Chebyshev index")
-    return _series_on_chunks(_aliased(series, k), _open_interval(z), 0)
+    return _series_on_chunks(series, k, _open_interval(z), 0)
 
 
 @_pointwise
@@ -520,11 +502,11 @@ def series_cdf(series, k, z):
     of SUM_CHUNK points (_series_on_chunks). The cost does not grow with k.
     F_k is continuous at the images of pdf jumps. z may stray past [-1, 1]
     by chebpoly.DOMAIN_SLACK; z and the result are clipped, as in
-    pushforward_cdf. series is a ChebSeries or, as for
-    series_bounded_factor, its AliasedCoeffs at this k.
+    pushforward_cdf. It shares series_bounded_factor's coefficients at this
+    k.
     """
     k = _index(k, 1, "Chebyshev index")
-    out = _series_on_chunks(_aliased(series, k), _unit_interval(z), 1)
+    out = _series_on_chunks(series, k, _unit_interval(z), 1)
     return np.clip(out, 0.0, 1.0, out=out)
 
 
@@ -561,28 +543,41 @@ class ConvergenceReport:
     (fitted_order is then nan), "empirical" for discontinuous inputs where
     the error decay is observed rather than covered by the smooth-case
     analysis, and "fit" otherwise. fitted_order is nan with fewer than
-    three k values. bounded holds S_k on default_grid(grid), one array per
-    k, so other routes can be compared against the same values without
-    summing the angles again.
+    three k values. asymptotic_errors holds, for each k, the sup over the
+    grid of |S_k - asymptotic_bounded_factor|: nan at k = 1, where the
+    expansion is not defined, and at every k for a density without a
+    decayed expansion (spectral.decayed_expansion).
     """
 
     ks: tuple
     sup_errors: tuple
     fitted_order: float
     label: str
-    bounded: tuple
+    asymptotic_errors: tuple
 
 
 def convergence_report(d, ks, grid=201):
-    """S_k and its sup error for each k in an increasing ladder, with the fit."""
+    """Sup errors of S_k, against 1/pi and against the expansion, over an increasing ladder.
+
+    S_k is the angle sum on default_grid(grid), whose angles are taken
+    once. Each S_k is dropped once its two sups are taken, so memory does
+    not grow with the number of k values.
+    """
     ks = tuple(_index(k, 1, "Chebyshev index") for k in ks)
     if len(ks) < 1:
         raise ValueError("need at least one k")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k values must be strictly increasing")
     z = default_grid(grid)
-    bounded = tuple(bounded_factor(d, k, z) for k in ks)
-    errors = tuple(_sup_deviation(s) for s in bounded)
+    beta = np.arccos(z)
+    series = decayed_expansion(d)
+    errors, asymptotic = [], []
+    for k in ks:
+        s = _bounded_from_beta(d, k, beta)
+        errors.append(_sup_deviation(s))
+        asymptotic.append(float(np.max(np.abs(s - asymptotic_bounded_factor(series, k, z))))
+                          if series is not None and k >= 2 else math.nan)
+        del s
     if max(errors) < INVARIANT_TOL:
         label, order = "invariant", float("nan")
     else:
@@ -592,8 +587,8 @@ def convergence_report(d, ks, grid=201):
         else:
             order = float(np.polyfit(np.log(np.asarray(ks, dtype=float)),
                                      np.log(np.asarray(errors)), 1)[0])
-    return ConvergenceReport(ks=ks, sup_errors=errors, fitted_order=order, label=label,
-                             bounded=bounded)
+    return ConvergenceReport(ks=ks, sup_errors=tuple(errors), fitted_order=order, label=label,
+                             asymptotic_errors=tuple(asymptotic))
 
 
 def mass_left_of_zero(d, k):

@@ -135,6 +135,21 @@ def expand_density(d, order=DEFAULT_ORDER):
     return ChebSeries(coeffs=mu, decayed=decayed, pieces=tuple(pieces))
 
 
+def decayed_expansion(d):
+    """The Chebyshev expansion of d where it may be read, else None.
+
+    It may be read where d is expandable (arcsine, an unbounded pdf, is not)
+    and its expansion has decayed, which ChebSeries.decayed reports. This
+    is the one rule for the series route and the asymptotic expansion
+    alike; d is expanded at most once.
+    """
+    if d.expandable:
+        series = expand_density(d)
+        if series.decayed:
+            return series
+    return None
+
+
 def normalization_residual(series):
     """|1 - sum_l mu_l * integral(T_l)|, over coeffs.
 

@@ -1,3 +1,5 @@
+import ast
+import functools
 import hashlib
 import importlib.util
 import itertools
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebpush import cli, floattext, pushforward
+from chebpush import cli, floattext, pushforward, spectral
 from chebpush.cli import MAX_K, MAX_ORDER, MAX_POINTS, MAX_WORK, main, parse_ks
 from chebpush.densities import make_density, parse_density
 from chebpush.montecarlo import KS_MIN_SAMPLES, ks_statistic
@@ -112,7 +114,7 @@ def _refuse_computing(monkeypatch):
 
     # every compute function the commands call
     for name in ("bounded_factor", "pushforward_cdf", "series_bounded_factor", "series_cdf",
-                 "expand_density", "convergence_report", "sample", "_bounded_from_beta"):
+                 "expand_density", "decayed_expansion", "convergence_report", "sample"):
         monkeypatch.setattr(cli, name, refuse)
 
 
@@ -531,6 +533,36 @@ def test_hash_outputs_lists_each_output_of_a_workload_once(tmp_path, monkeypatch
     assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
+def test_code_lines_counts_each_module_and_the_total(capsys):
+    # lines as wc -l counts them; code lines leave out blank lines, comment
+    # lines and docstrings, and keep a line of code with a comment after it
+    path = ROOT / "scripts" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    text = ('"""Module.\n\nDoc."""\n\n# note\nX = 1  # one\n\n\n'
+            'def f():\n    """Doc."""\n    return X\n')
+    assert script.counts(text) == (11, 3)
+    assert script.main() == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    modules = sorted(p.name for p in (ROOT / "src" / "chebpush").glob("*.py"))
+    assert [row[0] for row in rows] == modules + ["total"]
+    for name, lines, code in rows[:-1]:
+        source = (ROOT / "src" / "chebpush" / name).read_bytes()
+        assert int(lines) == source.count(b"\n") and 0 < int(code) < int(lines)
+    assert rows[-1][1:] == [str(sum(int(row[i]) for row in rows[:-1])) for i in (1, 2)]
+
+
+def test_cli_imports_no_private_name_of_the_package():
+    # the routes and the report are read through pushforward's and
+    # spectral's public names only
+    tree = ast.parse((ROOT / "src" / "chebpush" / "cli.py").read_text(encoding="utf-8"))
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
 def _experiment_runs(n):
     return [argv for _, argv in _load_run_experiments().runs(n)]
 
@@ -594,11 +626,12 @@ def test_mc_takes_the_series_cdf_where_it_has_at_most_k_terms(capsys, monkeypatc
     # around its jump, and arcsine is unbounded, so it is never expanded.
     # ks_exact reads its cdf in three passes, coarse to fine, all on one route
     calls = []
-    for name in ("series_cdf", "pushforward_cdf", "expand_density"):
-        def spy(*args, _fn=getattr(cli, name), _name=name):
+    for module, name in ((cli, "series_cdf"), (cli, "pushforward_cdf"),
+                         (spectral, "expand_density")):
+        def spy(*args, _fn=getattr(module, name), _name=name):
             calls.append(_name)
             return _fn(*args)
-        monkeypatch.setattr(cli, name, spy)
+        monkeypatch.setattr(module, name, spy)
     routes = {}
     for argv in _experiment_mc_runs(1000):
         calls.clear()
@@ -640,28 +673,36 @@ ROUTE_CASES = (
     (["mc", "--dist", "uniform01", "--k", "7"], ["pushforward_cdf"] * 3),
     (["mc", "--dist", "uniform01", "--k", "8"], ["expand_density"] + ["series_cdf"] * 3),
     (["mc", "--dist", "arcsine", "--k", "8"], ["pushforward_cdf"] * 3),
-    # converge and invariance measure the angle sum itself
-    (["converge", "--dist", "gauss:0,0.25", "--ks", "8,16,32"], ["bounded_factor"] * 3
-     + ["expand_density"]),
-    # and read the expansion by the same rule: an undecayed one is not read
-    (["converge", "--dist", "gauss:0,0.001", "--ks", "8,16,32"], ["bounded_factor"] * 3
-     + ["expand_density"]),
-    # invariance takes the grid's angles once and sums them for each k
+    # converge and invariance measure the angle sum itself, on the grid's
+    # angles taken once, and read the expansion by the same rule: an
+    # undecayed one is not read, and arcsine is never expanded
+    (["converge", "--dist", "gauss:0,0.25", "--ks", "8,16,32"], ["expand_density"]
+     + ["_bounded_from_beta"] * 3),
+    (["converge", "--dist", "gauss:0,0.001", "--ks", "8,16,32"], ["expand_density"]
+     + ["_bounded_from_beta"] * 3),
     (["invariance", "--k", "9"], ["_bounded_from_beta"] * 9),
 )
 
 
 def test_pdf_dance_and_mc_follow_one_route_rule(capsys, monkeypatch):
     # spies in cli and in pushforward, whose convergence_report, sup_error
-    # and mass_left_of_zero call its own functions; the angle sum on angles
-    # is spied in cli alone, where only invariance calls it
-    calls = []
-    for module, names in ((cli, ("expand_density", "_bounded_from_beta", *ROUTE_FUNCTIONS)),
-                          (pushforward, ROUTE_FUNCTIONS)):
+    # and mass_left_of_zero call its own functions, and on the expansion in
+    # spectral, which decayed_expansion calls; a call is listed only where
+    # no spied call is running, so the angle sum that bounded_factor runs on
+    # its angles is not listed again
+    calls, running = [], []
+    for module, names in ((cli, ROUTE_FUNCTIONS),
+                          (pushforward, ("_bounded_from_beta", *ROUTE_FUNCTIONS)),
+                          (spectral, ("expand_density",))):
         for name in names:
             def spy(*args, _fn=getattr(module, name), _name=name):
-                calls.append(_name)
-                return _fn(*args)
+                if not running:
+                    calls.append(_name)
+                running.append(_name)
+                try:
+                    return _fn(*args)
+                finally:
+                    running.pop()
             monkeypatch.setattr(module, name, spy)
     small = {"pdf": ["--grid", "9"], "dance": ["--grid", "9"], "mc": ["--n", "1000"],
              "converge": ["--grid", "9"], "invariance": ["--grid", "9"]}
@@ -682,12 +723,16 @@ def test_pdf_dance_and_mc_follow_one_route_rule(capsys, monkeypatch):
     (["mc", "--dist", "uniform", "--k", "7", "--n", "1000"], []),
 ))
 def test_each_k_of_the_series_route_takes_one_coefficient_step(capsys, monkeypatch, argv, steps):
+    # the step under a cache like pushforward's own, which spies on its misses
     taken = []
-    for module in (cli, pushforward):
-        def spy(series, k, _fn=module._aliased_coeffs):
-            taken.append(k)
-            return _fn(series, k)
-        monkeypatch.setattr(module, "_aliased_coeffs", spy)
+    step = pushforward._aliased_coeffs
+
+    def spy(series, k):
+        taken.append(k)
+        return step.__wrapped__(series, k)
+
+    cached = functools.lru_cache(maxsize=step.cache_parameters()["maxsize"])(spy)
+    monkeypatch.setattr(pushforward, "_aliased_coeffs", cached)
     assert run_cli(capsys, *argv)[0] == 0
     assert taken == steps
 
@@ -701,7 +746,7 @@ def test_each_k_of_the_series_route_takes_one_coefficient_step(capsys, monkeypat
 def test_each_expansion_takes_its_edges_once(capsys, monkeypatch, argv):
     # the edges do not depend on k: one _edges per expansion, not per k
     calls = []
-    for module, name in ((cli, "expand_density"), (pushforward, "_edges")):
+    for module, name in ((spectral, "expand_density"), (pushforward, "_edges")):
         def spy(*args, _fn=getattr(module, name), _name=name):
             calls.append(_name)
             return _fn(*args)

@@ -330,19 +330,28 @@ def test_series_cdf_is_the_angle_sum_cdf_on_any_decayed_gaussian(mu, sigma, k):
 @pytest.mark.parametrize("name", ("gauss:0,0.25", "uniform01", "ramp"))
 @pytest.mark.parametrize("k", (8, 9, 64, 4097))
 def test_coefficients_aliased_once_give_the_series_values_bit_for_bit(name, k):
-    # S_k and F_k read from an AliasedCoeffs taken once are those read from
-    # the series, which takes the coefficient step at every call
+    # S_k and F_k read from the coefficients kept for (series, k) are those
+    # of a fresh coefficient step, bit for bit, and the kept ones are read-only
     s = expand_density(parse_density(name))
-    aliased = _aliased_coeffs(s, k)
-    assert aliased.k == k
+
+    def fresh(fn, z):
+        _aliased_coeffs.cache_clear()
+        return fn(s, k, z)
+
+    def kept(fn, z):
+        hits = _aliased_coeffs.cache_info().hits
+        out = fn(s, k, z)
+        assert _aliased_coeffs.cache_info().hits == hits + 1
+        return out
+
     z = default_grid(257)
-    assert series_bounded_factor(aliased, k, z).tobytes() == series_bounded_factor(s, k, z).tobytes()
+    want = fresh(series_bounded_factor, z)
+    assert kept(series_bounded_factor, z).tobytes() == want.tobytes()
     z = np.concatenate(([-1.0], z, [1.0]))
-    assert series_cdf(aliased, k, z).tobytes() == series_cdf(s, k, z).tobytes()
-    assert series_cdf(aliased, k, 0.25) == series_cdf(s, k, 0.25)
-    for fn in (series_bounded_factor, series_cdf):
-        with pytest.raises(ValueError, match="aliased for k"):
-            fn(aliased, k + 1, z[1:-1])
+    want = fresh(series_cdf, z)
+    assert kept(series_cdf, z).tobytes() == want.tobytes()
+    assert kept(series_cdf, 0.25) == fresh(series_cdf, 0.25)
+    assert not any(array.flags.writeable for array in _aliased_coeffs(s, k))
 
 
 @pytest.mark.parametrize("length", (1, 2, 3, 4, 65, 600))
@@ -504,14 +513,36 @@ def test_convergence_report_empirical_label():
     assert rep.sup_errors[-1] < rep.sup_errors[0]
 
 
-def test_convergence_report_keeps_the_bounded_factor():
-    # the report's S_k arrays are the ones its sup errors were taken from
-    d = make_density("ramp")
-    rep = convergence_report(d, (3, 8), grid=33)
+def test_convergence_report_takes_the_asymptotic_gap_of_each_bounded_factor():
+    # each k's gap to the expansion is the one bounded_factor's S_k gives, bit
+    # for bit, and its sup error is sup_error's; the gap is nan at k = 1 and
+    # where there is no decayed expansion to read: arcsine is unbounded, and
+    # gauss:0,0.001's expansion has not decayed
     z = default_grid(33)
-    for k, err, s_k in zip(rep.ks, rep.sup_errors, rep.bounded):
-        assert np.array_equal(s_k, bounded_factor(d, k, z))
-        assert err == sup_error(d, k, 33)
+    for name, decayed in (("gauss:0,0.25", True), ("ramp", True), ("arcsine", False),
+                          ("gauss:0,0.001", False)):
+        d = parse_density(name)
+        rep = convergence_report(d, (1, 3, 8), grid=33)
+        assert rep.sup_errors == tuple(sup_error(d, k, 33) for k in rep.ks)
+        assert np.isnan(rep.asymptotic_errors[0])
+        if not decayed:
+            assert d.expandable is (name != "arcsine")
+            assert all(np.isnan(rep.asymptotic_errors))
+            continue
+        series = expand_density(d)
+        assert rep.asymptotic_errors[1:] == tuple(
+            float(np.max(np.abs(bounded_factor(d, k, z) - asymptotic_bounded_factor(series, k, z))))
+            for k in rep.ks[1:])
+    assert not expand_density(parse_density("gauss:0,0.001")).decayed
+
+
+def test_convergence_report_holds_one_bounded_factor_at_a_time():
+    # the grid, its angles and one S_k with the temporaries of its two sups;
+    # holding all 16 S_k would take 8 MiB
+    d = parse_density("gauss:0,0.25")
+    grid = 2**16
+    peak = _peak_bytes(lambda: convergence_report(d, range(8, 136, 8), grid))
+    assert peak < 3 * 8 * grid + 2**21
 
 
 def test_convergence_report_guards():
@@ -578,7 +609,8 @@ def test_pushforward_reads_a_density_only_through_its_angle_law(name):
         raise AssertionError("the pushforward read pdf, cdf or ppf")
 
     d = make_density(name)
-    blind = replace(d, pdf=refuse, cdf=refuse, ppf=refuse)
+    # not expandable either, as an expansion reads the pdf
+    blind = replace(d, pdf=refuse, cdf=refuse, ppf=refuse, expandable=False)
     z = default_grid(33)
     for k in (1, 2, 7, 64):
         assert np.array_equal(bounded_factor(blind, k, z), bounded_factor(d, k, z))
@@ -588,7 +620,6 @@ def test_pushforward_reads_a_density_only_through_its_angle_law(name):
     got, want = convergence_report(blind, (4, 8, 16)), convergence_report(d, (4, 8, 16))
     assert (got.ks, got.sup_errors, got.fitted_order, got.label) == (
         want.ks, want.sup_errors, want.fitted_order, want.label)
-    assert all(np.array_equal(a, b) for a, b in zip(got.bounded, want.bounded))
 
 
 def _peak_bytes(fn):
