@@ -15,27 +15,37 @@ rounding decision at bounded precision (Steele & White 1990; Adams,
   N + [f > 1/2]. For s in [0, 22], 10^s is a double, q is exact and a tie
   f = 1/2 goes to the even digit, as in dtoa.
 - Shortest digits (JSON). The rounding interval of x is q +- hw, with
-  hw = ulp(x) 10^s / 2. The p-digit rounding D_p of q round-trips exactly
-  when |D_p 10^(17-p) - q| < hw, and if it does, so does the (p+1)-digit
-  one. So p walks down from 16 over the values whose (p+1)-digit rounding
-  round-tripped, and each value keeps its last round-tripping digits.
+  hw = ulp(x) 10^s / 2 <= 11.1. The p-digit rounding D_p of q round-trips
+  exactly when |D_p 10^(17-p) - q| < hw, and if it does, so does the
+  (p+1)-digit one. Two checks decide it: 16 digits, then 15 where 16
+  round-tripped. The interval is narrower than 100, so a 15-digit
+  rounding that round-trips is the one multiple of 100 inside it, and
+  every shorter rounding that does is the same value. So in both modes a
+  value shows its last round-tripping digits (or its 17) less their
+  trailing zeros, as "%.17g" does.
 - Fallback. `python_texts`, the per-value Python formatters, writes every
   value the kernel does not decide: a decision within DELTA of a rounding
   tie or of the interval's edge that the arithmetic above cannot settle
   exactly; powers of two in shortest mode, whose interval is asymmetric;
   +-0, nan and +-inf; |x| outside [1e-289, 1e299], where the 10^s pair
   is not normal; and a column shorter than KERNEL_MIN, whole.
-- Text. A cell is 48 bytes, six 8-byte words each gathered from a table:
-  the sign, a leading "0." and its zeros, the first digit and a point
-  after it; the other 16 digits in four 4-digit words, each digit followed
-  by a slot for the point; then e+-XX. Unused slots are NUL, and the writer
-  drops every NUL of a chunk at once. Notation follows Python: fixed from
-  1e-4 up to 1e16 (repr) or 1e17 ("%.17g"), where an integral value is
-  padded with zeros and repr adds ".0", and exponent form outside.
+- Text. A cell is 32 bytes, four 8-byte words, each looked up in 1-D
+  tables: a head word, right-aligned, of the sign, a leading "0." and its
+  zeros, the first digit and a point after it; the other 16 digits, one
+  4-digit group a half word, cut to the digits shown; and a tail word
+  of e+-XX. A point among the 16 digits is put in by shifting the digits
+  after it up a byte, the last of them into the tail word. Unused bytes
+  are NUL. The writer drops a column's byte positions that are NUL in
+  every row of a chunk, then every NUL of the chunk at once. Notation
+  follows Python: fixed from 1e-4 up to 1e16 (repr) or 1e17 ("%.17g"),
+  where an integral value is padded with zeros and repr adds ".0", and
+  exponent form outside. A fallback text is written from byte 7, where a
+  first digit without a sign sits.
 
 The tables are built on first use, from ints and floats: the powers of
-ten in 0.5-0.7 ms and the glyphs in 1.4-1.6 ms, in a fresh interpreter on
-a 2-core x86-64 container. Importing this module builds nothing.
+ten in 1.2-1.8 ms, the glyphs in 0.9-1.4 ms and each notation's in
+0.3-0.5 ms, in a fresh interpreter on a 2-core x86-64 container.
+Importing this module builds nothing.
 """
 
 from __future__ import annotations
@@ -44,8 +54,8 @@ from functools import cache
 
 import numpy as np
 
-# Bytes of one cell: room for the longest float text, 24 bytes
-CELL = 48
+# Bytes of one cell: four 8-byte words
+CELL = 32
 # A rounding decision within DELTA of a tie or of the interval's edge goes
 # to the fallback. q carries an error below 1e-14, and hw and the digit
 # distances are 0.55 to 11, so DELTA is far outside the error, and a value
@@ -95,31 +105,19 @@ def _split(a):
 
 @cache
 def _pow10():
-    """Tables over s = _S_MIN.._S_MAX, by s - _S_MIN: hi and lo, with
-    hi + lo = 10^s to a relative 3e-32, and hi's two 26-bit halves."""
-    p, his, los = 1, [], []
-    for _ in range(max(_S_MAX, -_S_MIN) + 1):
-        h = float(p)
-        his.append(h)
-        los.append(float(p - int(h)))
-        p *= 10
-    hi, lo = np.array(his), np.array(los)
-    # 10^-n = 1 / (hi + lo) as a double-double: r = 1 / hi, and the
-    # residual 1 - r (hi + lo) from r hi's exact product, with hi scaled
-    # into [0.5, 1) so that the halves do not overflow
-    h, l = hi[1:1 - _S_MIN], lo[1:1 - _S_MIN]
-    scale = np.ldexp(1.0, -np.frexp(h)[1])
-    hs, ls = h * scale, l * scale
-    rs = 1.0 / h / scale
-    (rh, rl), (hh, hl) = _split(rs), _split(hs)
-    prod = rs * hs
-    err = ((rh * hh - prod) + rh * hl + rl * hh) + rl * hl
-    rlo = (((1.0 - prod) - err) - rs * ls) / hs * scale
-    hi = np.concatenate([(rs * scale)[::-1], hi[:_S_MAX + 1]])
-    lo = np.concatenate([rlo[::-1], lo[:_S_MAX + 1]])
-    mant, ex = np.frexp(hi)
+    """A table over s = _S_MIN.._S_MAX, a row by s - _S_MIN: hi, the double
+    nearest 10^s, lo, the double nearest 10^s - hi, and hi's two 26-bit
+    halves. Python's int division rounds correctly, so 10^s = num / den
+    gives both."""
+    his, los = [], []
+    for s in range(_S_MIN, _S_MAX + 1):
+        num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
+        a, b = (num / den).as_integer_ratio()
+        his.append(a / b)
+        los.append((num * b - a * den) / (den * b))
+    mant, ex = np.frexp(his)
     mh, ml = _split(mant)
-    return hi, lo, np.ldexp(mh, ex), np.ldexp(ml, ex)
+    return np.stack([his, los, np.ldexp(mh, ex), np.ldexp(ml, ex)], axis=1)
 
 
 def _words(texts):
@@ -129,126 +127,163 @@ def _words(texts):
 
 @cache
 def _glyphs():
-    """The word tables of a cell, and the trailing zeros of each 4-digit group."""
-    # by ((sign * 5 + zeros) * 10 + first digit) * 2 + point: "-", "0." and
-    # zeros - 1 zeros, the first digit, and "." after it
-    head = _words([sign + prefix.ljust(5, "\0") + d + point for sign in "\0-"
+    """The tables of a cell's text that do not depend on the notation."""
+    # by (sign * 5 + zeros) * 20 + first digit * 2 + point, right-aligned:
+    # "-", "0." and zeros - 1 zeros, the first digit, and "." after it
+    head = _words([(sign + prefix + d + point).rjust(8, "\0") for sign in ("", "-")
                    for prefix in ("", "0.", "0.0", "0.00", "0.000")
-                   for d in "0123456789" for point in "\0."])
+                   for d in "0123456789" for point in ("", ".")])
+    # by a 4-digit group: its four digits in the low half of a word, and
+    # its trailing zeros
     d = np.arange(10000)
-    spread = np.zeros((10000, 8), np.uint8)
-    for j, div in enumerate((1000, 100, 10, 1)):
-        spread[:, 2 * j] = 48 + d // div % 10
-    # by shown digits: which digits of the four groups (digits 1-4, ...,
-    # 13-16) are shown, as a mask of their bytes
-    cut = _words(["\xff\0" * c + "\0" * (8 - 2 * c) for c in range(5)])
-    masks = cut[np.clip(np.arange(18)[:, None] - np.arange(1, 17, 4), 0, 4)]
-    zeros = sum(d % (10 * j) == 0 for j in (1, 10, 100, 1000))
-    zeros[0] = 4
-    exps = _words([""] + ["e%+03d" % x for x in range(_X_MIN + 1, _X_MAX)])
-    return head, spread.view(np.uint64).ravel(), masks.view("V32").ravel(), zeros, exps
+    quad = sum((48 + d // 10 ** (3 - j) % 10) << 8 * j for j in range(4)).astype(np.uint64)
+    zeros = sum(d % 10**j == 0 for j in range(1, 5))
+    # by c = 0..16, the bytes of the first c of 16 digits in each of two words
+    shown = np.arange(16) < np.arange(17)[:, None]
+    low, high = (shown * np.uint8(255)).view(np.uint64).T.copy()
+    return head, quad, low, high, zeros
 
 
-def _scaled(v, s):
-    """N and f of q = v 10^s = N + f, N an integer and f in [0, 1)."""
-    hi, lo, hh, hl = (np.take(t, s - _S_MIN) for t in _pow10())
+@cache
+def _notation(json_out):
+    """A table of four rows by X - _X_MIN of the exponent X: the tail word,
+    e+-XX or none in fixed notation; the head's offset for the zeros
+    before the first digit, 20 a zero; the digits after the first that a
+    point follows, if more are shown (99: no point); the least digits
+    shown."""
+    # fixed notation from 1e-4 up to 1e16 (repr) or 1e17 ("%.17g"), where an
+    # integral value is padded with zeros, and repr writes ".0" after it
+    X = np.arange(_X_MIN, _X_MAX + 1)
+    fixed = (X >= -4) & (X <= 16 - json_out)
+    whole = fixed & (X >= 0)
+    tails = _words(["" if f else "e%+03d" % e for e, f in zip(X.tolist(), fixed.tolist())])
+    return np.stack([tails.view(np.int64), np.where(fixed & (X < 0), -20 * X, 0),
+                     np.where(whole, X, fixed * 99), np.where(whole, X + 1 + json_out, 0)])
+
+
+def _scaled(v, E):
+    """N and f of q = v 10^(16 - E) = N + f, N an integer and f in [0, 1)."""
+    hi, lo, hh, hl = np.take(_pow10(), (16 - _S_MIN) - E, axis=0).T
     p = v * hi
     vh, vl = _split(v)
-    t = (((vh * hh - p) + vh * hl + vl * hh) + vl * hl) + v * lo
+    # t = (((vh hh - p) + vh hl + vl hh) + vl hl) + v lo, a term at a time
+    t = vh * hh
+    t -= p
+    for a, b in ((vh, hl), (vl, hh), (vl, hl), (v, lo)):
+        t += a * b
     whole = np.floor(p)
-    t += p - whole
-    ft = np.floor(t)
-    return whole.astype(np.int64) + ft.astype(np.int64), t - ft
+    p -= whole
+    t += p
+    ft = np.floor(t, out=p)
+    t -= ft
+    N = whole.astype(np.int64)
+    N += ft.astype(np.int64)
+    return N, t
 
 
 def float_cells(values, json_out):
     """The text of each float of values, repr (json_out) or "%.17g", as a
-    uint8 matrix of one NUL-padded row per float, in values' flat order.
+    uint8 matrix of one NUL-padded CELL-byte row per float, in values' flat
+    order.
 
     The bytes are python_texts's; see the module docstring for how the
     digits are decided and which floats python_texts formats itself.
     """
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    n = x.size
-    if n < KERNEL_MIN:
-        return text_cells(python_texts(x.tolist(), json_out))
-    ax = np.abs(x)
-    ok = (ax >= 1e-289) & (ax <= 1e299)
+    if x.size < KERNEL_MIN:
+        text, fallback = np.zeros((x.size, CELL), np.uint8), np.arange(x.size)
+    else:
+        X, digits, fallback = _digits(x, json_out)
+        text = _cells(x < 0, X, digits, json_out).view(np.uint8)
+    if fallback.size:
+        # from byte 7, where a first digit without a sign sits
+        cells = text_cells(python_texts(x[fallback].tolist(), json_out))
+        text[fallback] = 0
+        text[fallback, 7:7 + cells.shape[1]] = cells
+    return text
+
+
+def _digits(x, json_out):
+    """The exponent X of each float of x, its digits as a 17-digit integer,
+    and the indexes of the floats left to the fallback."""
+    v = np.abs(x)
+    ok = (v >= 1e-289) & (v <= 1e299)
     if json_out:
         ok &= (x.view(np.uint64) & np.uint64(2**52 - 1)) != 0
-    v = np.where(ok, ax, 1.5)  # a stand-in that the fallback overwrites
-    E = np.floor(np.log10(v)).astype(np.int64)
-    N, f = _scaled(v, 16 - E)
+    v[~ok] = 1.5  # a stand-in that the fallback overwrites
+    E = np.log10(v)
+    E = np.floor(E, out=E).astype(np.int64)
+    N, f = _scaled(v, E)
     off = (N < 10**16).astype(np.int64) - (N >= 10**17)
     wrong = np.flatnonzero(off)
     if wrong.size:
         E[wrong] -= off[wrong]
-        N[wrong], f[wrong] = _scaled(v[wrong], 16 - E[wrong])
-    exact = (E >= -6) & (E <= 16)
-    near = (np.abs(f - 0.5) < DELTA) & ~exact
-    # the 17 digits, and below them each value's shortest, as a 17-digit integer
+        N[wrong], f[wrong] = _scaled(v[wrong], E[wrong])
+    near = np.abs(f - 0.5) < DELTA
+    near &= (E < -6) | (E > 16)
+    # the 17 digits, and in JSON the 16 or 15 of the shortest that round-trip
     digits = N + ((f > 0.5) | ((f == 0.5) & ((N & 1) == 1)))
-    shown = np.full(n, 17)
     if json_out:
-        hw = 0.5 * np.spacing(v) * np.take(_pow10()[0], 16 - E - _S_MIN)
-        live, Nl, fl, hl = np.arange(n), N, f, hw
-        for p in range(16, 0, -1):
-            m = 10 ** (17 - p)
-            # r from the quotient, which gives the digits too: an int64 % by a
-            # scalar costs about ten times a //
+        # half an ulp, from the exponent bits, times 10^s
+        hw = ((v.view(np.uint64) & np.uint64(0x7FF << 52)) - np.uint64(53 << 52)).view(np.float64)
+        hw *= np.take(_pow10()[:, 0], (16 - _S_MIN) - E)
+        live, Nl, fl, hl = np.arange(len(x)), N, f, hw
+        # hw is at most 11.1, so a 15-digit rounding that round-trips is the
+        # one multiple of 100 in the interval, and so is any shorter one
+        for m in (10, 100):
             q = Nl // m
-            r = Nl - q * m
-            tie = (r - m // 2) + fl
-            up = tie > 0
-            gap = hl - np.where(up, (m - r) - fl, r + fl)
-            close = ((np.abs(tie) < DELTA) & (gap > -DELTA)) | (np.abs(gap) < DELTA)
-            near[live[close]] = True
-            trips = np.flatnonzero((gap > 0) & ~close)
-            if not trips.size:
-                break
+            # r - m / 2 + f, for r = Nl - q m: the rounding lies m / 2 - |tie| from q
+            tie = (Nl - q * m - m // 2) + fl
+            far = np.abs(tie)
+            gap = (hl - m / 2) + far
+            near[live[((far < DELTA) & (gap > -DELTA)) | (np.abs(gap) < DELTA)]] = True
+            trips = np.flatnonzero((gap >= DELTA) & (far >= DELTA))
             live, Nl, fl, hl = live[trips], Nl[trips], fl[trips], hl[trips]
-            digits[live] = (q[trips] + up[trips]) * m
-            shown[live] = p
+            digits[live] = (q[trips] + (tie[trips] > 0)) * m
     carry = digits == 10**17
     digits[carry] = 10**16
-    X = E + carry
+    E += carry
+    return E, digits, np.flatnonzero(~ok | near)
+
+
+def _cells(negative, X, digits, json_out):
+    """The four words of each cell, from the sign, the exponent X and the
+    17 digits, which it overwrites."""
+    head, quad, low, high, zeros = _glyphs()
     first = digits // 10**16
-    rest = digits - first * 10**16
-    high = rest // 10**8
-    low = rest - high * 10**8
-    groups = np.empty((n, 4), np.int64)
-    groups[:, 0] = high // 10**4
-    groups[:, 1] = high - groups[:, 0] * 10**4
-    groups[:, 2] = low // 10**4
-    groups[:, 3] = low - groups[:, 2] * 10**4
-    head, spread, masks, zeros, exps = _glyphs()
-    if not json_out:
-        # "%.17g" drops trailing zeros: count them where the last digit is one
-        last = groups[:, 3]
-        z = np.flatnonzero(last - last // 10 * 10 == 0)
-        g = groups[z].T
-        z4 = g[3] == 0
-        z3 = z4 & (g[2] == 0)
-        z2 = z3 & (g[1] == 0)
-        shown[z] -= zeros[g[3]] + z4 * zeros[g[2]] + z3 * zeros[g[1]] + z2 * zeros[g[0]]
-    # fixed notation from 1e-4 up to 1e16 (repr) or 1e17 ("%.17g"), where an
-    # integral value is padded with zeros, and repr writes ".0" after it
-    fixed = (X >= -4) & (X <= (15 if json_out else 16))
-    whole = fixed & (X >= 0)
-    keep = np.where(whole, np.maximum(shown, X + (2 if json_out else 1)), shown)
-    point = np.where(whole, X, np.where(fixed, -1, 0))
-    point = np.where((json_out & whole) | (shown > point + 1), point, -1)
-    cells = np.empty((n, CELL // 8), np.uint64)
-    zeros_before = np.where(fixed & (X < 0), -X, 0)
-    cells[:, 0] = head[(((x < 0) * 5 + zeros_before) * 10 + first) * 2 + (point == 0)]
-    cells[:, 1:5] = np.take(spread, groups) & np.take(masks, keep).view(np.uint64).reshape(n, 4)
-    cells[:, 5] = exps[np.where(fixed, 0, X - _X_MIN)]
-    text = cells.view(np.uint8)
+    digits -= first * 10**16
+    # the other 16 digits as four 4-digit groups, the last left in digits
+    groups = []
+    for scale in (10**12, 10**8, 10**4):
+        groups.append(digits // scale)
+        digits -= groups[-1] * scale
+    g0, g1, g2 = groups
+    # 17 digits less their trailing zeros, counted on where the last group has 4
+    shown = 17 - np.take(zeros, digits)
+    z = np.flatnonzero(digits == 0)
+    a, b, c = g2[z], g1[z], g0[z]
+    shown[z] -= zeros[a] + (a == 0) * (zeros[b] + (b == 0) * zeros[c])
+    lo = quad[g0] | quad[g1] << 32
+    hi = quad[g2] | quad[digits] << 32
+    del groups, g0, g1, g2
+    tails, before, pos, least = np.take(_notation(json_out), X - _X_MIN, axis=1)
+    keep = np.maximum(shown, least)
+    point = np.where(keep > pos + 1, pos, -1)
+    cells = np.empty((len(X), CELL // 8), np.uint64)
+    cells[:, 0] = head[negative * 100 + before + first * 2 + (point == 0)]
+    keep -= 1
+    lo &= low[keep]
+    hi &= high[keep]
+    # a point among the 16 digits: the digits after it move up a byte, and
+    # the last of them into the tail word
     dots = np.flatnonzero(point > 0)
-    text[dots, 7 + 2 * point[dots]] = ord(".")
-    fallback = np.flatnonzero(~ok | near)
-    if fallback.size:
-        texts = text_cells(python_texts(x[fallback].tolist(), json_out))
-        text[fallback] = 0
-        text[fallback, :texts.shape[1]] = texts
-    return text
+    p = point[dots]
+    dlo, dhi, m, mh = lo[dots], hi[dots], low[p], high[p]
+    dot = (46 << 8 * (p & 7)).view(np.uint64)
+    lo[dots] = (dlo & m) | (dlo & ~m) << 8 | np.where(p < 8, dot, 0)
+    hi[dots] = (dhi & mh) | (dhi & ~mh) << 8 | (dlo & ~m) >> 56 | np.where(p < 8, 0, dot)
+    tails[dots] = (dhi >> 56).view(np.int64)
+    cells[:, 1] = lo
+    cells[:, 2] = hi
+    cells[:, 3] = tails
+    return cells

@@ -521,9 +521,15 @@ def asymptotic_bounded_factor(series, k, z):
     k = _index(k, 1, "Chebyshev index")
     if k < 2:
         raise ValueError("the expansion needs k >= 2; k = 1 is the identity map")
-    gap = np.pi - np.arccos(_open_interval(z))
-    return (LIMIT_BOUNDED_FACTOR
-            + (np.pi / 3.0 - gap * gap / np.pi) * even_moment_sum(series) / (k * k))
+    beta = np.arccos(_open_interval(z))
+    return LIMIT_BOUNDED_FACTOR + _asymptotic_profile(series, beta) / (k * k)
+
+
+def _asymptotic_profile(series, beta):
+    """k^2 (S_k - 1/pi) of asymptotic_bounded_factor at z = cos(beta),
+    which does not depend on k."""
+    gap = np.pi - beta
+    return (np.pi / 3.0 - gap * gap / np.pi) * even_moment_sum(series)
 
 
 def _sup_deviation(bounded):
@@ -568,15 +574,18 @@ def convergence_report(d, ks, grid=201):
         raise ValueError("need at least one k")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k values must be strictly increasing")
-    z = default_grid(grid)
-    beta = np.arccos(z)
+    # the grid's angles, in the grid's own array
+    beta = default_grid(grid)
+    np.arccos(beta, out=beta)
     series = decayed_expansion(d)
+    # the expansion's profile, taken once: its S_k is 1/pi + profile / k^2
+    profile = _asymptotic_profile(series, beta) if series is not None else None
     errors, asymptotic = [], []
     for k in ks:
         s = _bounded_from_beta(d, k, beta)
         errors.append(_sup_deviation(s))
-        asymptotic.append(float(np.max(np.abs(s - asymptotic_bounded_factor(series, k, z))))
-                          if series is not None and k >= 2 else math.nan)
+        asymptotic.append(float(np.max(np.abs(s - (LIMIT_BOUNDED_FACTOR + profile / (k * k)))))
+                          if profile is not None and k >= 2 else math.nan)
         del s
     if max(errors) < INVARIANT_TOL:
         label, order = "invariant", float("nan")

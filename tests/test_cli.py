@@ -533,6 +533,29 @@ def test_hash_outputs_lists_each_output_of_a_workload_once(tmp_path, monkeypatch
     assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
+def test_emit_profile_splits_the_time_of_emit(tmp_path, monkeypatch, capsys):
+    # the stages of the fastest write lie inside its time, and translate
+    # gets every byte of the output plus the NULs left in the chunks' cells
+    path = ROOT / "scripts" / "emit_profile.py"
+    spec = importlib.util.spec_from_file_location("emit_profile", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    argv = ["dance", "--ks", "2..4", "--grid", "3000"]
+    total, clock, rows = script.profile(argv, 2)
+    assert rows == 9000
+    assert min(clock.float_cells, clock.translate, clock.write) > 0.0
+    assert clock.float_cells + clock.translate + clock.write < total
+    target = tmp_path / "out"
+    assert main([*argv, "--out", str(target)]) == 0
+    size = target.stat().st_size
+    assert size <= clock.translated < 1.25 * size
+    monkeypatch.setattr(sys, "argv", ["emit_profile.py", "--repeat", "1", "--workload", "large_k"])
+    assert script.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0].split()[0] for line in lines] == ["converge", "dance", "pdf"]
+    assert all(" B a row to translate, " in line for line in lines)
+
+
 def test_code_lines_counts_each_module_and_the_total(capsys):
     # lines as wc -l counts them; code lines leave out blank lines, comment
     # lines and docstrings, and keep a line of code with a comment after it
@@ -1201,6 +1224,62 @@ def test_emit_is_the_reference_on_any_floats(rows, fmt, tmp_path_factory):
         cli.EMIT_CELLS, floattext.KERNEL_MIN = default, kernel_min
 
 
+# floats of each notation float_cells writes, either sign, and the values
+# it leaves to the fallback
+FLOAT_KINDS = {
+    "fixed": st.floats(1e-4, 1e15) | st.floats(-1e15, -1e-4),
+    "exponent": st.floats(1e-300, 1e-5) | st.floats(-1e300, -1e17) | st.floats(1e17, 1e300),
+    "integral": st.integers(-2**53, 2**53).map(float),
+    "fallback": st.sampled_from((NAN, INF, -INF, 0.0, -0.0)),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(size=st.integers(1, 5), data=st.data(), fmt=st.sampled_from(("csv", "json")))
+def test_chunks_of_one_column_trim_to_their_own_widths(size, data, fmt, tmp_path_factory):
+    # each chunk of size rows holds one kind of float in its plain float
+    # column, so that each drops its own NUL byte positions, beside an int
+    # column and a repeated float column of mixed kinds. KERNEL_MIN = 1
+    # sends every chunk through the kernel.
+    kinds = data.draw(st.lists(st.sampled_from(sorted(FLOAT_KINDS)), min_size=1, max_size=5))
+    x = [v for kind in kinds
+         for v in data.draw(st.lists(FLOAT_KINDS[kind], min_size=size, max_size=size))]
+    repeated = data.draw(st.lists(st.one_of(*FLOAT_KINDS.values()), min_size=1, max_size=3))
+    table = cli.Table(np.arange(len(x)) - 2, np.array(x), (np.array(repeated), 2))
+    headers = ("i", "x", "r")
+    target = tmp_path_factory.mktemp("trim") / "out"
+    default, kernel_min = cli.EMIT_CELLS, floattext.KERNEL_MIN
+    try:
+        cli.EMIT_CELLS, floattext.KERNEL_MIN = size, 1
+        cli._emit(SimpleNamespace(format=fmt, out=str(target)), headers, table)
+    finally:
+        cli.EMIT_CELLS, floattext.KERNEL_MIN = default, kernel_min
+    assert_same_text(target.read_text(), emit_reference(fmt, headers, _rows_of(table)))
+
+
+def test_dance_keeps_the_grids_cells_trimmed_and_contiguous(tmp_path, monkeypatch):
+    # the z cells of dance --grid 20000, kept for every k: 7 bytes of head
+    # ("-0.000" and the first digit, for |z| down to 1e-4), 16 digits, and
+    # "e-05" for the 6 z below 1e-4 in magnitude, whose text is the longest,
+    # 23 bytes. Untrimmed they are floattext.CELL = 32 bytes, and were 48.
+    made = []
+    column_cells = cli._column_cells
+
+    def spy(values, json_out):
+        made.append(column_cells(values, json_out))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "_column_cells", spy)
+    for fmt in ("csv", "json"):
+        made.clear()
+        assert main(["dance", "--grid", "20000", "--format", fmt,
+                     "--out", str(tmp_path / "out")]) == 0
+        _, z, mass = made
+        assert z.shape[0] == 20000 and z.shape[1] <= 27
+        assert mass.shape[1] <= 20
+        assert z.flags.c_contiguous and mass.flags.c_contiguous
+
+
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 def test_emit_memory_is_flat_in_the_rows(tmp_path, fmt):
     # one chunk of EMIT_CELLS formatted float cells at a time; built whole before
@@ -1239,10 +1318,11 @@ def test_dance_holds_no_row_index(tmp_path):
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 def test_emit_of_dance_holds_one_chunk_and_the_grids_cells(tmp_path, monkeypatch, fmt):
     # dance --grid 16384 writes 23 k x 16384 = 376832 rows. _emit holds the
-    # grid's cells, 48 B a grid value, formatted EMIT_CELLS at a time, and
-    # one chunk: it peaked at 7.7 B a row in CSV and 9.0 B in JSON.
-    # Formatting the grid whole took about 282 B a grid value, and _emit
-    # then peaked at 12.5-12.8 B a row.
+    # grid's cells, 27 B a grid value once trimmed, formatted EMIT_CELLS at
+    # a time, and one chunk: it peaks at 4.8 B a row in CSV and 6.2 B in
+    # JSON. With 48 B cells, untrimmed, and float_cells' temporaries at
+    # about 315 B a float, it peaked at 7.7 and 9.0 B; formatting the grid
+    # whole, at about 282 B a grid value, at 12.5-12.8 B.
     peaks = []
     emit = cli._emit
 
@@ -1258,7 +1338,7 @@ def test_emit_of_dance_holds_one_chunk_and_the_grids_cells(tmp_path, monkeypatch
     assert main(["dance", "--grid", "16384", "--format", fmt,
                  "--out", str(tmp_path / "out")]) == 0
     [per_row] = peaks
-    assert per_row < 10.5
+    assert per_row < 7.0
 
 
 @pytest.mark.parametrize("argv", (

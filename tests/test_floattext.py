@@ -7,6 +7,7 @@ that the kernel, not its whole-column fallback, formats the values.
 """
 
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -102,6 +103,22 @@ def test_a_short_column_goes_to_the_python_formatters_whole():
         long = np.linspace(0.1, 0.9, floattext.KERNEL_MIN)
         assert texts(float_cells(long, True)) == [repr(v) for v in long.tolist()]
         assert calls == []
+
+
+@pytest.mark.parametrize("json_out", (False, True), ids=("csv", "json"))
+def test_float_cells_peaks_below_170_bytes_a_float(json_out):
+    # tracemalloc's peak of one call on 5120 floats, with the tables built
+    # before it: 155 B a float in CSV and in JSON. Holding every temporary
+    # to the end, the kernel peaked at 315 and 319 B.
+    values = np.linspace(-3.7, 3.7, 5120)
+    float_cells(values, json_out)
+    tracemalloc.start()
+    try:
+        float_cells(values, json_out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 170 * values.size
 
 
 def test_a_pdf_run_imports_neither_fractions_nor_decimal():
