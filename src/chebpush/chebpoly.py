@@ -8,6 +8,8 @@ polynomial maps routinely land a few ulp past the endpoints.
 The argument contract of the whole package lives here too: _index checks
 every integer index (degree, k, order, count), _pointwise adapts every
 point argument, and _unit_interval and _open_interval check its domain.
+SUM_CHUNK sizes the chunks that long arrays of points are computed in, and
+_in_chunks applies a pointwise map to an array that many points at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +20,12 @@ import numpy as np
 
 # Tolerated overshoot of |x| past 1 before input is considered invalid.
 DOMAIN_SLACK = 1e-12
+
+# Points per chunk wherever a long array of points is computed a piece at a
+# time (the angle sum, the series route, sampling and pushes), so that each
+# temporary array holds about SUM_CHUNK elements (256 KiB) however many
+# points there are.
+SUM_CHUNK = 2**15
 
 
 def _index(value, lo, what):
@@ -55,6 +63,18 @@ def _pointwise(fn):
         return float(out) if x.ndim == 0 else out
 
     return wrapped
+
+
+def _in_chunks(fn, x, out):
+    """out, with fn(x) written into it SUM_CHUNK points of x at a time.
+
+    fn is pointwise: a point's value does not depend on the other points of
+    the call. So out holds fn(x) bit for bit, and fn's temporaries hold one
+    chunk, not len(x) points. out may be x itself.
+    """
+    for lo in range(0, len(x), SUM_CHUNK):
+        out[lo:lo + SUM_CHUNK] = fn(x[lo:lo + SUM_CHUNK])
+    return out
 
 
 def _unit_interval(x):

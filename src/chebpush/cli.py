@@ -55,12 +55,14 @@ MAX_WORK = 2**28
 # Largest --order. expand_density is one FFT of 8 (order + 1) points, about
 # 4 ms at 4096, and expand writes one row per coefficient.
 MAX_ORDER = 4096
-# Largest --grid, --n and number of rows dance writes (k values x grid). A
-# 5-column pdf row costs about 65 B of peak memory (65 B above import on
-# `pdf --dist gauss:0,0.25 --k 128 --grid 262144`, CSV or JSON: its five
-# float64 columns and their temporaries) and a dance row about 14 B
-# (`dance --ks 2..17 --grid 65536`: f_k's 8 B, the grid's text and one
-# chunk), so 2^20 rows take at most about 70 MB; a sample about 60 B.
+# Largest --grid, --n and number of rows dance writes (k values x grid).
+# Peak memory above import (ru_maxrss, fresh process, CSV or JSON): a
+# 5-column pdf row about 66 B (`pdf --dist gauss:0,0.25 --k 128 --grid
+# 262144`: its five float64 columns and their temporaries), a dance row
+# about 16 B (`dance --ks 2..17 --grid 65536`: f_k's 8 B, the grid's text
+# and one chunk) and an mc draw about 25 B (`mc --dist gauss:0,0.25 --k 8
+# --n 1048576`: the pushed draws and their sorted copy, as the ppf and T_k
+# run SUM_CHUNK draws at a time), so 2^20 of any take at most about 70 MB.
 MAX_POINTS = 2**20
 
 # Float cells _emit formats at a time. A chunk holds EMIT_CELLS // (plain

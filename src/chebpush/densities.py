@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chebpoly import _index, _pointwise
+from .chebpoly import _in_chunks, _index, _pointwise
 from .montecarlo import SampleBatch, uniform_stream
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -301,6 +301,13 @@ def parse_density(text):
 
 
 def sample(d, n, seed):
-    """n inverse-cdf draws from d on the deterministic stream keyed by seed."""
+    """n inverse-cdf draws from d on the deterministic stream keyed by seed.
+
+    d.ppf is applied to the stream SUM_CHUNK variates at a time, each chunk's
+    draws written back over its variates, so beyond the n draws the memory
+    held is one chunk's. Every ppf is pointwise, so the draws are
+    d.ppf(uniform_stream(seed, n)) bit for bit.
+    """
     n = _index(n, 1, "sample count")
-    return SampleBatch(d.ppf(uniform_stream(seed, n)))
+    u = uniform_stream(seed, n)
+    return SampleBatch(_in_chunks(d.ppf, u, u))

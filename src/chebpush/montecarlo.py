@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chebpoly import _index, cheb_eval
+from .chebpoly import _in_chunks, _index, cheb_eval
 
 # One-sample Kolmogorov-Smirnov acceptance factor; 1.95/sqrt(n) corresponds
 # to alpha ~ 0.001.
@@ -75,10 +75,18 @@ class SampleBatch:
 
 
 def push_samples(batch, k):
-    """Apply T_k elementwise; pushes compose multiplicatively in k."""
+    """Apply T_k elementwise; pushes compose multiplicatively in k.
+
+    T_k is evaluated SUM_CHUNK values at a time into one new array, so
+    beyond the batch and that array the memory held is one chunk's; the
+    values are cheb_eval(k, batch.values) bit for bit.
+    """
     k = _index(k, 1, "push index")
     # T_1 is the identity; keep it exact instead of the cos(arccos x) roundtrip
-    return batch if k == 1 else SampleBatch(cheb_eval(k, batch.values))
+    if k == 1:
+        return batch
+    x = batch.values
+    return SampleBatch(_in_chunks(lambda chunk: cheb_eval(k, chunk), x, np.empty(np.shape(x))))
 
 
 @dataclass(frozen=True)

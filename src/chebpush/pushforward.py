@@ -52,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chebpoly import _index, _open_interval, _pointwise, _unit_interval, cheb_eval
+from .chebpoly import SUM_CHUNK, _index, _open_interval, _pointwise, _unit_interval, cheb_eval
 from .spectral import decayed_expansion, even_moment_sum
 
 _TWO_PI = 2.0 * np.pi
@@ -74,15 +74,16 @@ MASS_NODES = 64
 
 # The angle sum evaluates SUM_BLOCK values of j per step, on chunks of
 # points sized so that each temporary array holds about SUM_CHUNK elements
-# (256 KiB), whatever k and the number of points.
+# (chebpoly, 256 KiB), whatever k and the number of points.
 SUM_BLOCK = 64
-SUM_CHUNK = 2**15
 
 # glibc's malloc starts with a 128 KiB mmap threshold, and trims the heap
 # top past twice the threshold. Until a bigger mapped block is freed, which
-# raises both, the 256 KiB block temporaries above are mapped or trimmed and
+# raises both, the 256 KiB temporaries of SUM_CHUNK points (the blocks above,
+# and the chunks of sample and push_samples) are mapped or trimmed and
 # page-faulted in again on every block. Importing scipy used to free such a
-# block; freeing one 2 MiB block here does it without scipy.
+# block; freeing one 2 MiB block here does it without scipy. The package's
+# __init__ imports this module, so the raise holds for any use of it.
 np.empty(2**18)
 
 # The series route takes c_m exactly up to m = SERIES_SPAN (L + 1) and models the rest.

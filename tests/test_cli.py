@@ -556,6 +556,28 @@ def test_emit_profile_splits_the_time_of_emit(tmp_path, monkeypatch, capsys):
     assert all(" B a row to translate, " in line for line in lines)
 
 
+def test_mc_profile_times_and_weighs_each_stage_of_mc(monkeypatch, capsys):
+    # each stage's peak is what it allocates over its inputs: the stream's
+    # n draws and the sorted copy, each 8 B a draw and a few hundred bytes
+    path = ROOT / "scripts" / "mc_profile.py"
+    spec = importlib.util.spec_from_file_location("mc_profile", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    argv = ["mc", "--dist", "gauss:0,0.25", "--k", "8", "--n", "50000", "--seed", "3"]
+    stages, n = script.profile(argv, 2)
+    assert n == 50000
+    assert list(stages) == ["stream", "ppf", "push", "sort", "ks_exact", "ks_limit",
+                            "histogram", "_emit"]
+    assert all(seconds > 0.0 and peak >= 0 for seconds, peak in stages.values())
+    for name in ("stream", "sort"):
+        assert 8 * n <= stages[name][1] < 8 * n + 4096
+    monkeypatch.setattr(sys, "argv", ["mc_profile.py", "--repeat", "1"])
+    assert script.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8
+    assert all(line.startswith("mc ") and line.endswith(", 200000 draws") for line in lines)
+
+
 def test_code_lines_counts_each_module_and_the_total(capsys):
     # lines as wc -l counts them; code lines leave out blank lines, comment
     # lines and docstrings, and keep a line of code with a comment after it

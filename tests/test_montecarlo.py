@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebpush import cli, montecarlo
+from chebpush.chebpoly import cheb_eval
 from chebpush.cli import main
 from chebpush.densities import make_density, parse_density, sample
 from chebpush.montecarlo import (
@@ -13,7 +16,7 @@ from chebpush.montecarlo import (
     push_samples,
     uniform_stream,
 )
-from chebpush.pushforward import pushforward_cdf
+from chebpush.pushforward import SUM_CHUNK, pushforward_cdf
 
 from oracles import CATALOG, histogram_reference, ks_reference
 
@@ -78,6 +81,45 @@ def test_batch_invariants():
     assert b.n == len(b.values) == 1000
     assert push_samples(b, 5).n == 1000
     assert np.all(np.abs(b.values) <= 1.0)
+
+
+# each chunk's boundary, and past three chunks a ragged last one
+CHUNKED_COUNTS = (100, SUM_CHUNK - 1, SUM_CHUNK, SUM_CHUNK + 1, 3 * SUM_CHUNK + 7)
+
+
+@pytest.mark.parametrize("d", (*CATALOG, parse_density("gauss:-0.5,0.3")),
+                         ids=lambda d: d.name)
+def test_sample_and_push_by_chunks_are_the_whole_array_forms_bit_for_bit(d):
+    # gauss:-0.5,0.3 takes the ppf's mirror-image branch
+    for n in CHUNKED_COUNTS:
+        batch = sample(d, n, seed=11)
+        assert batch.values.tobytes() == d.ppf(uniform_stream(11, n)).tobytes()
+        for k in (2, 8, 33):
+            assert push_samples(batch, k).values.tobytes() == cheb_eval(k, batch.values).tobytes()
+        assert push_samples(batch, 1) is batch
+
+
+def test_sampling_memory_is_flat_in_the_sample_count():
+    # the n draws, written over the stream, and for the pipeline the n
+    # pushed values and their sorted copy; the draws are freed once pushed,
+    # so at most two n-sized arrays are held at a time. Past those, the
+    # ppf and T_k hold temporaries of one SUM_CHUNK chunk each: the
+    # gaussian's ppf about 8 of them (2.2 MB), T_k about 2. Whole-array,
+    # both held about 68 B a draw here, 18 MB
+    d = make_density("gauss", mu=0.0, sigma=0.25)
+    n = 2**18
+    draws = 8 * n
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: sample(d, n, 1)) < draws + 2**22
+    assert peak(lambda: push_samples(sample(d, n, 1), 8).ordered) < 2 * draws + 2**21
 
 
 def test_ks_self_consistency():
