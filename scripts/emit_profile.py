@@ -14,6 +14,9 @@ it prints _emit's time and its split:
 - write: the writes to the output;
 
 then the bytes per row of the matrices handed to translate, and the rows.
+A last line sums each stage, and the rows, over the workload's commands,
+in ms to two decimals, so that a change of a tenth of a ms a command
+shows in the total of a pass.
 
     PYTHONPATH=src python3 scripts/emit_profile.py [--repeat 7] [--workload NAME]
 
@@ -119,19 +122,28 @@ def profile(argv, repeat):
     return (*best, len(args[1]))
 
 
+def _stages(seconds, spec):
+    """_emit's time and its split, in ms formatted by spec."""
+    return ("_emit {} ms = float_cells {} + build {} + translate {} + write {}"
+            .format(*(format(t * 1e3, spec) for t in seconds)))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--repeat", type=int, default=7, help="writes per command (best of)")
     parser.add_argument("--workload", default="wide_grid", choices=_workloads().WORKLOADS)
     args = parser.parse_args()
+    sums, all_rows = [0.0] * 5, 0
     for _, argv in _workloads().commands(args.workload, 1):
         total, clock, rows = profile(argv, max(1, args.repeat))
         build = total - clock.float_cells - clock.translate - clock.write
-        print(f"{' '.join(argv)}: _emit {total * 1e3:.1f} ms = float_cells "
-              f"{clock.float_cells * 1e3:.1f} + build {build * 1e3:.1f} + translate "
-              f"{clock.translate * 1e3:.1f} + write {clock.write * 1e3:.1f}; "
+        stages = (total, clock.float_cells, build, clock.translate, clock.write)
+        sums = [s + t for s, t in zip(sums, stages)]
+        all_rows += rows
+        print(f"{' '.join(argv)}: {_stages(stages, '.1f')}; "
               f"{clock.translated / max(rows, 1):.1f} B a row to translate, {rows} rows")
+    print(f"total: {_stages(sums, '.2f')}; {all_rows} rows")
     return 0
 
 

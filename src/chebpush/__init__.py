@@ -7,7 +7,7 @@ asymptotic expansion, and provides the sampling and diagnostic tooling to
 verify that everything converges to the arcsine law at the predicted rate.
 """
 
-from .chebpoly import cheb_eval, cheb_integral
+from .chebpoly import cheb_eval
 from .densities import (
     Density,
     make_density,
@@ -57,7 +57,6 @@ __all__ = [
     "asymptotic_bounded_factor",
     "bounded_factor",
     "cheb_eval",
-    "cheb_integral",
     "convergence_report",
     "decayed_expansion",
     "default_grid",

@@ -1,4 +1,4 @@
-"""Chebyshev polynomials of the first kind: T_k and its integral over [-1, 1].
+"""Chebyshev polynomials of the first kind: T_k on [-1, 1].
 
 Everything lives on the natural domain [-1, 1]. Inputs that stray outside it
 by more than a small rounding slack raise ValueError rather than silently
@@ -106,9 +106,3 @@ def cheb_eval(k, x):
     it against the three-term recurrence.
     """
     return np.cos(_index(k, 0, "polynomial degree") * np.arccos(_unit_interval(x)))
-
-
-def cheb_integral(k):
-    """Integral of T_k over [-1, 1]: 2 / (1 - k^2) for even k, 0 for odd k."""
-    k = _index(k, 0, "polynomial degree")
-    return 0.0 if k % 2 else 2.0 / (1.0 - k * k)

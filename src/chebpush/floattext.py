@@ -27,8 +27,10 @@ rounding decision at bounded precision (Steele & White 1990; Adams,
   value the kernel does not decide: a decision within DELTA of a rounding
   tie or of the interval's edge that the arithmetic above cannot settle
   exactly; powers of two in shortest mode, whose interval is asymmetric;
-  +-0, nan and +-inf; |x| outside [1e-289, 1e299], where the 10^s pair
-  is not normal; and a column shorter than KERNEL_MIN, whole.
+  +-0, nan and +-inf; and |x| outside [1e-289, 1e299], where the 10^s
+  pair is not normal. A column of any length takes the kernel, whose fixed
+  cost is about 90 us a call in CSV and 130 us in JSON; python_texts is
+  the faster below about 230-250 floats.
 - Text. A cell is 32 bytes, four 8-byte words, each looked up in 1-D
   tables: a head word, right-aligned, of the sign, a leading "0." and its
   zeros, the first digit and a point after it; the other 16 digits, one
@@ -61,11 +63,6 @@ CELL = 32
 # distances are 0.55 to 11, so DELTA is far outside the error, and a value
 # lands there about once in 1e8 draws.
 DELTA = 1e-9
-# Columns of fewer floats are formatted whole by python_texts. On 64 to
-# 1005 floats of a pdf, the kernel took about 150-250 us a call, nearly all
-# of it fixed, and python_texts about 0.6-0.9 us a float: they broke even
-# at about 200 floats in CSV and 250 in JSON.
-KERNEL_MIN = 256
 # The range of s = 16 - E whose pair (hi, lo) is normal, and so the range of
 # |x| that the kernel formats: E from -290 to 300 after the correction
 _S_MIN, _S_MAX = -284, 306
@@ -190,11 +187,8 @@ def float_cells(values, json_out):
     digits are decided and which floats python_texts formats itself.
     """
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    if x.size < KERNEL_MIN:
-        text, fallback = np.zeros((x.size, CELL), np.uint8), np.arange(x.size)
-    else:
-        X, digits, fallback = _digits(x, json_out)
-        text = _cells(x < 0, X, digits, json_out).view(np.uint8)
+    X, digits, fallback = _digits(x, json_out)
+    text = _cells(x < 0, X, digits, json_out).view(np.uint8)
     if fallback.size:
         # from byte 7, where a first digit without a sign sits
         cells = text_cells(python_texts(x[fallback].tolist(), json_out))

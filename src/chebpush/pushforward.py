@@ -547,13 +547,14 @@ class ConvergenceReport:
     """Sup-error trace over a ladder of k values plus a log-log fit.
 
     label is "invariant" when every error sits at the rounding floor
-    (fitted_order is then nan), "empirical" for discontinuous inputs where
-    the error decay is observed rather than covered by the smooth-case
-    analysis, and "fit" otherwise. fitted_order is nan with fewer than
-    three k values. asymptotic_errors holds, for each k, the sup over the
-    grid of |S_k - asymptotic_bounded_factor|: nan at k = 1, where the
+    (fitted_order is then nan); "fit" when d has no jump and has a decayed
+    expansion (spectral.decayed_expansion), so that the smooth-case
+    analysis covers the error decay; and "empirical" otherwise, where the
+    decay is observed rather than covered. fitted_order is nan with fewer
+    than three k values. asymptotic_errors holds, for each k, the sup over
+    the grid of |S_k - asymptotic_bounded_factor|: nan at k = 1, where the
     expansion is not defined, and at every k for a density without a
-    decayed expansion (spectral.decayed_expansion).
+    decayed expansion.
     """
 
     ks: tuple
@@ -591,7 +592,7 @@ def convergence_report(d, ks, grid=201):
     if max(errors) < INVARIANT_TOL:
         label, order = "invariant", float("nan")
     else:
-        label = "empirical" if d.discontinuous else "fit"
+        label = "fit" if series is not None and not d.discontinuous else "empirical"
         if len(ks) < 3:
             order = float("nan")
         else:

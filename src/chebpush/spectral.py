@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebpoly import _index, cheb_integral
+from .chebpoly import _index
 
 # A truncated series is considered decayed when its last four coefficients
 # are below this (a piece's scaled by its width, see _fit). Smooth catalog
@@ -93,8 +93,11 @@ def _decayed(small):
 
 
 def _mass(coeffs):
-    """sum_l coeffs[l] * integral of T_l over [-1, 1]."""
-    return float(np.dot(coeffs, [cheb_integral(l) for l in range(len(coeffs))]))
+    """sum_l coeffs[l] * integral of T_l over [-1, 1], which is 2 / (1 - l^2)
+    at even l and 0 at odd l."""
+    ls = np.arange(len(coeffs), dtype=np.float64)
+    weights = np.divide(2.0, 1.0 - ls * ls, out=np.zeros_like(ls), where=ls % 2 == 0)
+    return float(np.dot(coeffs, weights))
 
 
 def expand_density(d, order=DEFAULT_ORDER):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebpush.chebpoly import cheb_eval, cheb_integral
+from chebpush.chebpoly import cheb_eval
+from chebpush.spectral import _mass
 
 from oracles import cheb_eval_recurrence, quad_integral_t_k
 
@@ -81,14 +82,19 @@ def test_index_guard():
         cheb_eval(2.5, 0.5)
 
 
+def integral_weights(n):
+    """The weights spectral._mass gives T_0 to T_{n-1}: the mass of each
+    unit coefficient vector."""
+    return [_mass(unit) for unit in np.eye(n)]
+
+
 def test_integral_closed_form_against_quadrature():
-    for k in range(0, 13):
-        assert cheb_integral(k) == pytest.approx(quad_integral_t_k(k), abs=1e-12)
+    for k, weight in enumerate(integral_weights(13)):
+        assert weight == pytest.approx(quad_integral_t_k(k), abs=1e-12)
 
 
 def test_integral_special_cases():
-    assert cheb_integral(0) == 2.0
-    assert cheb_integral(1) == 0.0
-    for k in range(3, 20, 2):
-        assert cheb_integral(k) == 0.0
-    assert cheb_integral(2) == pytest.approx(-2.0 / 3.0, abs=1e-16)
+    weights = integral_weights(20)
+    assert weights[0] == 2.0
+    assert weights[1::2] == [0.0] * 10
+    assert weights[2] == pytest.approx(-2.0 / 3.0, abs=1e-16)

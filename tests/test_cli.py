@@ -2,11 +2,11 @@ import ast
 import functools
 import hashlib
 import importlib.util
-import itertools
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -262,6 +262,17 @@ def test_converge_uniform01_labeled_empirical(capsys):
     errs = [float(r[1]) for r in rows]
     assert errs[-1] < errs[0]
     assert trailers[0][2] == "empirical"
+
+
+def test_converge_labels_an_undecayed_expansion_empirical(capsys):
+    # gauss:0,1e-5 has no jump, but its expansion has not decayed, so the
+    # smooth-case analysis does not cover its ladder: its order, +3.3, a
+    # growing error, is observed, and no asymptotic is read
+    code, out, _ = run_cli(capsys, "converge", "--dist", "gauss:0,1e-5", "--ks", "8..128:8")
+    assert code == 0
+    _, rows, [(name, order, label)] = parse_csv(out)
+    assert len(rows) == 16 and all(r[2] == "nan" for r in rows)
+    assert name == "fitted_order" and float(order) > 0.0 and label == "empirical"
 
 
 def test_expand_uniform(capsys):
@@ -551,9 +562,17 @@ def test_emit_profile_splits_the_time_of_emit(tmp_path, monkeypatch, capsys):
     assert size <= clock.translated < 1.25 * size
     monkeypatch.setattr(sys, "argv", ["emit_profile.py", "--repeat", "1", "--workload", "large_k"])
     assert script.main() == 0
-    lines = capsys.readouterr().out.splitlines()
+    *lines, last = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0].split()[0] for line in lines] == ["converge", "dance", "pdf"]
     assert all(" B a row to translate, " in line for line in lines)
+    # the last line sums each stage over the commands, to a hundredth of a ms
+    numbers = [list(map(float, re.findall(r"\d+\.?\d*", line.split(": ")[1])))
+               for line in (*lines, last)]
+    assert last.startswith("total: _emit ") and re.search(r"\.\d\d ms = ", last)
+    *each, total = numbers
+    assert abs(total[0] - sum(total[1:5])) <= 0.02
+    assert abs(total[0] - sum(n[0] for n in each)) <= 0.05 * len(each) + 0.005
+    assert total[5] == sum(n[-1] for n in each)
 
 
 def test_mc_profile_times_and_weighs_each_stage_of_mc(monkeypatch, capsys):
@@ -1061,8 +1080,7 @@ def test_dance_formats_the_grid_once_and_each_mass_once(capsys, monkeypatch, fmt
     # z repeats once per k and the mass once per grid point: float_cells
     # gets the 9 grid values once, EMIT_CELLS = 4 at a time, and the 3
     # masses once, and otherwise only the f_k column, its one plain float
-    # column, 4 rows to a chunk, each of its values once. KERNEL_MIN = 1
-    # keeps so short an output off the one-template path.
+    # column, 4 rows to a chunk, each of its values once.
     calls = []
     cells = cli.float_cells
 
@@ -1072,7 +1090,6 @@ def test_dance_formats_the_grid_once_and_each_mass_once(capsys, monkeypatch, fmt
 
     monkeypatch.setattr(cli, "float_cells", spy)
     monkeypatch.setattr(cli, "EMIT_CELLS", 4)
-    monkeypatch.setattr(floattext, "KERNEL_MIN", 1)
     code, out, _ = run_cli(capsys, "dance", "--ks", "2..4", "--grid", "9", "--format", fmt)
     assert code == 0
     rows = _dance_rows(make_density("gauss", mu=0.0, sigma=0.25), (2, 3, 4), 9)
@@ -1129,21 +1146,14 @@ EDGE_TRAILERS = (
 )
 
 
-# the cut-over below which float_cells formats a chunk's floats whole in
-# Python, and 1, which sends even one float through the kernel
-KERNEL_MINS = (floattext.KERNEL_MIN, 1)
-
-
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 def test_emit_is_the_reference_on_edge_values(capsys, monkeypatch, fmt):
     # an int column, a finite float column, then columns holding nan and +-inf
     headers = ("n", "finite", "b%", 'c"')
     ns = SimpleNamespace(format=fmt, out="-")
     # three plain float columns, so EMIT_CELLS = 3 * size puts size rows to a chunk
-    for emit_cells, kernel_min in itertools.product(
-            (cli.EMIT_CELLS, *(3 * size for size in EMIT_ROWS_SMALL)), KERNEL_MINS):
+    for emit_cells in (cli.EMIT_CELLS, *(3 * size for size in EMIT_ROWS_SMALL)):
         monkeypatch.setattr(cli, "EMIT_CELLS", emit_cells)
-        monkeypatch.setattr(floattext, "KERNEL_MIN", kernel_min)
         for rows in (EDGE_ROWS, EDGE_ROWS[:1], EDGE_ROWS[1:2], [], LATE_EDGE_ROWS):
             for trailers in EDGE_TRAILERS:
                 cli._emit(ns, headers, _table(rows, len(headers)), trailers)
@@ -1162,9 +1172,8 @@ def test_each_columns_dtype_fixes_its_format(capsys, monkeypatch, fmt, expected)
     # and 3.0 in JSON (repr), in the first chunk or a later one
     columns = (np.array([1, 2]), np.array([0.5, 3.0]), np.array([7, 8], dtype=np.uint8))
     # one plain float column: EMIT_CELLS = 1 is one row to a chunk
-    for emit_cells, kernel_min in itertools.product((cli.EMIT_CELLS, 1), KERNEL_MINS):
+    for emit_cells in (cli.EMIT_CELLS, 1):
         monkeypatch.setattr(cli, "EMIT_CELLS", emit_cells)
-        monkeypatch.setattr(floattext, "KERNEL_MIN", kernel_min)
         cli._emit(SimpleNamespace(format=fmt, out="-"), ("a", "b", "c"), cli.Table(*columns))
         assert capsys.readouterr().out == expected
 
@@ -1187,9 +1196,9 @@ def test_only_what_the_kernel_leaves_reaches_the_python_formatters(capsys, monke
                                                                      fmt):
     # the bytes are the same either way, so count the floats: on a float
     # column of nan and +-inf among finite values, python_texts gets exactly
-    # the non-finite ones; an output of fewer float cells than KERNEL_MIN,
-    # here converge's 3 rows of 2, nan column and all, is written by
-    # _emit's one %-template, and no formatter of cells sees it
+    # the non-finite ones; an output as short as converge's 3 rows of 2
+    # floats takes the kernel too, and python_texts gets only the cells the
+    # kernel leaves: nan, zero and, in JSON, a power of two
     calls = _python_texts_spy(monkeypatch)
     # no power of two, which repr's asymmetric rounding interval sends to the fallback
     x = np.linspace(-0.9, 1.1, 3000)
@@ -1201,14 +1210,16 @@ def test_only_what_the_kernel_leaves_reaches_the_python_formatters(capsys, monke
     sent = sum(calls, [])
     assert len(sent) == np.count_nonzero(~np.isfinite(y)) and not any(map(math.isfinite, sent))
     calls.clear()
-    for name in ("float_cells", "text_cells"):
-        monkeypatch.setattr(cli, name, lambda *args, _name=name: calls.append(_name))
     code, out, _ = run_cli(capsys, "converge", "--dist", "arcsine", "--ks", "4,8,16", "--grid",
                            "33", "--format", fmt)
-    assert code == 0 and calls == []
     # arcsine has no series, so its asymptotic_prediction_error column is
-    # nan, and it is invariant, so its fitted_order is nan too
-    assert out.count("nan" if fmt == "csv" else "null") == 4
+    # nan, and it is invariant, so its fitted_order is nan too; the trailer
+    # is not a cell, and no kernel takes its nan
+    assert code == 0 and out.count("nan" if fmt == "csv" else "null") == 4
+    sent = sum(calls, [])
+    others = [v for v in sent if not math.isnan(v)]
+    assert len(sent) - len(others) == 3
+    assert all(v == 0.0 or fmt == "json" and abs(math.frexp(v)[0]) == 0.5 for v in others)
 
 
 @pytest.mark.parametrize("fmt", ("csv", "json"))
@@ -1232,18 +1243,17 @@ def test_emit_is_the_reference_on_any_floats(rows, fmt, tmp_path_factory):
     target = tmp_path_factory.mktemp("emit") / "out"
     trailers = (("tail", {"v": rows[0][1] if rows else NAN, "pass": bool(rows)}),)
     table = _table(rows, 3)
-    default, kernel_min = cli.EMIT_CELLS, floattext.KERNEL_MIN
+    default = cli.EMIT_CELLS
     try:
         # two plain float columns, so EMIT_CELLS = 2 * size puts size rows to a chunk
-        for cli.EMIT_CELLS, floattext.KERNEL_MIN in itertools.product(
-                (default, *(2 * size for size in EMIT_ROWS_SMALL)), (kernel_min, 1)):
+        for cli.EMIT_CELLS in (default, *(2 * size for size in EMIT_ROWS_SMALL)):
             for tail in ((), trailers):
                 cli._emit(SimpleNamespace(format=fmt, out=str(target)), ("i", "x", "y"), table,
                           tail)
                 assert_same_text(target.read_text(),
                                  emit_reference(fmt, ("i", "x", "y"), rows, tail))
     finally:
-        cli.EMIT_CELLS, floattext.KERNEL_MIN = default, kernel_min
+        cli.EMIT_CELLS = default
 
 
 # floats of each notation float_cells writes, either sign, and the values
@@ -1261,8 +1271,7 @@ FLOAT_KINDS = {
 def test_chunks_of_one_column_trim_to_their_own_widths(size, data, fmt, tmp_path_factory):
     # each chunk of size rows holds one kind of float in its plain float
     # column, so that each drops its own NUL byte positions, beside an int
-    # column and a repeated float column of mixed kinds. KERNEL_MIN = 1
-    # sends every chunk through the kernel.
+    # column and a repeated float column of mixed kinds.
     kinds = data.draw(st.lists(st.sampled_from(sorted(FLOAT_KINDS)), min_size=1, max_size=5))
     x = [v for kind in kinds
          for v in data.draw(st.lists(FLOAT_KINDS[kind], min_size=size, max_size=size))]
@@ -1270,12 +1279,12 @@ def test_chunks_of_one_column_trim_to_their_own_widths(size, data, fmt, tmp_path
     table = cli.Table(np.arange(len(x)) - 2, np.array(x), (np.array(repeated), 2))
     headers = ("i", "x", "r")
     target = tmp_path_factory.mktemp("trim") / "out"
-    default, kernel_min = cli.EMIT_CELLS, floattext.KERNEL_MIN
+    default = cli.EMIT_CELLS
     try:
-        cli.EMIT_CELLS, floattext.KERNEL_MIN = size, 1
+        cli.EMIT_CELLS = size
         cli._emit(SimpleNamespace(format=fmt, out=str(target)), headers, table)
     finally:
-        cli.EMIT_CELLS, floattext.KERNEL_MIN = default, kernel_min
+        cli.EMIT_CELLS = default
     assert_same_text(target.read_text(), emit_reference(fmt, headers, _rows_of(table)))
 
 
@@ -1366,7 +1375,7 @@ def test_emit_of_dance_holds_one_chunk_and_the_grids_cells(tmp_path, monkeypatch
 @pytest.mark.parametrize("argv", (
     # 12000 rows, three chunks of byte matrix
     ["dance", "--ks", "2..5", "--grid", "3000"],
-    # a 50-row histogram and its trailers, one %-template
+    # a 50-row histogram and its trailers, one chunk
     ["mc", "--dist", "uniform", "--k", "4", "--n", "2000", "--seed", "1", "--format", "json"],
 ), ids=("dance-csv", "mc-json"))
 def test_stdout_gets_the_bytes_of_a_file(tmp_path, argv):

@@ -2,20 +2,17 @@
 
 float_cells must write, byte for byte, what repr (JSON: json.dumps's text
 of a finite float, with nan as null and +-inf as Infinity) and "%.17g"
-(CSV) write. KERNEL_MIN is set to 1 wherever a case is shorter than it, so
-that the kernel, not its whole-column fallback, formats the values.
+(CSV) write, on a column of any length.
 """
 
 import os
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebpush import floattext
 from chebpush.floattext import float_cells, python_texts
 from test_cli import run_python
 
@@ -27,12 +24,11 @@ def texts(cells):
 
 def assert_kernel_writes_python_texts(values):
     values = np.asarray(values, dtype=np.float64)
-    with mock.patch.object(floattext, "KERNEL_MIN", 1):
-        for json_out in (False, True):
-            want = python_texts(values.tolist(), json_out)
-            got = texts(float_cells(values, json_out))
-            bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
-            assert not bad, (json_out, len(bad), bad[:5])
+    for json_out in (False, True):
+        want = python_texts(values.tolist(), json_out)
+        got = texts(float_cells(values, json_out))
+        bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+        assert not bad, (json_out, len(bad), bad[:5])
 
 
 POWERS = 10.0 ** np.arange(-30, 31)
@@ -85,24 +81,6 @@ def test_any_bit_pattern(bits):
 @given(values=st.lists(st.floats(), min_size=1, max_size=40))
 def test_any_float(values):
     assert_kernel_writes_python_texts(values)
-
-
-def test_a_short_column_goes_to_the_python_formatters_whole():
-    calls = []
-    texts_of = floattext.python_texts
-
-    def spy(values, json_out):
-        calls.append(list(values))
-        return texts_of(values, json_out)
-
-    short = np.linspace(0.1, 0.9, floattext.KERNEL_MIN - 1)
-    with mock.patch.object(floattext, "python_texts", spy):
-        assert texts(float_cells(short, True)) == [repr(v) for v in short.tolist()]
-        assert calls == [short.tolist()]
-        calls.clear()
-        long = np.linspace(0.1, 0.9, floattext.KERNEL_MIN)
-        assert texts(float_cells(long, True)) == [repr(v) for v in long.tolist()]
-        assert calls == []
 
 
 @pytest.mark.parametrize("json_out", (False, True), ids=("csv", "json"))
