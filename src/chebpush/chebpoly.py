@@ -65,15 +65,24 @@ def _pointwise(fn):
     return wrapped
 
 
-def _in_chunks(fn, x, out):
-    """out, with fn(x) written into it SUM_CHUNK points of x at a time.
+def _in_chunks(fn, x, out, size=SUM_CHUNK):
+    """out, with fn(x) written into it at most size points of x at a time.
 
     fn is pointwise: a point's value does not depend on the other points of
     the call. So out holds fn(x) bit for bit, and fn's temporaries hold one
     chunk, not len(x) points. out may be x itself.
+
+    x is cut evenly, into ceil(len(x) / size) chunks that end at
+    len(x) i // chunks. So no chunk is narrower than size // 2 points unless
+    x is: a reduction down the rows of a chunk, such as the angle sum's
+    sum(axis=0), adds one row at a time only on at least two columns. No
+    points make one empty chunk.
     """
-    for lo in range(0, len(x), SUM_CHUNK):
-        out[lo:lo + SUM_CHUNK] = fn(x[lo:lo + SUM_CHUNK])
+    n = len(x)
+    chunks = max(1, -(-n // size))
+    for i in range(chunks):
+        lo, hi = n * i // chunks, n * (i + 1) // chunks
+        out[lo:hi] = fn(x[lo:hi])
     return out
 
 

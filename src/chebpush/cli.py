@@ -146,25 +146,6 @@ def _flag(parse):
     return convert
 
 
-class Table:
-    """Rows held as columns, as _emit takes them; len() is the row count.
-
-    A column is a 1-D array with one value per row: float64, whose text
-    floattext.float_cells writes, or integers, written with %d. Or it is a
-    pair (values, repeat) whose row i holds values[i // repeat % len(values)]:
-    each value stands in repeat rows in a row, and the values start over
-    after the last. values is formatted once and its text gathered for each
-    row, so that a value repeated in many rows, such as dance's grid once
-    per k, is formatted once. The first plain column gives the row count.
-    """
-
-    def __init__(self, *columns):
-        self.columns = columns
-
-    def __len__(self):
-        return len(next(c for c in self.columns if not isinstance(c, tuple)))
-
-
 def _json_null(value):
     """A trailer's value as json.dumps should see it: nan, or a nan value
     of a dict, as None, which json.dumps writes null."""
@@ -199,8 +180,18 @@ def _spans(cells):
     return [slice(at[0], at[-1] + 1) for at in map(np.flatnonzero, used)]
 
 
-def _emit(ns, headers, rows, trailers=()):
-    """Write rows, a Table, (+ trailing summary records) in the selected format.
+def _emit(ns, headers, columns, trailers=()):
+    """Write columns as rows (+ trailing summary records) in the selected format.
+
+    columns holds one entry per header. A plain column is a 1-D array with
+    one value per row: float64, whose text floattext.float_cells writes, or
+    integers, written with %d. Or it is a pair (values, repeat) whose row i
+    holds values[i // repeat % len(values)]: each value stands in repeat
+    rows in a row, and the values start over after the last. values is
+    formatted once and its text gathered for each row, so that a value
+    repeated in many rows, such as dance's grid once per k, is formatted
+    once. The first plain column gives the row count, and at least one
+    plain column is float64.
 
     Each column's dtype fixes its format: %d for integers, and for float64
     "%.17g" in CSV or repr in JSON, which is what json.dumps writes for a
@@ -225,7 +216,8 @@ def _emit(ns, headers, rows, trailers=()):
     are dropped at once.
     """
     json_out = ns.format == "json"
-    n = len(rows)
+    columns = [c if isinstance(c, tuple) else (np.asarray(c), None) for c in columns]
+    n = len(next(values for values, repeat in columns if repeat is None))
     tail = []
     if json_out:
         depth = 2 if trailers else 0
@@ -249,10 +241,9 @@ def _emit(ns, headers, rows, trailers=()):
             # bools are written true/false, as in JSON
             tail.append(",".join(json.dumps(c) if isinstance(c, bool) else "%.17g" % c
                                  if type(c) is float else str(c) for c in cells) + "\n")
-    columns = [c if isinstance(c, tuple) else (np.asarray(c), None) for c in rows.columns]
     is_float = [values.dtype == np.float64 for values, _ in columns]
     floats = [values for (values, repeat), f in zip(columns, is_float) if f and repeat is None]
-    step = max(1, EMIT_CELLS // len(floats)) if floats else EMIT_CELLS
+    step = max(1, EMIT_CELLS // len(floats))
     fragments = [np.frombuffer(t.encode(), np.uint8) for t in [*between, end + joint]]
     # each column's cells, made once, and the rows each cell stands in; or
     # None for a plain float column, whose cells are made chunk by chunk
@@ -263,10 +254,9 @@ def _emit(ns, headers, rows, trailers=()):
         """The bytes of rows start to stop, the joint after the last row
         dropped; what it makes is freed before the next chunk's."""
         size, index = stop - start, np.arange(start, stop)
-        if floats:
-            block = np.stack([values[start:stop] for values in floats], axis=1)
-            block = float_cells(block, json_out).reshape(size, len(floats), -1)
-            texts = (block[:, j, span] for j, span in enumerate(_spans(block)))
+        block = np.stack([values[start:stop] for values in floats], axis=1)
+        block = float_cells(block, json_out).reshape(size, len(floats), -1)
+        texts = (block[:, j, span] for j, span in enumerate(_spans(block)))
         cells = [next(texts) if m is None else np.take(m[0], index // m[1], axis=0, mode="wrap")
                  for m in made]
         pieces = [p for f, c in zip(fragments, cells) for p in (f, c)] + fragments[-1:]
@@ -325,9 +315,9 @@ def cmd_pdf(ns):
     [(bounded, _)] = _exact_routes(ns.dist, (ns.k,))
     s = bounded(z)
     root = np.sqrt((1.0 - z) * (1.0 + z))
-    rows = Table(z, s / root, s, LIMIT_BOUNDED_FACTOR / root, np.abs(s - LIMIT_BOUNDED_FACTOR))
+    columns = (z, s / root, s, LIMIT_BOUNDED_FACTOR / root, np.abs(s - LIMIT_BOUNDED_FACTOR))
     del root  # one grid-sized array fewer held while the rows are written
-    _emit(ns, ("z", "f_k", "s_k", "limit_pdf", "abs_error"), rows)
+    _emit(ns, ("z", "f_k", "s_k", "limit_pdf", "abs_error"), columns)
 
 
 def cmd_dance(ns):
@@ -340,44 +330,44 @@ def cmd_dance(ns):
         masses[i] = cdf(0.0)
     # k and its mass repeat once per grid point and z once per k: each is
     # formatted once, and every row gathers its text
-    rows = Table((np.array(ns.ks), len(z)), (z, 1), pdfs.ravel(), (masses, len(z)))
-    _emit(ns, ("k", "z", "f_k", "mass_left_of_zero"), rows)
+    columns = ((np.array(ns.ks), len(z)), (z, 1), pdfs.ravel(), (masses, len(z)))
+    _emit(ns, ("k", "z", "f_k", "mass_left_of_zero"), columns)
 
 
 def cmd_converge(ns):
     report = convergence_report(ns.dist, ns.ks, ns.grid)
-    rows = Table(np.array(report.ks), np.array(report.sup_errors),
-                 np.array(report.asymptotic_errors))
+    columns = (np.array(report.ks), np.array(report.sup_errors),
+               np.array(report.asymptotic_errors))
     trailer = ("fitted_order", {"value": report.fitted_order, "label": report.label})
-    _emit(ns, ("k", "sup_error", "asymptotic_prediction_error"), rows, (trailer,))
+    _emit(ns, ("k", "sup_error", "asymptotic_prediction_error"), columns, (trailer,))
 
 
 def cmd_expand(ns):
     series = expand_density(ns.dist, order=ns.order)
-    rows = Table(np.arange(len(series.coeffs)), series.coeffs)
+    columns = (np.arange(len(series.coeffs)), series.coeffs)
     trailers = (
         ("normalization_residual", normalization_residual(series)),
         ("even_moment_sum", even_moment_sum(series)),
     )
-    _emit(ns, ("l", "mu_l"), rows, trailers)
+    _emit(ns, ("l", "mu_l"), columns, trailers)
 
 
 def cmd_mc(ns):
     d = ns.dist
     pushed = push_samples(sample(d, ns.n, ns.seed), ns.k)
     edges, density = histogram(pushed)
-    rows = Table(edges[:-1], edges[1:], density)
+    columns = (edges[:-1], edges[1:], density)
     [(_, cdf)] = _exact_routes(d, (ns.k,))
     tests = {"ks_exact": ks_statistic(pushed, cdf),
              "ks_limit": ks_statistic(pushed, make_density("arcsine").cdf)}
     trailers = [(name, {"statistic": t.statistic, "threshold": t.threshold, "pass": t.passed})
                 for name, t in tests.items()]
-    _emit(ns, ("bin_left", "bin_right", "density"), rows, trailers)
+    _emit(ns, ("bin_left", "bin_right", "density"), columns, trailers)
 
 
 def cmd_invariance(ns):
     report = convergence_report(make_density("arcsine"), range(1, ns.k + 1), ns.grid)
-    _emit(ns, ("k", "max_abs_deviation"), Table(np.array(report.ks), np.array(report.sup_errors)))
+    _emit(ns, ("k", "max_abs_deviation"), (np.array(report.ks), np.array(report.sup_errors)))
 
 
 def _add_io_flags(sp):

@@ -58,8 +58,9 @@ _ERFCX_NUM = (6.550506962335929e-07, 1.925923389977755e-05, 0.000280516595911967
 _ERFCX_DEN = (8.209842982479233e-07, 2.4137870120457168e-05, 0.0003523963997063221,
               0.0033130410268369746, 0.02204299807592308, 0.10814063440325047, 0.39685265894828287,
               1.0844559377856435, 2.1545807905767864, 2.9550779374016036, 2.51164012961043, 1.0)
-# normal_cdf works on |t| capped here, where exp(-t^2/2) is already 0, so
-# that neither t^2 nor the powers in P/Q can overflow.
+# normal_cdf and the gaussian's pdf and cdf work on |t| capped here, where
+# exp(-t^2/2) is already 0, so that neither t^2 nor the powers in P/Q can
+# overflow.
 _T_CAP = 40.0
 # Wichura's AS241 (Appl. Statist. 37, 1988), highest degree first, as
 # published: normal_ppf's central rational in 0.180625 - q^2, q = p - 1/2,
@@ -233,12 +234,17 @@ def _gauss(mu, sigma):
     if mass <= 0.0:
         raise ValueError(f"gaussian({mu}, {sigma}) has no mass on [-1, 1]")
 
+    # |x - mu| is capped at cap before it is divided by sigma, so that no
+    # quotient can overflow however small sigma is
+    cap = _T_CAP * sigma
+
     def pdf(x):
-        t = (x - mu) / sigma
+        t = np.clip(x - mu, -cap, cap) / sigma
         return np.exp(-0.5 * t * t) / (sigma * _SQRT_2PI * mass)
 
     def cdf(x):
-        out = (normal_cdf((np.clip(x, -1.0, 1.0) - mu) / side_sigma) - lo_cdf) / side_mass
+        t = np.clip(np.clip(x, -1.0, 1.0) - mu, -cap, cap) / side_sigma
+        out = (normal_cdf(t) - lo_cdf) / side_mass
         # + 0.0 turns the 0 / -mass = -0.0 of side = -1 at x = -1 into 0.0
         return np.clip(out, 0.0, 1.0) + 0.0
 
@@ -303,10 +309,10 @@ def parse_density(text):
 def sample(d, n, seed):
     """n inverse-cdf draws from d on the deterministic stream keyed by seed.
 
-    d.ppf is applied to the stream SUM_CHUNK variates at a time, each chunk's
-    draws written back over its variates, so beyond the n draws the memory
-    held is one chunk's. Every ppf is pointwise, so the draws are
-    d.ppf(uniform_stream(seed, n)) bit for bit.
+    d.ppf is applied to the stream at most SUM_CHUNK variates at a time,
+    each chunk's draws written back over its variates, so beyond the n
+    draws the memory held is one chunk's. Every ppf is pointwise, so the
+    draws are d.ppf(uniform_stream(seed, n)) bit for bit.
     """
     n = _index(n, 1, "sample count")
     u = uniform_stream(seed, n)

@@ -77,9 +77,9 @@ class SampleBatch:
 def push_samples(batch, k):
     """Apply T_k elementwise; pushes compose multiplicatively in k.
 
-    T_k is evaluated SUM_CHUNK values at a time into one new array, so
-    beyond the batch and that array the memory held is one chunk's; the
-    values are cheb_eval(k, batch.values) bit for bit.
+    T_k is evaluated at most SUM_CHUNK values at a time into one new
+    array, so beyond the batch and that array the memory held is one
+    chunk's; the values are cheb_eval(k, batch.values) bit for bit.
     """
     k = _index(k, 1, "push index")
     # T_1 is the identity; keep it exact instead of the cos(arccos x) roundtrip

@@ -52,8 +52,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chebpoly import SUM_CHUNK, _index, _open_interval, _pointwise, _unit_interval, cheb_eval
-from .spectral import decayed_expansion, even_moment_sum
+from .chebpoly import (SUM_CHUNK, _in_chunks, _index, _open_interval, _pointwise,
+                       _unit_interval, cheb_eval)
+from .spectral import _integrals, decayed_expansion, even_moment_sum
 
 _TWO_PI = 2.0 * np.pi
 
@@ -132,26 +133,22 @@ def _preimage_sum(term, k, beta, interval=False):
 
     The running sum is folded into row 0 of each block and the block is
     reduced with sum(axis=0), which numpy adds one row at a time whenever
-    the chunk is at least two points wide. Chunks are cut evenly, so none
-    is narrower, and a single point is evaluated twice. Each point's value
-    then does not depend on how the points are chunked.
+    the chunk is at least two points wide. _in_chunks cuts the points
+    evenly, so no chunk is narrower unless there is one point, which is
+    evaluated twice. Each point's value then does not depend on how the
+    points are chunked.
     """
     flat = beta.ravel()
     if flat.size == 1:
         # a one-column sum(axis=0) is pairwise; two equal columns keep it in order
         flat = np.repeat(flat, 2)
     m = k // 2
-    n = flat.size
-    width = SUM_CHUNK // max(1, 2 * min(m, SUM_BLOCK))
-    chunks = max(1, -(-n // width))  # one empty chunk for no points
-    bounds = [n * i // chunks for i in range(chunks + 1)]
-    out = np.empty(n)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        b = flat[lo:hi]
+
+    def fold(b):
         acc = np.zeros_like(b)
         for j0 in range(1, m + 1, SUM_BLOCK):
             j = np.arange(j0, min(j0 + SUM_BLOCK, m + 1))[:, None]
-            theta = np.empty((2 * len(j), hi - lo))
+            theta = np.empty((2 * len(j), b.size))
             theta[0::2] = (_TWO_PI * j - b) / k
             theta[1::2] = (_TWO_PI * (j - 1) + b) / k
             vals = term(theta)
@@ -162,8 +159,10 @@ def _preimage_sum(term, k, beta, interval=False):
         if k % 2 == 1:
             tail = term((_TWO_PI * m + b) / k)
             acc += 1.0 - tail if interval else tail
-        out[lo:hi] = acc
-    return out[:beta.size].reshape(beta.shape)
+        return acc
+
+    width = SUM_CHUNK // max(1, 2 * min(m, SUM_BLOCK))
+    return _in_chunks(fold, flat, np.empty(flat.size), width)[:beta.size].reshape(beta.shape)
 
 
 def _bounded_from_beta(d, k, beta):
@@ -180,9 +179,7 @@ def bounded_factor(d, k, z):
 @_pointwise
 def pushforward_pdf(d, k, z):
     """Exact density of T_k(X) at z in (-1, 1)."""
-    k = _index(k, 1, "Chebyshev index")
-    arr = _open_interval(z)
-    return _bounded_from_beta(d, k, np.arccos(arr)) / np.sqrt((1.0 - arr) * (1.0 + arr))
+    return bounded_factor(d, k, z) / np.sqrt((1.0 - z) * (1.0 + z))
 
 
 @_pointwise
@@ -216,12 +213,11 @@ def _fejer_rule(n):
     """Nodes cos(pi (j + 1/2) / n) and weights of Fejer's first rule on [-1, 1].
 
     The rule is exact for polynomials of degree below n. Its weights are
-    (2 / n) sum_l b_l cos(l theta_j), with b_0 = 1, b_l = 2 / (1 - l^2) for
-    even l and 0 for odd l.
+    (2 / n) sum_l b_l cos(l theta_j), b_l the integral of T_l over [-1, 1]
+    (spectral._integrals), b_0 halved.
     """
-    b = np.zeros(n)
-    b[::2] = 2.0 / (1.0 - np.arange(0.0, n, 2.0) ** 2)
-    b[0] = 1.0
+    b = _integrals(n)
+    b[0] /= 2.0
     u, w = np.cos(np.pi * (np.arange(n) + 0.5) / n), _on_roots(b, n) * (2.0 / n)
     u.flags.writeable = w.flags.writeable = False
     return u, w
@@ -364,7 +360,7 @@ def _aliased_coeffs(series, k):
 
 
 def _series_on_chunks(series, k, arr, shift):
-    """A series route at the points arr, SUM_CHUNK points at a time: S_k for shift 0, F_k for 1.
+    """A series route at the points arr, by chunks (_in_chunks): S_k for shift 0, F_k for 1.
 
     It reads c, the edge phases and g of _aliased_coeffs(series, k). With
     beta = arccos(x) and c the aliased coefficients, the exact part is
@@ -376,8 +372,10 @@ def _series_on_chunks(series, k, arr, shift):
     x+- = (phase +- beta) mod 2 pi, with P = sum_p g_p s_p for S_k and,
     integrated once more for F_k, P = sum_p (-1)^(p+1) g_p s_(p+1), s_p the
     rows of _SUM_COEFS, in x - pi: one Horner pass over every phase and side
-    at once. Every step is pointwise, so a point's value does not depend on
-    the chunking.
+    at once. Every step but the last is pointwise. The last sums the rows
+    of phases and sides by one matrix product, which BLAS may round by a
+    point's place in the chunk, so a point's value can move by a few ulps
+    with the chunking (uniform01's F_9 at z = -0.9999995 by 11, 6e-19).
     """
     c, phase, g = _aliased_coeffs(series, k)
     b = c
@@ -395,10 +393,8 @@ def _series_on_chunks(series, k, arr, shift):
     weight = side[:, 0] ** shift / np.pi
     saw = g[:, :1] if shift == 0 and g[:, 0].any() else None
     near = IMAGE_ULPS * np.spacing((k + 1) * np.pi)
-    flat = arr.ravel()
-    out = np.empty(flat.size)
-    for lo in range(0, flat.size, SUM_CHUNK):
-        x = flat[lo:lo + SUM_CHUNK]
+
+    def on_chunk(x):
         beta = np.arccos(x)
         values = _clenshaw(x, b)
         if shift:
@@ -417,9 +413,9 @@ def _series_on_chunks(series, k, arr, shift):
             # at the sawtooth's jump, its midpoint 0 rather than +-pi/2
             at = np.nonzero((saw != 0.0) & (np.abs(y) >= np.pi - near))
             part[at] += saw[at[0], 0] * y[at] / 2.0
-        values += weight @ part
-        out[lo:lo + SUM_CHUNK] = values
-    return out.reshape(arr.shape)
+        return values + weight @ part
+
+    return _in_chunks(on_chunk, arr.ravel(), np.empty(arr.size)).reshape(arr.shape)
 
 
 def _clenshaw(x, c):
@@ -475,10 +471,11 @@ def series_bounded_factor(series, k, z):
     preimage angle falls on.
 
     The route sees only the coefficients, never the density. It runs on
-    chunks of SUM_CHUNK points, so its cost does not grow with k and its
-    memory beyond the result does not grow with the number of points. The
-    coefficients of the last few (series, k) are kept (_aliased_coeffs), so
-    a k read again skips the coefficient step and gives the same values.
+    chunks of at most SUM_CHUNK points, so its cost does not grow with k
+    and its memory beyond the result does not grow with the number of
+    points. The coefficients of the last few (series, k) are kept
+    (_aliased_coeffs), so a k read again skips the coefficient step and
+    gives the same values.
     """
     k = _index(k, 1, "Chebyshev index")
     return _series_on_chunks(series, k, _open_interval(z), 0)
@@ -500,9 +497,9 @@ def series_cdf(series, k, z):
     2 sum_n c_{nk} T_n(z) / n^2, a T-series whose coefficients are suffix
     sums over each parity. So it is sin(beta) times one Clenshaw pass over
     about SERIES_SPAN (L + 1) / k terms, the same pass as S_k's, on chunks
-    of SUM_CHUNK points (_series_on_chunks). The cost does not grow with k.
-    F_k is continuous at the images of pdf jumps. z may stray past [-1, 1]
-    by chebpoly.DOMAIN_SLACK; z and the result are clipped, as in
+    of at most SUM_CHUNK points (_series_on_chunks). The cost does not grow
+    with k. F_k is continuous at the images of pdf jumps. z may stray past
+    [-1, 1] by chebpoly.DOMAIN_SLACK; z and the result are clipped, as in
     pushforward_cdf. It shares series_bounded_factor's coefficients at this
     k.
     """

@@ -83,7 +83,7 @@ def _fit(pdf, lo, hi, order):
     mu = (np.exp(-0.5j * np.pi * ls / n) * spectrum).real / (2 * n)
     mu[1:] *= 2.0
     mu.flags.writeable = False
-    return mu, np.abs(mu) * (2.0 / (hi - lo)) ** 4 < DECAY_TOL
+    return mu, np.abs(mu) < DECAY_TOL * (0.5 * (hi - lo)) ** 4
 
 
 def _decayed(small):
@@ -92,12 +92,15 @@ def _decayed(small):
     return bool(small[max(1, len(small) - 4):].all())
 
 
+def _integrals(n):
+    """The integral of T_l over [-1, 1] for l < n: 2 / (1 - l^2) at even l, 0 at odd l."""
+    ls = np.arange(n, dtype=np.float64)
+    return np.divide(2.0, 1.0 - ls * ls, out=np.zeros_like(ls), where=ls % 2 == 0)
+
+
 def _mass(coeffs):
-    """sum_l coeffs[l] * integral of T_l over [-1, 1], which is 2 / (1 - l^2)
-    at even l and 0 at odd l."""
-    ls = np.arange(len(coeffs), dtype=np.float64)
-    weights = np.divide(2.0, 1.0 - ls * ls, out=np.zeros_like(ls), where=ls % 2 == 0)
-    return float(np.dot(coeffs, weights))
+    """sum_l coeffs[l] * integral of T_l over [-1, 1]."""
+    return float(np.dot(coeffs, _integrals(len(coeffs))))
 
 
 def expand_density(d, order=DEFAULT_ORDER):

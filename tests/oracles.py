@@ -21,9 +21,12 @@ the emitter gives the bytes the CLI output must reproduce, the endpoint
 model gives the 1/m^2 and 1/m^4 law of c_m that the series route's edges at
 -1 and 1 must reproduce, and the KS and histogram forms give the values the
 one shared sorted copy must reproduce bit for bit, so they check the
-evaluation, the formatting and the rewritten form, not the mathematics. The CLI fixes each column's format from the
-first row, in CSV and JSON alike, and writes a JSON chunk with a non-finite
-value from JSON tokens.
+evaluation, the formatting and the rewritten form, not the mathematics.
+`pushed_density` reads the library's angle sum too, at n, as the first of
+two stages: the law T_m(T_n(X)) = T_mn(X) then checks the sum at mn by
+sums at m and at n that share no term with it. The CLI fixes each
+column's format from the first row, in CSV and JSON alike, and writes a
+JSON chunk with a non-finite value from JSON tokens.
 """
 
 import json
@@ -34,6 +37,7 @@ from scipy.integrate import quad
 from scipy.special import erf, ndtr, ndtri
 
 from chebpush.densities import Density, make_density
+from chebpush.pushforward import _bounded_from_beta, _preimage_sum
 
 TWO_PI = 2.0 * np.pi
 
@@ -289,6 +293,31 @@ def numeric_cdf_check(d, support, grid):
                       points=pts or None, limit=200)
         worst = max(worst, abs(val - float(d.cdf(z))))
     return worst
+
+
+def pushed_density(d, n):
+    """The law of T_n(X), X ~ d, as a Density known by its angle law alone.
+
+    The folded angle phi = arccos T_n(X) has density S_n(cos phi) on
+    [0, pi] and distribution function 1 - F_n(cos phi). angle_pdf and
+    angle_cdf are those, taken by the library's angle sum at n straight
+    from phi; pdf, cdf and ppf refuse to be read, and breakpoints are not
+    given. As T_m(T_n(X)) = T_mn(X), S_m and F_m of it are S_mn and F_mn
+    of d. That two-stage sum, m terms each n terms wide, shares no term and
+    no rounding order with the one-stage sum of mn terms, and no
+    coefficient with the series route.
+    """
+    def angle_pdf(phi):
+        return _bounded_from_beta(d, n, phi)
+
+    def angle_cdf(phi):
+        return 1.0 - np.clip(_preimage_sum(d.angle_cdf, n, phi, interval=True), 0.0, 1.0)
+
+    def unread(x):
+        raise AssertionError("a pushed density is read through its angle law only")
+
+    return Density(f"T_{n}({d.name})", unread, unread, unread, angle_pdf, angle_cdf,
+                   expandable=False)
 
 
 def angle_sum_reference(d, k, z):

@@ -931,24 +931,28 @@ EMIT_CASES = (
 )
 
 
-def _rows_of(table):
-    """The rows of a cli.Table as tuples of Python scalars, a (values,
+def _row_count(columns):
+    """The row count of columns as _emit reads it: the first plain column's length."""
+    return len(next(c for c in columns if not isinstance(c, tuple)))
+
+
+def _rows_of(columns):
+    """The rows of _emit's columns as tuples of Python scalars, a (values,
     repeat) column read as values[i // repeat % len(values)] at row i."""
-    columns, rows = [], np.arange(len(table))
-    for column in table.columns:
+    out, rows = [], np.arange(_row_count(columns))
+    for column in columns:
         values, repeat = column if isinstance(column, tuple) else (column, None)
-        columns.append((values if repeat is None else values[rows // repeat % len(values)])
-                       .tolist())
-    return list(zip(*columns))
+        out.append((values if repeat is None else values[rows // repeat % len(values)]).tolist())
+    return list(zip(*out))
 
 
-def _table(rows, width):
-    """A cli.Table of rows, equal-length tuples of Python ints and floats
+def _columns(rows, width):
+    """_emit's columns of rows, equal-length tuples of Python ints and floats
     with one type per column: a float column as float64, an int column as
     an object array of Python ints, whose %d keeps every digit past 2**63."""
     columns = list(zip(*rows)) or [()] * width
-    return cli.Table(*(np.array(c, dtype=np.float64 if not c or type(c[0]) is float else object)
-                       for c in columns))
+    return tuple(np.array(c, dtype=np.float64 if not c or type(c[0]) is float else object)
+                 for c in columns)
 
 
 @pytest.mark.parametrize("fmt", ("csv", "json"))
@@ -957,29 +961,31 @@ def test_emit_is_the_reference_byte_for_byte(capsys, monkeypatch, argv, fmt):
     calls = []
     emit = cli._emit
 
-    def recorded(ns, headers, rows, trailers=()):
-        calls.append((headers, rows, trailers))
-        return emit(ns, headers, rows, trailers)
+    def recorded(ns, headers, columns, trailers=()):
+        calls.append((headers, columns, trailers))
+        return emit(ns, headers, columns, trailers)
 
     monkeypatch.setattr(cli, "_emit", recorded)
     code, out, _ = run_cli(capsys, *argv, "--format", fmt)
     assert code == 0
-    [(headers, table, trailers)] = calls
-    rows = _rows_of(table)
+    [(headers, columns, trailers)] = calls
+    rows, n = _rows_of(columns), _row_count(columns)
     assert_same_text(out, emit_reference(fmt, headers, rows, trailers))
-    # each column is a numpy array of float64 or of integers, one value per
-    # row, or such an array with a positive int repeat (dance's repeated
-    # values) whose values, each repeated, fill the rows a whole number of times
-    assert len(table.columns) == len(headers)
-    for column in table.columns:
+    # a tuple of one column per header, each a numpy array of float64 or of
+    # integers, one value per row, or such an array with a positive int
+    # repeat (dance's repeated values) whose values, each repeated, fill the
+    # rows a whole number of times; at least one plain column is float64
+    assert type(columns) is tuple and len(columns) == len(headers)
+    assert any(not isinstance(c, tuple) and c.dtype == np.float64 for c in columns)
+    for column in columns:
         values, repeat = column if isinstance(column, tuple) else (column, None)
         assert isinstance(values, np.ndarray) and values.ndim == 1
         assert values.dtype == np.float64 or values.dtype.kind == "i"
         if repeat is None:
-            assert len(values) == len(table)
+            assert len(values) == n
         else:
             assert type(repeat) is int and repeat >= 1
-            assert len(table) % (len(values) * repeat) == 0
+            assert n % (len(values) * repeat) == 0
     summary = [v for _, value in trailers
                for v in (value.values() if isinstance(value, dict) else (value,))]
     assert all(type(v) in (int, float, bool, str) for v in summary)
@@ -988,7 +994,7 @@ def test_emit_is_the_reference_byte_for_byte(capsys, monkeypatch, argv, fmt):
         data = doc["rows"] if trailers else doc
     else:
         data = parse_csv(out)[1]
-    assert len(rows) == len(data) == len(table)
+    assert len(rows) == len(data) == n
 
 
 # usage errors, which exit 2 from the parser with its message
@@ -1075,6 +1081,21 @@ def test_a_gaussian_of_any_width_gets_its_law_on_both_sides_of_the_series_route(
     assert not passed[0] or passed[1:] == [True, True], passed
 
 
+@pytest.mark.parametrize("dist", ("gauss:0,1e-300", "gauss:0.5,1e-200", "gauss:0.25,5e-324"))
+def test_a_gaussian_of_any_tiny_width_raises_no_warning(capsys, dist):
+    # below sigma = 1e-154 the gaussian's pdf overflowed t * t, and below
+    # about 1e-308 its pdf and cdf overflowed (x - mu) / sigma: each a
+    # RuntimeWarning on stderr from pdf, dance, converge, expand and mc
+    runs = (["pdf", "--k", "8"], ["pdf", "--k", "3"], ["dance", "--ks", "2..12", "--grid", "50"],
+            ["converge", "--ks", "8..64:8", "--grid", "50"], ["expand"],
+            ["mc", "--k", "8", "--n", "2000"], ["mc", "--k", "3", "--n", "2000"])
+    for command, *flags in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, command, "--dist", dist, *flags)
+        assert code in (0, 1) and "Warning" not in err, (command, err)
+
+
 @pytest.mark.parametrize("fmt", ("csv", "json"))
 def test_dance_formats_the_grid_once_and_each_mass_once(capsys, monkeypatch, fmt):
     # z repeats once per k and the mass once per grid point: float_cells
@@ -1156,7 +1177,7 @@ def test_emit_is_the_reference_on_edge_values(capsys, monkeypatch, fmt):
         monkeypatch.setattr(cli, "EMIT_CELLS", emit_cells)
         for rows in (EDGE_ROWS, EDGE_ROWS[:1], EDGE_ROWS[1:2], [], LATE_EDGE_ROWS):
             for trailers in EDGE_TRAILERS:
-                cli._emit(ns, headers, _table(rows, len(headers)), trailers)
+                cli._emit(ns, headers, _columns(rows, len(headers)), trailers)
                 assert_same_text(capsys.readouterr().out,
                                  emit_reference(fmt, headers, rows, trailers))
 
@@ -1174,7 +1195,7 @@ def test_each_columns_dtype_fixes_its_format(capsys, monkeypatch, fmt, expected)
     # one plain float column: EMIT_CELLS = 1 is one row to a chunk
     for emit_cells in (cli.EMIT_CELLS, 1):
         monkeypatch.setattr(cli, "EMIT_CELLS", emit_cells)
-        cli._emit(SimpleNamespace(format=fmt, out="-"), ("a", "b", "c"), cli.Table(*columns))
+        cli._emit(SimpleNamespace(format=fmt, out="-"), ("a", "b", "c"), columns)
         assert capsys.readouterr().out == expected
 
 
@@ -1204,7 +1225,7 @@ def test_only_what_the_kernel_leaves_reaches_the_python_formatters(capsys, monke
     x = np.linspace(-0.9, 1.1, 3000)
     assert not np.any(np.frexp(x)[0] == 0.5)
     y = np.where(np.arange(3000) % 7 == 0, np.array([NAN, INF, -INF])[np.arange(3000) % 3], x)
-    cli._emit(SimpleNamespace(format=fmt, out="-"), ("x", "y"), cli.Table(x, y))
+    cli._emit(SimpleNamespace(format=fmt, out="-"), ("x", "y"), (x, y))
     out = capsys.readouterr().out
     assert_same_text(out, emit_reference(fmt, ("x", "y"), list(zip(x.tolist(), y.tolist()))))
     sent = sum(calls, [])
@@ -1242,14 +1263,14 @@ def test_the_kernel_formats_nearly_every_float_of_a_wide_pdf(tmp_path, monkeypat
 def test_emit_is_the_reference_on_any_floats(rows, fmt, tmp_path_factory):
     target = tmp_path_factory.mktemp("emit") / "out"
     trailers = (("tail", {"v": rows[0][1] if rows else NAN, "pass": bool(rows)}),)
-    table = _table(rows, 3)
+    columns = _columns(rows, 3)
     default = cli.EMIT_CELLS
     try:
         # two plain float columns, so EMIT_CELLS = 2 * size puts size rows to a chunk
         for cli.EMIT_CELLS in (default, *(2 * size for size in EMIT_ROWS_SMALL)):
             for tail in ((), trailers):
-                cli._emit(SimpleNamespace(format=fmt, out=str(target)), ("i", "x", "y"), table,
-                          tail)
+                cli._emit(SimpleNamespace(format=fmt, out=str(target)), ("i", "x", "y"),
+                          columns, tail)
                 assert_same_text(target.read_text(),
                                  emit_reference(fmt, ("i", "x", "y"), rows, tail))
     finally:
@@ -1276,16 +1297,16 @@ def test_chunks_of_one_column_trim_to_their_own_widths(size, data, fmt, tmp_path
     x = [v for kind in kinds
          for v in data.draw(st.lists(FLOAT_KINDS[kind], min_size=size, max_size=size))]
     repeated = data.draw(st.lists(st.one_of(*FLOAT_KINDS.values()), min_size=1, max_size=3))
-    table = cli.Table(np.arange(len(x)) - 2, np.array(x), (np.array(repeated), 2))
+    columns = (np.arange(len(x)) - 2, np.array(x), (np.array(repeated), 2))
     headers = ("i", "x", "r")
     target = tmp_path_factory.mktemp("trim") / "out"
     default = cli.EMIT_CELLS
     try:
         cli.EMIT_CELLS = size
-        cli._emit(SimpleNamespace(format=fmt, out=str(target)), headers, table)
+        cli._emit(SimpleNamespace(format=fmt, out=str(target)), headers, columns)
     finally:
         cli.EMIT_CELLS = default
-    assert_same_text(target.read_text(), emit_reference(fmt, headers, _rows_of(table)))
+    assert_same_text(target.read_text(), emit_reference(fmt, headers, _rows_of(columns)))
 
 
 def test_dance_keeps_the_grids_cells_trimmed_and_contiguous(tmp_path, monkeypatch):
@@ -1318,11 +1339,11 @@ def test_emit_memory_is_flat_in_the_rows(tmp_path, fmt):
     # 62 MB in JSON. The nan column sends most of its floats to the Python
     # formatters.
     x = np.linspace(-1.0, 1.0, 200_000)
-    table = cli.Table(x, 0.5 * x, np.where(np.arange(x.size) % 7, NAN, x), -x)
+    columns = (x, 0.5 * x, np.where(np.arange(x.size) % 7, NAN, x), -x)
     ns = SimpleNamespace(format=fmt, out=str(tmp_path / "out"))
     tracemalloc.start()
     try:
-        cli._emit(ns, ("a", "b", "c", "d"), table)
+        cli._emit(ns, ("a", "b", "c", "d"), columns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1357,11 +1378,11 @@ def test_emit_of_dance_holds_one_chunk_and_the_grids_cells(tmp_path, monkeypatch
     peaks = []
     emit = cli._emit
 
-    def measured(ns, headers, rows, trailers=()):
+    def measured(ns, headers, columns, trailers=()):
         tracemalloc.start()
         try:
-            emit(ns, headers, rows, trailers)
-            peaks.append(tracemalloc.get_traced_memory()[1] / len(rows))
+            emit(ns, headers, columns, trailers)
+            peaks.append(tracemalloc.get_traced_memory()[1] / _row_count(columns))
         finally:
             tracemalloc.stop()
 

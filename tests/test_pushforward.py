@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chebpush.chebpoly import cheb_eval
-from chebpush.cli import main
+from chebpush.cli import _exact_routes, main
 from chebpush.densities import make_density, normal_cdf, normal_ppf, parse_density, sample
 from chebpush.montecarlo import push_samples, uniform_stream
 from chebpush.pushforward import (
@@ -47,7 +47,9 @@ from oracles import (
     branch_pushforward_pdf,
     endpoint_model_reference,
     mass_left_oracle,
+    pushed_density,
     pushforward_cdf_oracle,
+    two_piece_density,
 )
 
 SMOOTH = ("uniform", "ramp", "gauss:0,0.25")
@@ -574,6 +576,13 @@ def test_grid_result_fields_are_consistent(capsys):
     assert np.array_equal(col["f_k"], pushforward_pdf(d, 5, z))
 
 
+def _assert_pieces_are_the_whole(fn, x, cuts, atol=0.0):
+    whole = fn(x)
+    for cut in cuts:
+        parts = np.concatenate([fn(x[:cut]), fn(x[cut:])])
+        assert np.array_equal(whole, parts) if atol == 0.0 else np.allclose(whole, parts, 0, atol)
+
+
 def test_chunked_evaluation_is_bit_identical():
     # fixed summation order: evaluating the grid in pieces must reproduce
     # the full evaluation exactly, for k within one block of j values and
@@ -582,10 +591,67 @@ def test_chunked_evaluation_is_bit_identical():
     d = make_density("gauss", mu=0.0, sigma=0.25)
     z = default_grid(WIDE)
     for k in (9, 2 * SUM_BLOCK + 3):
-        full = bounded_factor(d, k, z)
-        for cut in (100, 257, WIDE - 1):
-            parts = np.concatenate([bounded_factor(d, k, z[:cut]), bounded_factor(d, k, z[cut:])])
-            assert np.array_equal(full, parts)
+        _assert_pieces_are_the_whole(lambda x: bounded_factor(d, k, x), z, (100, 257, WIDE - 1))
+    # the angle sum's cdf and the series route on one, two and three chunks
+    # of about SUM_CHUNK points, cut across them. The series route sums its
+    # edge rows by one matrix product, whose BLAS rounding of a point can
+    # depend on the point's place in the call: uniform01's F_9 at z[0]
+    # moves by 11 ulps (6e-19) when z[0] is a call of its own. So a piece
+    # of it matches the whole call to a few eps, not bit for bit.
+    eps = np.finfo(float).eps
+    for name in ("gauss:0,0.25", "uniform01"):
+        d = parse_density(name)
+        series = expand_density(d)
+        for n in (SUM_CHUNK - 1, SUM_CHUNK + 1, 2 * SUM_CHUNK + 3):
+            z = default_grid(n)
+            cuts = (1, n // 3, SUM_CHUNK, n - 1)
+            _assert_pieces_are_the_whole(lambda x: pushforward_cdf(d, 9, x), z, cuts)
+            for k in (9, 2 * SUM_BLOCK + 3):
+                for route in (series_bounded_factor, series_cdf):
+                    _assert_pieces_are_the_whole(lambda x: route(series, k, x), z, cuts, 4 * eps)
+
+
+# the catalog, gaussians with mu in [-0.9, 0.9] and sigma in [0.01, 1], and
+# densities with one or two jumps between linear pieces, with or without a
+# gaussian cut at the first
+_DENSITIES = (st.sampled_from(CATALOG)
+              | st.builds(lambda mu, log_sigma: make_density("gauss", mu=mu, sigma=10.0**log_sigma),
+                          st.floats(-0.9, 0.9), st.floats(-2.0, 0.0))
+              | st.builds(lambda xstars, ends, bump: two_piece_density(
+                              xstars, ends[:2 * len(xstars) + 2], bump),
+                          st.lists(st.floats(-0.8, 0.8), min_size=1, max_size=2, unique=True),
+                          st.lists(st.floats(0.05, 2.0), min_size=6, max_size=6),
+                          st.one_of(st.just(0.0), st.floats(0.1, 2.0))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=_DENSITIES, m=st.integers(1, 64), n=st.integers(1, 64))
+def test_pushing_by_t_n_then_t_m_is_pushing_by_t_mn(d, m, n):
+    # T_m(T_n(X)) = T_mn(X): S_m and F_m of the law of T_n(X), each term an
+    # angle sum at n, are S_mn and F_mn of X. The two stages and the one
+    # share no term and no rounding order, and the series route, where it
+    # runs, no coefficient. Measured on the 201-point grid, the one-stage
+    # sum misses the two-stage one by at most 5 (m + n) eps in S, relative
+    # to max(1, max |S|), and 11 (m + n) eps in F; the series route by at
+    # most 1.5e-12 in S and 2.6e-14 in F. S jumps where a preimage angle
+    # meets a pdf jump x*, at z = T_mn(x*), and is compared away from there
+    # (uniform01's x* = 0 at the middle of the grid, for odd mn)
+    k, eps = m * n, np.finfo(float).eps
+    z = default_grid()
+    beta, t = np.arccos(z), np.arccos(np.array(d.breakpoints))[:, None]
+    away = np.all([np.abs(np.mod(k * t + side * beta + np.pi, 2.0 * np.pi) - np.pi) > 1e-9
+                   for side in (1.0, -1.0)], axis=(0, 1))
+    ends = np.concatenate(([-1.0], z, [1.0]))  # F is defined on [-1, 1], ends included
+    pushed = pushed_density(d, n)
+    s, f = bounded_factor(pushed, m, z), pushforward_cdf(pushed, m, ends)
+    scale = max(1.0, float(np.max(np.abs(s))))
+    tol_s, tol_f = 16 * (m + n) * eps * scale, 32 * (m + n) * eps
+    assert np.max(np.abs(bounded_factor(d, k, z) - s)[away], initial=0.0) <= tol_s
+    assert np.max(np.abs(pushforward_cdf(d, k, ends) - f)) <= tol_f
+    [(bounded, cdf)] = _exact_routes(d, (k,))
+    if bounded.func is series_bounded_factor:
+        assert np.max(np.abs(bounded(z) - s)[away], initial=0.0) <= tol_s + 1e-11 * scale
+        assert np.max(np.abs(cdf(ends) - f)) <= tol_f + 1e-12
 
 
 @pytest.mark.parametrize("name", ("gauss:0,0.25", "ramp", "uniform01", "arcsine"))

@@ -116,11 +116,13 @@ def test_jump_density_warns_and_is_flagged():
     assert expand_density(make_density("uniform")).pieces == ()
 
 
-@pytest.mark.parametrize("width, decayed", ((0.1, True), (0.01, False), (1e-6, False)))
+@pytest.mark.parametrize("width, decayed",
+                         ((0.1, True), (0.01, False), (1e-6, False), (1e-200, False)))
 def test_a_narrow_piece_is_read_without_its_noise_or_not_decayed(width, decayed):
     # the series route reads a piece's fourth derivative at its ends, which
     # scales its coefficients by (2 / width)^4: a piece whose tail is not
-    # below DECAY_TOL (width / 2)^4 is not decayed. A piece's coefficients
+    # below DECAY_TOL (width / 2)^4 is not decayed, also where (2 / width)^4
+    # would overflow and (width / 2)^4 is 0. A piece's coefficients
     # at its rounding level, eps times the sum of their sizes, are zeroed
     # and every other one is kept: a linear piece keeps its two, and a
     # piece with a gaussian cut at the jump keeps terms below
