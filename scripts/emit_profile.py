@@ -119,10 +119,8 @@ def profile(argv, repeat):
                 total = time.perf_counter() - start
             if best is None or total < best[0]:
                 best = total, clock
-    # the rows of the first plain column, as _emit counts them; an older
-    # checkout's _emit takes an object that holds the columns in .columns
-    columns = getattr(args[1], "columns", args[1])
-    return (*best, len(next(c for c in columns if not isinstance(c, tuple))))
+    # the rows of the first plain column, as _emit counts them
+    return (*best, len(next(c for c in args[1] if not isinstance(c, tuple))))
 
 
 def _stages(seconds, spec):

@@ -10,8 +10,10 @@ own --repeat times, its inputs made before the clock starts:
 - stream: montecarlo.uniform_stream(seed, n);
 - ppf: densities.sample on a copy of that stream, handed in for the one
   sample draws, so this is the ppf and its writes;
-- push: montecarlo.push_samples(batch, k);
-- sort: the pushed batch's ordered, the one sorted copy;
+- push: montecarlo.push_samples(x, k), over a fresh copy x of the draws
+  each run, since the push is written over its array;
+- sort: montecarlo.SampleBatch of a fresh copy of the pushed draws, which
+  it sorts in place;
 - ks_exact and ks_limit: montecarlo.ks_statistic against the exact cdf of
   T_k(X) (the route cli._exact_routes picks) and against the arcsine law;
 - histogram: montecarlo.histogram;
@@ -76,8 +78,10 @@ def profile(argv, repeat):
     ns.out = os.devnull
     d, n, seed, k = ns.dist, ns.n, ns.seed, ns.k
     stream = montecarlo.uniform_stream(seed, n)
-    pushed = montecarlo.push_samples(densities.sample(d, n, seed), k)
-    pushed.ordered  # sorted before the clock, as mc's KS tests and histogram find it
+    draws = densities.sample(d, n, seed)
+    pushed = montecarlo.push_samples(draws.copy(), k)
+    # sorted before the clock, as mc's KS tests and histogram find it
+    batch = montecarlo.SampleBatch(pushed.copy())
     [(_, exact)] = cli._exact_routes(d, (k,))
     arcsine = densities.make_density("arcsine").cdf
     stages = {"stream": _stage(lambda: montecarlo.uniform_stream(seed, n), repeat)}
@@ -87,13 +91,12 @@ def profile(argv, repeat):
             densities.sample(d, n, seed)
 
         stages["ppf"] = _stage(ppf, repeat, lambda: (stream.copy(),))
-    batch = densities.sample(d, n, seed)
-    stages["push"] = _stage(lambda: montecarlo.push_samples(batch, k), repeat)
-    stages["sort"] = _stage(lambda b: b.ordered, repeat,
-                            lambda: (montecarlo.SampleBatch(pushed.values),))
-    stages["ks_exact"] = _stage(lambda: montecarlo.ks_statistic(pushed, exact), repeat)
-    stages["ks_limit"] = _stage(lambda: montecarlo.ks_statistic(pushed, arcsine), repeat)
-    stages["histogram"] = _stage(lambda: montecarlo.histogram(pushed), repeat)
+    stages["push"] = _stage(lambda x: montecarlo.push_samples(x, k), repeat,
+                            lambda: (draws.copy(),))
+    stages["sort"] = _stage(montecarlo.SampleBatch, repeat, lambda: (pushed.copy(),))
+    stages["ks_exact"] = _stage(lambda: montecarlo.ks_statistic(batch, exact), repeat)
+    stages["ks_limit"] = _stage(lambda: montecarlo.ks_statistic(batch, arcsine), repeat)
+    stages["histogram"] = _stage(lambda: montecarlo.histogram(batch), repeat)
     stages["_emit"] = _stage(lambda: cli._emit(ns, *args), repeat)
     return stages, n
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import floattext
 from .densities import make_density, parse_density, sample
 from .floattext import float_cells, text_cells
-from .montecarlo import KS_MIN_SAMPLES, histogram, ks_statistic, push_samples
+from .montecarlo import KS_MIN_SAMPLES, SampleBatch, histogram, ks_statistic, push_samples
 from .pushforward import (
     LIMIT_BOUNDED_FACTOR,
     bounded_factor,
@@ -59,9 +59,10 @@ MAX_ORDER = 4096
 # 5-column pdf row about 66 B (`pdf --dist gauss:0,0.25 --k 128 --grid
 # 262144`: its five float64 columns and their temporaries), a dance row
 # about 16 B (`dance --ks 2..17 --grid 65536`: f_k's 8 B, the grid's text
-# and one chunk) and an mc draw about 25 B (`mc --dist gauss:0,0.25 --k 8
-# --n 1048576`: the pushed draws and their sorted copy, as the ppf and T_k
-# run SUM_CHUNK draws at a time), so 2^20 of any take at most about 70 MB.
+# and one chunk) and an mc draw about 18 B (`mc --dist gauss:0,0.25 --k 8
+# --n 1048576`: the draws' 8 B, pushed and sorted in place, and a fixed
+# 11 MB or so, as the ppf and T_k run SUM_CHUNK draws at a time), so 2^20 of
+# any take at most about 70 MB.
 MAX_POINTS = 2**20
 
 # Float cells _emit formats at a time. A chunk holds EMIT_CELLS // (plain
@@ -354,12 +355,12 @@ def cmd_expand(ns):
 
 def cmd_mc(ns):
     d = ns.dist
-    pushed = push_samples(sample(d, ns.n, ns.seed), ns.k)
-    edges, density = histogram(pushed)
+    batch = SampleBatch(push_samples(sample(d, ns.n, ns.seed), ns.k))
+    edges, density = histogram(batch)
     columns = (edges[:-1], edges[1:], density)
     [(_, cdf)] = _exact_routes(d, (ns.k,))
-    tests = {"ks_exact": ks_statistic(pushed, cdf),
-             "ks_limit": ks_statistic(pushed, make_density("arcsine").cdf)}
+    tests = {"ks_exact": ks_statistic(batch, cdf),
+             "ks_limit": ks_statistic(batch, make_density("arcsine").cdf)}
     trailers = [(name, {"statistic": t.statistic, "threshold": t.threshold, "pass": t.passed})
                 for name, t in tests.items()]
     _emit(ns, ("bin_left", "bin_right", "density"), columns, trailers)

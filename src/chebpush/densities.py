@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .chebpoly import _in_chunks, _index, _pointwise
-from .montecarlo import SampleBatch, uniform_stream
+from .montecarlo import uniform_stream
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -307,7 +307,7 @@ def parse_density(text):
 
 
 def sample(d, n, seed):
-    """n inverse-cdf draws from d on the deterministic stream keyed by seed.
+    """n inverse-cdf draws from d, a float array, on the stream keyed by seed.
 
     d.ppf is applied to the stream at most SUM_CHUNK variates at a time,
     each chunk's draws written back over its variates, so beyond the n
@@ -316,4 +316,4 @@ def sample(d, n, seed):
     """
     n = _index(n, 1, "sample count")
     u = uniform_stream(seed, n)
-    return SampleBatch(_in_chunks(d.ppf, u, u))
+    return _in_chunks(d.ppf, u, u)

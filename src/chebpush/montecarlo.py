@@ -1,10 +1,10 @@
 """Deterministic Monte Carlo support.
 
 Uniform variates come from a counter-based generator (Philox) keyed by the
-seed, so the same seed always gives the same draws. Batches of draws can be
-pushed through Chebyshev maps elementwise and tested against a cdf. A batch
-is sorted once, on first use, and every KS test and the histogram of it read
-that one sorted copy.
+seed, so the same seed always gives the same draws. Draws are a plain float
+array, which push_samples pushes through a Chebyshev map in place. A
+SampleBatch is the pushed sample sorted, once and in place, and every KS
+test and the histogram of it read that one sorted array.
 
 A KS test reads its cdf only where the supremum can be. The cdf is
 nondecreasing, so on a block of sorted samples its values at the two ends
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -55,38 +54,34 @@ def uniform_stream(seed, n):
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Draws on [-1, 1], as drawn or after pushes through T_k.
+    """A sample on [-1, 1], sorted once: ordered is the float array handed
+    in, sorted in place, and n its count. ks_statistic and histogram read it."""
 
-    values keeps the draw order, which pushes compose on; ordered is the
-    same values sorted, made on first use and then shared by ks_statistic
-    and histogram, so a batch is sorted once however often it is tested.
-    """
+    ordered: np.ndarray
 
-    values: np.ndarray
+    def __post_init__(self):
+        self.ordered.sort()
 
     @property
     def n(self):
-        return len(self.values)
-
-    @cached_property
-    def ordered(self):
-        # cached_property writes the instance __dict__, which frozen allows
-        return np.sort(self.values)
+        return len(self.ordered)
 
 
-def push_samples(batch, k):
-    """Apply T_k elementwise; pushes compose multiplicatively in k.
+def push_samples(x, k):
+    """T_k(x), written over the float64 array x, which is returned.
 
-    T_k is evaluated at most SUM_CHUNK values at a time into one new
-    array, so beyond the batch and that array the memory held is one
-    chunk's; the values are cheb_eval(k, batch.values) bit for bit.
+    T_k is evaluated at most SUM_CHUNK points at a time, each chunk written
+    back over its points, so beyond x the memory held is one chunk's; the
+    values are cheb_eval(k, x) bit for bit. Pushes compose
+    multiplicatively in k, and k = 1 returns x untouched.
     """
     k = _index(k, 1, "push index")
+    if getattr(x, "dtype", None) != np.float64:
+        raise TypeError("push_samples writes T_k over a float64 array")
     # T_1 is the identity; keep it exact instead of the cos(arccos x) roundtrip
     if k == 1:
-        return batch
-    x = batch.values
-    return SampleBatch(_in_chunks(lambda chunk: cheb_eval(k, chunk), x, np.empty(np.shape(x))))
+        return x
+    return _in_chunks(lambda chunk: cheb_eval(k, chunk), x, x)
 
 
 @dataclass(frozen=True)
@@ -122,7 +117,7 @@ def _rises(values):
 
 
 def ks_statistic(batch, cdf):
-    """One-sample KS distance of batch.values against a reference cdf.
+    """One-sample KS distance of batch.ordered against a reference cdf.
 
     Sorted-sample formula: D = max(D+, D-) with D+ = max_i(i/n - F(x_(i)))
     and D- = max_i(F(x_(i)) - (i-1)/n), the x_(i) read from batch.ordered

@@ -372,10 +372,10 @@ def _series_on_chunks(series, k, arr, shift):
     x+- = (phase +- beta) mod 2 pi, with P = sum_p g_p s_p for S_k and,
     integrated once more for F_k, P = sum_p (-1)^(p+1) g_p s_(p+1), s_p the
     rows of _SUM_COEFS, in x - pi: one Horner pass over every phase and side
-    at once. Every step but the last is pointwise. The last sums the rows
-    of phases and sides by one matrix product, which BLAS may round by a
-    point's place in the chunk, so a point's value can move by a few ulps
-    with the chunking (uniform01's F_9 at z = -0.9999995 by 11, 6e-19).
+    at once. The rows are then added to the exact part one at a time, in
+    one fixed order. No matrix product or pairwise sum is taken, so every
+    step is pointwise: a point's value does not depend on the other points
+    of the call, nor on how they are cut into chunks.
     """
     c, phase, g = _aliased_coeffs(series, k)
     b = c
@@ -390,7 +390,7 @@ def _series_on_chunks(series, k, arr, shift):
     side = np.array([1.0, -1.0] * (len(phase) // 2)).reshape(-1, 1)
     signs = np.array([1.0, -1.0, 1.0, -1.0, 1.0]) ** shift
     coefs = ((signs * g) @ _SUM_COEFS[shift:shift + 5, :6 + shift]).T[:, :, None]
-    weight = side[:, 0] ** shift / np.pi
+    weight = side ** shift / np.pi
     saw = g[:, :1] if shift == 0 and g[:, 0].any() else None
     near = IMAGE_ULPS * np.spacing((k + 1) * np.pi)
 
@@ -413,7 +413,10 @@ def _series_on_chunks(series, k, arr, shift):
             # at the sawtooth's jump, its midpoint 0 rather than +-pi/2
             at = np.nonzero((saw != 0.0) & (np.abs(y) >= np.pi - near))
             part[at] += saw[at[0], 0] * y[at] / 2.0
-        return values + weight @ part
+        part *= weight
+        for row in part:
+            values += row
+        return values
 
     return _in_chunks(on_chunk, arr.ravel(), np.empty(arr.size)).reshape(arr.shape)
 
@@ -512,9 +515,10 @@ def series_cdf(series, k, z):
 def asymptotic_bounded_factor(series, k, z):
     """Second-order expansion of S_k in 1/k.
 
-    S_k(z) ~ 1/pi + (1/k^2) (pi/3 - (pi - beta)^2 / pi) * sum_l mu_{2l},
+    S_k(z) ~ 1/pi + (1/k^2) (pi/3 - (pi - beta)^2 / pi) (f(1) + f(-1)) / 2,
     beta = arccos(z). The remainder is O(1/k^4) for densities whose series
-    decays; only the even coefficient sum of the input enters at this order.
+    decays; only the pdf's values at the ends enter at this order, and for
+    a series without pieces (f(1) + f(-1)) / 2 is sum_l mu_{2l}.
     """
     k = _index(k, 1, "Chebyshev index")
     if k < 2:
@@ -525,9 +529,20 @@ def asymptotic_bounded_factor(series, k, z):
 
 def _asymptotic_profile(series, beta):
     """k^2 (S_k - 1/pi) of asymptotic_bounded_factor at z = cos(beta),
-    which does not depend on k."""
+    which does not depend on k.
+
+    Its (f(1) + f(-1)) / 2 is even_moment_sum for a series without pieces.
+    With pieces, the whole-interval series has not decayed at the ends, so
+    f(1) is read from the last piece's series and f(-1) from the first's.
+    """
     gap = np.pi - beta
-    return (np.pi / 3.0 - gap * gap / np.pi) * even_moment_sum(series)
+    if series.pieces:
+        first, last = series.pieces[0][2], series.pieces[-1][2]
+        at_one, at_minus_one = _end_table(len(last) - 1)[:, 0]
+        ends = 0.5 * float(at_one @ last + at_minus_one @ first)
+    else:
+        ends = even_moment_sum(series)
+    return (np.pi / 3.0 - gap * gap / np.pi) * ends
 
 
 def _sup_deviation(bounded):

@@ -230,7 +230,7 @@ def test_a_gaussian_draw_reads_no_normal_cdf(monkeypatch):
     d = make_density("gauss", mu=0, sigma=0.25)
     calls = []
     monkeypatch.setattr(densities, "normal_cdf", lambda t: calls.append(t))
-    values = sample(d, 200000, 3).values
+    values = sample(d, 200000, 3)
     assert not calls
     assert np.all(np.abs(values) <= 1.0)
 
@@ -327,10 +327,10 @@ def test_sample_is_deterministic_and_in_support():
     b1 = sample(d, 5000, seed=11)
     b2 = sample(d, 5000, seed=11)
     b3 = sample(d, 5000, seed=12)
-    assert np.array_equal(b1.values, b2.values)
-    assert not np.array_equal(b1.values, b3.values)
-    assert b1.n == 5000
-    assert np.all(np.abs(b1.values) <= 1.0)
+    assert np.array_equal(b1, b2)
+    assert not np.array_equal(b1, b3)
+    assert b1.shape == (5000,)
+    assert np.all(np.abs(b1) <= 1.0)
     with pytest.raises(ValueError):
         sample(d, 0, seed=1)
 
@@ -339,5 +339,5 @@ def test_sample_matches_cdf_statistically():
     # crude location check: the empirical cdf at 0 matches cdf(0) to ~4 sigma
     d = make_density("ramp")
     b = sample(d, 100000, seed=3)
-    frac = np.mean(b.values < 0.0)
+    frac = np.mean(b < 0.0)
     assert frac == pytest.approx(d.cdf(0.0), abs=4 * 0.5 / np.sqrt(100000))

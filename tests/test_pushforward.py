@@ -486,6 +486,22 @@ def test_asymptotic_expansion_tightens_like_k4():
         asymptotic_bounded_factor(s, 1, 0.0)
 
 
+def test_the_asymptotic_of_a_density_with_jumps_reads_its_end_values():
+    # the 1/k^2 term's constant is (f(1) + f(-1)) / 2. A density with jumps
+    # has a whole-interval series that has not decayed at the ends: its
+    # even coefficient sum reads 0.44221317186100995 for the two-piece
+    # density, so the constant is read from the end pieces
+    z = default_grid(33)
+    profile = np.pi / 3.0 - (np.pi - np.arccos(z)) ** 2 / np.pi
+    for d, ends in ((two_piece_density((0.3,), (1.0, 1.2, 0.5, 0.6)), 0.44077134986225885),
+                    (make_density("uniform01"), 0.5)):
+        assert 0.5 * (d.pdf(1.0) + d.pdf(-1.0)) == pytest.approx(ends, rel=1e-15)
+        series = expand_density(d)
+        for k in (2, 9, 64):
+            got = (asymptotic_bounded_factor(series, k, z) - LIMIT_BOUNDED_FACTOR) * k * k
+            assert np.max(np.abs(got - profile * ends)) < 1e-12
+
+
 def test_sup_error_decays_quadratically_for_uniform():
     d = make_density("uniform")
     e16 = sup_error(d, 16)
@@ -576,11 +592,10 @@ def test_grid_result_fields_are_consistent(capsys):
     assert np.array_equal(col["f_k"], pushforward_pdf(d, 5, z))
 
 
-def _assert_pieces_are_the_whole(fn, x, cuts, atol=0.0):
+def _assert_pieces_are_the_whole(fn, x, cuts):
     whole = fn(x)
     for cut in cuts:
-        parts = np.concatenate([fn(x[:cut]), fn(x[cut:])])
-        assert np.array_equal(whole, parts) if atol == 0.0 else np.allclose(whole, parts, 0, atol)
+        assert np.array_equal(whole, np.concatenate([fn(x[:cut]), fn(x[cut:])]))
 
 
 def test_chunked_evaluation_is_bit_identical():
@@ -593,14 +608,12 @@ def test_chunked_evaluation_is_bit_identical():
     for k in (9, 2 * SUM_BLOCK + 3):
         _assert_pieces_are_the_whole(lambda x: bounded_factor(d, k, x), z, (100, 257, WIDE - 1))
     # the angle sum's cdf and the series route on one, two and three chunks
-    # of about SUM_CHUNK points, cut across them. The series route sums its
-    # edge rows by one matrix product, whose BLAS rounding of a point can
-    # depend on the point's place in the call: uniform01's F_9 at z[0]
-    # moves by 11 ulps (6e-19) when z[0] is a call of its own. So a piece
-    # of it matches the whole call to a few eps, not bit for bit.
-    eps = np.finfo(float).eps
-    for name in ("gauss:0,0.25", "uniform01"):
-        d = parse_density(name)
+    # of about SUM_CHUNK points, cut across them. The series route adds its
+    # edge rows one at a time, so that a one-point piece is the whole call's
+    # value too; two jumps give it eight rows, where a matrix product or a
+    # pairwise sum would round a point by its place in the call
+    two_jumps = two_piece_density((-0.35, 0.4), (1.0, 1.2, 0.5, 0.6, 0.9, 0.3))
+    for d in (parse_density("gauss:0,0.25"), parse_density("uniform01"), two_jumps):
         series = expand_density(d)
         for n in (SUM_CHUNK - 1, SUM_CHUNK + 1, 2 * SUM_CHUNK + 3):
             z = default_grid(n)
@@ -608,7 +621,9 @@ def test_chunked_evaluation_is_bit_identical():
             _assert_pieces_are_the_whole(lambda x: pushforward_cdf(d, 9, x), z, cuts)
             for k in (9, 2 * SUM_BLOCK + 3):
                 for route in (series_bounded_factor, series_cdf):
-                    _assert_pieces_are_the_whole(lambda x: route(series, k, x), z, cuts, 4 * eps)
+                    _assert_pieces_are_the_whole(lambda x: route(series, k, x), z, cuts)
+    assert series.decayed and all(len(_aliased_coeffs(series, k)[1]) == 4
+                                  for k in (9, 2 * SUM_BLOCK + 3))
 
 
 # the catalog, gaussians with mu in [-0.9, 0.9] and sigma in [0.01, 1], and
