@@ -10,6 +10,8 @@ every integer index (degree, k, order, count), _pointwise adapts every
 point argument, and _unit_interval and _open_interval check its domain.
 SUM_CHUNK sizes the chunks that long arrays of points are computed in, and
 _in_chunks applies a pointwise map to an array that many points at a time.
+_horner is the package's one Horner pass, for the normal cdf and quantile
+and for the series route's edge terms.
 """
 
 from __future__ import annotations
@@ -83,6 +85,20 @@ def _in_chunks(fn, x, out, size=SUM_CHUNK):
     for i in range(chunks):
         lo, hi = n * i // chunks, n * (i + 1) // chunks
         out[lo:hi] = fn(x[lo:hi])
+    return out
+
+
+def _horner(coeffs, x):
+    """sum_i coeffs[i] x^(n - i), n = len(coeffs) - 1 >= 1, highest degree first.
+
+    One multiply and one add a degree, in place and pointwise. The
+    coefficients may be arrays that broadcast against x.
+    """
+    out = coeffs[0] * x
+    out += coeffs[1]
+    for c in coeffs[2:]:
+        out *= x
+        out += c
     return out
 
 

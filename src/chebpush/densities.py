@@ -11,11 +11,12 @@ law is uniform), since pdf(cos theta) * sin theta loses relative accuracy
 near theta = 0 when the pdf is singular at x = 1.
 
 Each entry of _BUILDERS writes its forms as numpy expressions on float
-arrays, its pdf as it reads on [-1, 1]. _density masks the public pdf to 0
-outside [-1, 1], once for every density, and the default angle law reads
-the unmasked form, since cos theta never leaves [-1, 1].
-chebpoly._pointwise, applied once in _density, lets the forms take scalars
-and lists too.
+arrays, its pdf as it reads on [-1, 1]; uniform and uniform01 are one
+builder, _uniform_on, uniform on [lo, 1], whose one breakpoint is its jump
+at lo > -1. _density masks the public pdf to 0 outside [-1, 1], once for
+every density, and the default angle law reads the unmasked form, since
+cos theta never leaves [-1, 1]. chebpoly._pointwise, applied once in
+_density, lets the forms take scalars and lists too.
 
 The truncated gaussian needs the standard normal cdf and its inverse, both
 in numpy here. normal_cdf evaluates Phi(-|t|) = exp(-t^2/2) erfcx(|t|/sqrt 2)/2
@@ -34,18 +35,20 @@ normal_cdf. Its gap to mpmath's quantile is at most 4.5e-16 absolute for
 floored, so p = 0 and 1 give -+37.047, finite. The gaussian's ppf is
 mu + sigma * normal_ppf(lo + u * mass), lo being Phi at the window's lower
 end and mass its probability; for mu < 0 all three are taken in the mirror
-image Phi(-t), so the window is in a lower tail either way.
+image Phi(-t), so the window is in a lower tail either way. Every
+rational's numerator and denominator are one chebpoly._horner pass each.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .chebpoly import _in_chunks, _index, _pointwise
+from .chebpoly import _horner, _in_chunks, _index, _pointwise
 from .montecarlo import uniform_stream
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -100,9 +103,9 @@ class Density:
     pdf/cdf/ppf accept scalars or arrays; a scalar argument gives a Python
     float, and so do angle_pdf and angle_cdf, the density and the cdf of
     theta = arccos X on [0, pi]. breakpoints lists interior discontinuities
-    of the pdf (jump locations strictly inside (-1, 1)), and the density is
-    discontinuous exactly when it has one; expandable says whether the
-    density is bounded so a Chebyshev expansion makes sense.
+    of the pdf (jump locations strictly inside (-1, 1)), empty for a density
+    without jumps; expandable says whether the density is bounded so a
+    Chebyshev expansion makes sense.
     """
 
     name: str
@@ -113,10 +116,6 @@ class Density:
     angle_cdf: Callable
     expandable: bool = True
     breakpoints: tuple = ()
-
-    @property
-    def discontinuous(self):
-        return bool(self.breakpoints)
 
 
 def _density(name, pdf, cdf, ppf, angle_pdf=None, angle_cdf=None, **meta):
@@ -148,11 +147,13 @@ def _arcsine():
                     angle_cdf=lambda theta: theta / np.pi)
 
 
-def _uniform():
-    return _density("uniform",
-                    lambda x: np.full(np.shape(x), 0.5),
-                    lambda x: 0.5 * (np.clip(x, -1.0, 1.0) + 1.0),
-                    lambda u: 2.0 * u - 1.0)
+def _uniform_on(name, lo):
+    """Uniform on [lo, 1], with a jump at lo when lo > -1."""
+    width = 1.0 - lo
+    return _density(name,
+                    lambda x: np.where(x >= lo, 1.0 / width, 0.0),
+                    lambda x: (np.clip(x, lo, 1.0) - lo) / width,
+                    lambda u: lo + width * u, breakpoints=(lo,) if lo > -1.0 else ())
 
 
 def _ramp():
@@ -161,23 +162,6 @@ def _ramp():
                     lambda x: 0.5 * (x + 1.0),
                     lambda x: 0.25 * (np.clip(x, -1.0, 1.0) + 1.0) ** 2,
                     lambda u: 2.0 * np.sqrt(u) - 1.0)
-
-
-def _uniform01():
-    """Uniform on [0, 1]: bounded but with a jump at x = 0."""
-    return _density("uniform01",
-                    lambda x: np.where(x >= 0.0, 1.0, 0.0),
-                    lambda x: np.clip(x, 0.0, 1.0),
-                    lambda u: u.copy(), breakpoints=(0.0,))
-
-
-def _horner(coeffs, x):
-    out = coeffs[0] * x
-    out += coeffs[1]
-    for c in coeffs[2:]:
-        out *= x
-        out += c
-    return out
 
 
 @_pointwise
@@ -254,12 +238,13 @@ def _gauss(mu, sigma):
     return _density(f"gauss:{mu:g},{sigma:g}", pdf, cdf, ppf)
 
 
-# Selector name -> builder. Only gauss takes parameters (mu, sigma).
+# Selector name -> builder. Only gauss takes parameters (mu, sigma);
+# uniform and uniform01 are one builder, on [-1, 1] and on [0, 1].
 _BUILDERS = {
     "arcsine": _arcsine,
-    "uniform": _uniform,
+    "uniform": functools.partial(_uniform_on, "uniform", -1.0),
     "ramp": _ramp,
-    "uniform01": _uniform01,
+    "uniform01": functools.partial(_uniform_on, "uniform01", 0.0),
     "gauss": _gauss,
 }
 

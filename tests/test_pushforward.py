@@ -486,20 +486,21 @@ def test_asymptotic_expansion_tightens_like_k4():
         asymptotic_bounded_factor(s, 1, 0.0)
 
 
-def test_the_asymptotic_of_a_density_with_jumps_reads_its_end_values():
-    # the 1/k^2 term's constant is (f(1) + f(-1)) / 2. A density with jumps
-    # has a whole-interval series that has not decayed at the ends: its
-    # even coefficient sum reads 0.44221317186100995 for the two-piece
-    # density, so the constant is read from the end pieces
+def test_the_asymptotic_of_every_series_reads_its_end_values():
+    # the 1/k^2 term's constant is (f(1) + f(-1)) / 2, read from the end
+    # pieces of a series with jumps and from the one piece of a series
+    # without. A density with jumps has a whole-interval series that has not
+    # decayed at the ends: its even coefficient sum reads 0.44221317186100995
+    # for the two-piece density, where the pdf's ends give 0.44077134986225885
     z = default_grid(33)
     profile = np.pi / 3.0 - (np.pi - np.arccos(z)) ** 2 / np.pi
-    for d, ends in ((two_piece_density((0.3,), (1.0, 1.2, 0.5, 0.6)), 0.44077134986225885),
-                    (make_density("uniform01"), 0.5)):
-        assert 0.5 * (d.pdf(1.0) + d.pdf(-1.0)) == pytest.approx(ends, rel=1e-15)
+    names = ("uniform01", "uniform", "ramp", "gauss:0,0.25", "gauss:0.3,0.4")
+    for d in (two_piece_density((0.3,), (1.0, 1.2, 0.5, 0.6)), *map(parse_density, names)):
+        ends = 0.5 * (d.pdf(1.0) + d.pdf(-1.0))
         series = expand_density(d)
         for k in (2, 9, 64):
             got = (asymptotic_bounded_factor(series, k, z) - LIMIT_BOUNDED_FACTOR) * k * k
-            assert np.max(np.abs(got - profile * ends)) < 1e-12
+            assert np.max(np.abs(got - profile * ends)) < 1e-12, (d.name, k)
 
 
 def test_sup_error_decays_quadratically_for_uniform():

@@ -96,7 +96,7 @@ def test_even_moment_sum_equals_endpoint_average():
         assert even_moment_sum(s) == pytest.approx(expected, abs=1e-10)
 
 
-def test_jump_density_warns_and_is_flagged():
+def test_a_jump_density_is_flagged_by_its_pieces_without_a_warning():
     # a jump density is flagged by its pieces: its global series keeps the
     # slow 1/l tail and is not decayed, nothing is warned, and the series of
     # each piece between the jumps has decayed, which is what decayed reports
