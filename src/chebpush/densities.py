@@ -3,20 +3,26 @@
 A Density bundles the analytic pdf/cdf/ppf triple with what the
 pushforward machinery needs: the law of theta = arccos X in angle space,
 interior smoothness breakpoints for piecewise quadrature, and an
-expandability flag for the Chebyshev-series route. Every density carries
-its angle law: angle_pdf(theta) = pdf(cos theta) * sin theta and
-angle_cdf(theta) = 1 - cdf(cos theta), built from pdf and cdf by _density
-unless the builder supplies an exact form. The arcsine law does (its angle
-law is uniform), since pdf(cos theta) * sin theta loses relative accuracy
-near theta = 0 when the pdf is singular at x = 1.
+expandability flag for the Chebyshev-series route. A law is stated in one
+space and the other is derived from it by one rule, in one constructor per
+space. _density takes the x-space triple and derives
+angle_pdf(theta) = pdf(cos theta) * sin theta and
+angle_cdf(theta) = 1 - cdf(cos theta). _angle_density takes theta's
+density, cdf and quantile and derives pdf(x) = angle_pdf(arccos x) /
+sqrt((1 - x)(1 + x)), cdf(x) = 1 - angle_cdf(arccos x) and
+ppf(u) = cos(angle_ppf(1 - u)). The arcsine law is stated in angle space,
+theta uniform on [0, pi], since pdf(cos theta) * sin theta loses relative
+accuracy near theta = 0 when the pdf is singular at x = 1; every other
+catalog law is stated in x.
 
 Each entry of _BUILDERS writes its forms as numpy expressions on float
 arrays, its pdf as it reads on [-1, 1]; uniform and uniform01 are one
 builder, _uniform_on, uniform on [lo, 1], whose one breakpoint is its jump
-at lo > -1. _density masks the public pdf to 0 outside [-1, 1], once for
-every density, and the default angle law reads the unmasked form, since
-cos theta never leaves [-1, 1]. chebpoly._pointwise, applied once in
-_density, lets the forms take scalars and lists too.
+at lo > -1. _law, which both constructors end in, masks the public pdf to
+0 outside [-1, 1], once for every density, and the angle law of an x-space
+law reads the unmasked form, since cos theta never leaves [-1, 1].
+chebpoly._pointwise, applied once in _law, lets the forms take scalars and
+lists too.
 
 The truncated gaussian needs the standard normal cdf and its inverse, both
 in numpy here. normal_cdf evaluates Phi(-|t|) = exp(-t^2/2) erfcx(|t|/sqrt 2)/2
@@ -102,8 +108,10 @@ class Density:
 
     pdf/cdf/ppf accept scalars or arrays; a scalar argument gives a Python
     float, and so do angle_pdf and angle_cdf, the density and the cdf of
-    theta = arccos X on [0, pi]. breakpoints lists interior discontinuities
-    of the pdf (jump locations strictly inside (-1, 1)), empty for a density
+    theta = arccos X on [0, pi]. A law is stated in x or in theta, and the
+    other space's forms are derived from it (module docstring), so all five
+    are always present. breakpoints lists interior discontinuities of the
+    pdf (jump locations strictly inside (-1, 1)), empty for a density
     without jumps; expandable says whether the density is bounded so a
     Chebyshev expansion makes sense.
     """
@@ -118,11 +126,7 @@ class Density:
     breakpoints: tuple = ()
 
 
-def _density(name, pdf, cdf, ppf, angle_pdf=None, angle_cdf=None, **meta):
-    # the angle law closes over the builder's pdf, not over the masked one
-    angle_pdf = angle_pdf or (lambda theta: pdf(np.cos(theta)) * np.sin(theta))
-    angle_cdf = angle_cdf or (lambda theta: 1.0 - cdf(np.cos(theta)))
-
+def _law(name, pdf, cdf, ppf, angle_pdf, angle_cdf, meta):
     def support_pdf(x):
         # pdf is read only on [-1, 1], so that no point outside can overflow
         inside = np.abs(x) <= 1.0
@@ -132,19 +136,29 @@ def _density(name, pdf, cdf, ppf, angle_pdf=None, angle_cdf=None, **meta):
                    **meta)
 
 
-def _arcsine():
-    def pdf(x):
-        # inf at x = +-1
-        with np.errstate(divide="ignore"):
-            return 1.0 / (np.pi * np.sqrt((1.0 - x) * (1.0 + x)))
+def _density(name, pdf, cdf, ppf, **meta):
+    """A law stated in x: theta's law is pdf(cos theta) sin theta and 1 - cdf(cos theta)."""
+    # the angle law closes over the builder's pdf, not over the masked one
+    return _law(name, pdf, cdf, ppf, lambda theta: pdf(np.cos(theta)) * np.sin(theta),
+                lambda theta: 1.0 - cdf(np.cos(theta)), meta)
 
-    # arccos(X) is exactly uniform on [0, pi] here; supplying that form keeps
-    # pushforward errors at rounding level instead of ~1e-9 near theta = 0.
-    return _density("arcsine", pdf,
-                    lambda x: 1.0 - np.arccos(np.clip(x, -1.0, 1.0)) / np.pi,
-                    lambda u: -np.cos(np.pi * u), expandable=False,
-                    angle_pdf=lambda theta: np.full(np.shape(theta), 1.0 / np.pi),
-                    angle_cdf=lambda theta: theta / np.pi)
+
+def _angle_density(name, angle_pdf, angle_cdf, angle_ppf, **meta):
+    """A law stated by theta's density, cdf and quantile; the forms of X = cos theta derived."""
+    def pdf(x):
+        # angle_pdf / 0 at x = +-1: inf where theta's density is positive at 0
+        # or pi; where it is 0 the rule gives no value, and numpy warns
+        with np.errstate(divide="ignore"):
+            return angle_pdf(np.arccos(x)) / np.sqrt((1.0 - x) * (1.0 + x))
+
+    return _law(name, pdf, lambda x: 1.0 - angle_cdf(np.arccos(np.clip(x, -1.0, 1.0))),
+                lambda u: np.cos(angle_ppf(1.0 - u)), angle_pdf, angle_cdf, meta)
+
+
+def _arcsine():
+    """theta = arccos X uniform on [0, pi], the limit law, stated exactly in angle space."""
+    return _angle_density("arcsine", lambda theta: np.full(np.shape(theta), 1.0 / np.pi),
+                          lambda theta: theta / np.pi, lambda v: np.pi * v, expandable=False)
 
 
 def _uniform_on(name, lo):
@@ -224,7 +238,9 @@ def _gauss(mu, sigma):
 
     def pdf(x):
         t = np.clip(x - mu, -cap, cap) / sigma
-        return np.exp(-0.5 * t * t) / (sigma * _SQRT_2PI * mass)
+        # inf at the mode when sigma is subnormal
+        with np.errstate(over="ignore"):
+            return np.exp(-0.5 * t * t) / (sigma * _SQRT_2PI * mass)
 
     def cdf(x):
         t = np.clip(np.clip(x, -1.0, 1.0) - mu, -cap, cap) / side_sigma

@@ -245,7 +245,6 @@ def _piece_moments(pieces, k, span):
                            for i in range(0, m.size, rows)])
 
 
-@lru_cache(maxsize=4)
 def _end_table(order):
     """T_l^(j)(1) and T_l^(j)(-1) for j = 0..4 and l = 0..order, as a (2, 5, order + 1) array."""
     l = np.arange(order + 1.0)
@@ -254,9 +253,7 @@ def _end_table(order):
         # T_l^(j+1)(1) = T_l^(j)(1) (l^2 - j^2) / (2 j + 1); T_l^(j)(-1) = (-1)^(l + j) T_l^(j)(1)
         rows.append(rows[-1] * (l * l - j * j) / (2 * j + 1))
     rows = np.array(rows)
-    table = np.array([rows, rows * (-1.0) ** (l + np.arange(5.0)[:, None])])
-    table.flags.writeable = False
-    return table
+    return np.array([rows, rows * (-1.0) ** (l + np.arange(5.0)[:, None])])
 
 
 def _jump_model(x, df):
@@ -621,11 +618,6 @@ def mass_left_of_zero(d, k):
     return pushforward_cdf(d, k, 0.0)
 
 
-@lru_cache(maxsize=1)
-def _gl_rule():
-    return np.polynomial.legendre.leggauss(MASS_NODES)
-
-
 def _panel_breaks(d, k):
     # beta values where a preimage angle crosses an interior pdf jump x*:
     # that angle is arccos(x*), so cos(beta) = T_k(x*); integrating panelwise
@@ -644,7 +636,7 @@ def pushforward_mass(d, k):
     any correct density.
     """
     k = _index(k, 1, "Chebyshev index")
-    x, w = _gl_rule()
+    x, w = np.polynomial.legendre.leggauss(MASS_NODES)
     breaks = np.array(_panel_breaks(d, k))
     half = 0.5 * np.diff(breaks)[:, None]
     beta = (half * x + 0.5 * (breaks[1:] + breaks[:-1])[:, None]).ravel()

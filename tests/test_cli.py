@@ -1,7 +1,9 @@
 import ast
+import contextlib
 import functools
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -15,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from chebpush import cli, floattext, pushforward, spectral
@@ -1150,6 +1152,69 @@ def test_a_gaussian_of_any_tiny_width_raises_no_warning(capsys, dist):
             warnings.simplefilter("error")
             code, _, err = run_cli(capsys, command, "--dist", dist, *flags)
         assert code in (0, 1) and "Warning" not in err, (command, err)
+
+
+# The angle terms one drawn command may sum: k per grid point (per sample for
+# mc), summed over its ks, as MAX_WORK counts them, at most 2^18 here.
+FUZZ_WORK = 2**18
+FUZZ_MAX_K = 65536
+_FUZZ_MUS = st.one_of(st.floats(-40.0, 40.0),
+                      st.sampled_from((1.0, -1.0, math.nan, math.inf, -math.inf)))
+_FUZZ_SIGMAS = st.one_of(st.floats(5e-324, 1e300),
+                         st.floats(-323.0, 300.0).map(lambda e: 10.0**e),
+                         st.sampled_from((0.0, -1.0, math.nan)))
+_FUZZ_DISTS = st.one_of(st.sampled_from(("arcsine", "uniform", "ramp", "uniform01")),
+                        st.builds(lambda mu, sigma: f"gauss:{mu!r},{sigma!r}",
+                                  _FUZZ_MUS, _FUZZ_SIGMAS))
+
+
+@st.composite
+def _fuzz_flags(draw):
+    """A command and its size flags, each within FUZZ_MAX_K and FUZZ_WORK."""
+    command = draw(st.sampled_from(("pdf", "dance", "converge", "expand", "mc")))
+    if command == "expand":
+        return [command, "--order", str(draw(st.integers(1, MAX_ORDER)))]
+    if command == "mc":
+        k = draw(st.integers(1, FUZZ_WORK // KS_MIN_SAMPLES))
+        n = draw(st.integers(KS_MIN_SAMPLES, FUZZ_WORK // k))
+        return [command, "--k", str(k), "--n", str(n), "--seed", str(draw(st.integers(0, 2**32)))]
+    grid = draw(st.integers(2, 1000))
+    if command == "pdf":
+        return [command, "--k", str(draw(st.integers(1, min(FUZZ_MAX_K, FUZZ_WORK // grid)))),
+                "--grid", str(grid)]
+    # up to 5 ks, each at most a fifth of the budget, in increasing order
+    ks = draw(st.lists(st.integers(1, min(FUZZ_MAX_K, FUZZ_WORK // (5 * grid))), min_size=1,
+                       max_size=5))
+    return [command, "--ks", ",".join(map(str, sorted(set(ks)))), "--grid", str(grid)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(flags=_fuzz_flags(), dist=_FUZZ_DISTS, fmt=st.sampled_from(("csv", "json")))
+def test_any_command_on_any_law_exits_cleanly(flags, dist, fmt, tmp_path_factory):
+    """pdf, dance, converge, expand and mc on a catalog law or on any
+    gauss:MU,SIGMA, nan and infinities included, at any size within the
+    budget above: each exits 0, 1 with a one-line reason, or 2 (a usage
+    error, such as a gaussian with no mass on [-1, 1]), with no traceback
+    and no warning, and its JSON parses. No single input's code is pinned.
+    """
+    target = tmp_path_factory.mktemp("fuzz") / "out"
+    argv = [*flags, "--dist", dist, "--format", fmt, "--out", str(target)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    event(f"{flags[0]} exits {code}")
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    if code == 1:
+        assert err.startswith("chebpush: error: ") and err.count("\n") == 1, (argv, err)
+    if code == 0 and fmt == "json":
+        json.loads(target.read_text())
 
 
 @pytest.mark.parametrize("fmt", ("csv", "json"))

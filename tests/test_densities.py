@@ -1,6 +1,7 @@
 import inspect
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -103,13 +104,68 @@ def test_arcsine_forms():
     theta = np.linspace(0, np.pi, 33)
     assert np.allclose(d.angle_pdf(theta), 1 / np.pi, atol=0)
     assert np.allclose(d.angle_cdf(theta), theta / np.pi, atol=0)
+    # the x-space forms the angle rule derives from 1/pi, theta/pi and pi v,
+    # against their closed forms: the pdf within 2.4e-16 relative and the
+    # ppf cos(pi (1 - u)) within 5.6e-16 of -cos(pi u), measured on this grid
+    x = np.linspace(-1.0, 1.0, 200001)
+    with np.errstate(divide="ignore"):
+        pdf = 1.0 / (np.pi * np.sqrt((1.0 - x) * (1.0 + x)))
+    assert np.max(np.abs(d.pdf(x[1:-1]) / pdf[1:-1] - 1.0)) <= 4.5e-16
+    assert d.pdf(-1.0) == d.pdf(1.0) == np.inf
+    assert np.array_equal(d.cdf(x), 1.0 - np.arccos(x) / np.pi)
+    u = np.linspace(0.0, 1.0, 200001)
+    assert np.max(np.abs(d.ppf(u) + np.cos(np.pi * u))) <= 6.7e-16
+
+
+# Bounds on the gaps between a law's x-space forms and the ones the
+# angle-space rule derives from its angle forms, about twice the largest
+# gaps measured on the grids below: the pdf's relative to the law's largest
+# pdf, the cdf's and the ppf's absolute. Away from the ends the gaps are a
+# few ulps. Near x = +-1, arccos is ill-conditioned, so
+# the pdf's sin(arccos x) / sqrt((1 - x)(1 + x)) drifts like
+# eps / sqrt(1 - |x|), up to 9.8e-9 (uniform at 1 - 2^-53); the cdf and the
+# ppf stay within an ulp of their small values or of 1 there.
+ANGLE_RULE_AWAY = {"pdf": 5e-15, "cdf": 1e-15, "ppf": 8e-15}
+ANGLE_RULE_NEAR = {"pdf": 2e-8, "cdf": 1.2e-16, "ppf": 2.3e-16}
+
+
+@pytest.mark.parametrize("selector", ["uniform", "ramp", "uniform01", "gauss:0,0.25",
+                                      "gauss:0.3,0.4"])
+def test_a_law_rebuilt_from_its_angle_forms_has_its_x_forms(selector):
+    # the angle quantile of Theta = arccos X is arccos(ppf(1 - v)); the pdf
+    # is compared on the open interval, as at x = +-1 the rule reads the
+    # angle density over sin 0, and these laws' angle densities are 0 there
+    d = parse_density(selector)
+    rebuilt = densities._angle_density(d.name, d.angle_pdf, d.angle_cdf,
+                                       lambda v: np.arccos(d.ppf(1.0 - v)),
+                                       breakpoints=d.breakpoints)
+    tiny = 2.0 ** -np.arange(10.0, 54.0)
+    away = (np.linspace(-0.999, 0.999, 20001), np.linspace(1e-3, 1.0 - 1e-3, 20001))
+    near = (np.concatenate([-1.0 + tiny, 1.0 - tiny]),
+            np.concatenate([tiny, 1.0 - tiny, [0.0, 1.0]]))
+    scale = np.max(d.pdf(away[0]))
+    for (x, u), bound in ((away, ANGLE_RULE_AWAY), (near, ANGLE_RULE_NEAR)):
+        assert np.max(np.abs(rebuilt.pdf(x) - d.pdf(x))) <= bound["pdf"] * scale
+        assert np.max(np.abs(rebuilt.cdf(x) - d.cdf(x))) <= bound["cdf"]
+        assert np.max(np.abs(rebuilt.ppf(u) - d.ppf(u))) <= bound["ppf"]
+    assert (rebuilt.breakpoints, rebuilt.expandable) == (d.breakpoints, d.expandable)
+
+
+@pytest.mark.parametrize("sigma", [1e-310, 5e-324])
+def test_a_subnormal_gaussian_pdf_is_inf_at_its_mode_without_a_warning(sigma):
+    # sigma sqrt(2 pi) mass is subnormal, so its reciprocal overflows
+    d = make_density("gauss", mu=0.0, sigma=sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert d.pdf(0.0) == np.inf
+        assert np.array_equal(d.pdf(np.array([-0.5, 0.0, 0.5])), [0.0, np.inf, 0.0])
 
 
 @pytest.mark.parametrize("name,params", [("uniform", {}), ("ramp", {}), ("uniform01", {}),
                                          ("gauss", {"sigma": 0.25}),
                                          ("gauss", {"mu": 0.5, "sigma": 0.3})])
 def test_angle_law_is_the_pdf_and_cdf_in_angle_space(name, params):
-    # without an exact form the angle law is pdf(cos t) sin t and 1 - cdf(cos t), bit for bit
+    # for a law stated in x the angle law is pdf(cos t) sin t and 1 - cdf(cos t), bit for bit
     d = make_density(name, **params)
     theta = np.linspace(0.0, np.pi, 1001)
     assert np.array_equal(d.angle_pdf(theta), d.pdf(np.cos(theta)) * np.sin(theta))
@@ -120,10 +176,10 @@ def test_angle_law_is_the_pdf_and_cdf_in_angle_space(name, params):
 @given(d=st.sampled_from(CATALOG), theta=st.lists(st.floats(0.0, np.pi), min_size=1, max_size=16),
        outside=st.floats(1.0, np.inf, exclude_min=True), sign=st.sampled_from((-1.0, 1.0)))
 def test_one_support_mask_leaves_the_angle_law_bit_for_bit(d, theta, outside, sign):
-    # _density masks the public pdf to 0 outside [-1, 1]; the default angle
+    # _law masks the public pdf to 0 outside [-1, 1]; an x-space law's angle
     # law reads the builder's unmasked pdf, which cos theta never takes
-    # outside, so it is pdf(cos theta) sin theta bit for bit. arcsine
-    # supplies its exact angle law
+    # outside, so it is pdf(cos theta) sin theta bit for bit. arcsine is
+    # stated by its angle law
     assert d.pdf(sign * outside) == 0.0
     assert np.array_equal(d.pdf(np.array([-outside, outside])), [0.0, 0.0])
     if d.name != "arcsine":
